@@ -41,6 +41,7 @@ class AmContext:
         if request.requested_at is None:
             request.requested_at = self.env.now
         self.app.pending.append(request)
+        self.rm._request_queued(self.app)
 
     def request_containers(self, count: int, resource: YarnResource,
                            preferred_nodes: Sequence[str] = ()) -> None:

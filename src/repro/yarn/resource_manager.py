@@ -2,16 +2,23 @@
 
 Scheduling is *pull-based*, as in real YARN: every NodeManager
 heartbeat is a scheduling opportunity for that node.  The pluggable
-policy (:class:`FifoPolicy` or :class:`CapacityPolicy`) decides which
-application's pending request, if any, gets a container there.  AM
-containers are ordinary requests tagged at highest priority.
+policy (:class:`FifoPolicy`, :class:`FairPolicy` or
+:class:`CapacityPolicy`) decides which application's pending request,
+if any, gets a container there.  AM containers are ordinary requests
+tagged at highest priority.
+
+The RM keeps a *runnable index* — the non-final apps with a non-empty
+``pending`` deque, in submission order — so an opportunity costs
+O(assignments made), however many applications are merely waiting.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from typing import Deque, Dict, List, Optional
+from bisect import bisect_left, insort
+from collections import defaultdict, deque
+from operator import attrgetter
+from typing import Deque, Dict, Iterable, List, Optional
 
 from repro.sim.engine import Environment
 from repro.yarn.config import YarnConfig
@@ -27,17 +34,24 @@ from repro.yarn.records import (
     YarnResource,
 )
 
+_BY_SEQ = attrgetter("seq")
+
 
 class AppRecord:
     """RM-side bookkeeping for one application."""
 
-    def __init__(self, env: Environment, app_id: str, spec: AppSpec):
+    def __init__(self, env: Environment, app_id: str, spec: AppSpec,
+                 seq: int = 0):
         self.env = env
         self.app_id = app_id
+        #: Submission sequence number: the scheduling order key (the
+        #: zero-padded ``app_id`` string mis-sorts past 9,999 apps).
+        self.seq = seq
         self.spec = spec
         self.state = ApplicationState.NEW
         self.queue = spec.queue
         self.am_container: Optional[Container] = None
+        self._am_pending = False    # the AM ask has been queued
         self.pending: Deque[ContainerRequest] = deque()
         self.granted: List[Container] = []          # awaiting AM pickup
         self.completed: List[Container] = []        # awaiting AM pickup
@@ -75,7 +89,13 @@ class SchedulingPolicy:
     def attach(self, rm: "ResourceManager") -> None:
         self.rm = rm
 
-    def app_order(self, apps: List[AppRecord]) -> List[AppRecord]:
+    def app_order(self, apps: List[AppRecord]) -> Iterable[AppRecord]:
+        """Order in which one opportunity is offered to ``apps``.
+
+        ``apps`` is the RM's runnable index: already in submission
+        (``seq``) order and not to be mutated.  The RM stops consuming
+        the result once the node or the assignment budget is exhausted.
+        """
         raise NotImplementedError
 
     def may_allocate(self, app: AppRecord,
@@ -86,8 +106,8 @@ class SchedulingPolicy:
 class FifoPolicy(SchedulingPolicy):
     """YARN's FIFO scheduler: strict submission order, no queue caps."""
 
-    def app_order(self, apps: List[AppRecord]) -> List[AppRecord]:
-        return sorted(apps, key=lambda a: a.app_id)
+    def app_order(self, apps: List[AppRecord]) -> Iterable[AppRecord]:
+        return apps
 
     def may_allocate(self, app: AppRecord, resource: YarnResource) -> bool:
         return True
@@ -110,9 +130,10 @@ class FairPolicy(SchedulingPolicy):
     def _weight(self, app: AppRecord) -> float:
         return self.weights.get(app.queue, 1.0)
 
-    def app_order(self, apps: List[AppRecord]) -> List[AppRecord]:
-        return sorted(apps, key=lambda a: (
-            a.usage.memory_mb / self._weight(a), a.app_id))
+    def app_order(self, apps: List[AppRecord]) -> Iterable[AppRecord]:
+        # Stable sort: submission order breaks usage ties.
+        return sorted(
+            apps, key=lambda a: a.usage.memory_mb / self._weight(a))
 
     def may_allocate(self, app: AppRecord, resource: YarnResource) -> bool:
         return True
@@ -134,29 +155,21 @@ class CapacityPolicy(SchedulingPolicy):
         if abs(total - 1.0) > 1e-6:
             raise ValueError(f"queue capacities must sum to 1, got {total}")
 
-    def app_order(self, apps: List[AppRecord]) -> List[AppRecord]:
-        # Round-robin across queues, FIFO within a queue: order by
-        # (rank within queue, app id) so the least-served queues go first.
-        by_queue: Dict[str, List[AppRecord]] = {}
-        for app in sorted(apps, key=lambda a: a.app_id):
-            by_queue.setdefault(app.queue, []).append(app)
-        ordered: List[AppRecord] = []
-        rank = 0
-        while any(by_queue.values()):
-            for queue in sorted(by_queue):
-                if by_queue[queue]:
-                    ordered.append(by_queue[queue].pop(0))
-            rank += 1
-        return ordered
+    def app_order(self, apps: List[AppRecord]) -> Iterable[AppRecord]:
+        # Round-robin across queues (by name), FIFO within a queue.
+        by_queue: Dict[str, List[AppRecord]] = defaultdict(list)
+        for app in apps:
+            by_queue[app.queue].append(app)
+        lanes = [by_queue[queue] for queue in sorted(by_queue)]
+        return [app for rank in itertools.zip_longest(*lanes) for app in rank
+                if app is not None]
 
     def may_allocate(self, app: AppRecord, resource: YarnResource) -> bool:
         share = self.queues.get(app.queue)
         if share is None:
             return False  # unknown queue: rejected at submit, belt+braces
         total_mb = self.rm.total_capacity().memory_mb
-        queue_used = sum(
-            a.usage.memory_mb for a in self.rm._active_apps.values()
-            if a.queue == app.queue)
+        queue_used = self.rm._queue_used_mb[app.queue]
         limit = total_mb * min(1.0, share * self.max_capacity)
         return queue_used + resource.memory_mb <= limit + 1e-9
 
@@ -172,10 +185,17 @@ class ResourceManager:
         self.policy.attach(self)
         self.node_managers: Dict[str, NodeManager] = {}
         self.apps: Dict[str, AppRecord] = {}
-        # Non-final apps only, in submission (= app-id) order: the
-        # heartbeat scheduling path and the metrics snapshot iterate
-        # this instead of every app ever submitted.
+        # Non-final apps only, in submission order.
         self._active_apps: Dict[str, AppRecord] = {}
+        # The runnable index: active apps with a non-empty ``pending``
+        # deque, sorted by ``seq``; with it the total of their queued
+        # asks and the memory active apps hold per queue.  All three
+        # are maintained where they change (see _request_queued,
+        # _schedule_on, _allocate, _on_container_complete,
+        # _track_app_state) so no scheduling opportunity rescans apps.
+        self._runnable: List[AppRecord] = []
+        self._pending_requests = 0
+        self._queue_used_mb: Dict[str, int] = defaultdict(int)
         self._apps_running = 0
         self._apps_pending = 0
         self._app_counter = itertools.count(1)
@@ -330,8 +350,9 @@ class ResourceManager:
         if isinstance(self.policy, CapacityPolicy) and \
                 spec.queue not in self.policy.queues:
             raise ValueError(f"unknown queue {spec.queue!r}")
-        app_id = f"application_{next(self._app_counter):04d}"
-        app = AppRecord(self.env, app_id, spec)
+        seq = next(self._app_counter)
+        app_id = f"application_{seq:04d}"
+        app = AppRecord(self.env, app_id, spec, seq)
         app.on_advance = self._track_app_state
         self.apps[app_id] = app
         self._active_apps[app_id] = app
@@ -350,6 +371,17 @@ class ResourceManager:
             resource=self._normalize(app.spec.am_resource),
             requested_at=self.env.now))
         app._am_pending = True
+        self._request_queued(app)
+
+    def _request_queued(self, app: AppRecord) -> None:
+        """``app.pending`` just grew by one ask."""
+        if app.app_id in self._active_apps:
+            self._pending_requests += 1
+            if len(app.pending) == 1:
+                insort(self._runnable, app, key=_BY_SEQ)
+
+    def _unindex(self, app: AppRecord) -> None:
+        del self._runnable[bisect_left(self._runnable, app.seq, key=_BY_SEQ)]
 
     def kill_application(self, app_id: str, diagnostics: str = "killed") -> None:
         app = self.apps[app_id]
@@ -370,8 +402,9 @@ class ResourceManager:
 
     def _track_app_state(self, app: AppRecord, previous: ApplicationState,
                          state: ApplicationState) -> None:
-        """Keep the running/pending tallies and the active-app index
-        current; called from :meth:`AppRecord.advance`."""
+        """Keep the running/pending tallies, the active-app index and
+        the scheduling state that covers active apps only current;
+        called from :meth:`AppRecord.advance`."""
         pending = (ApplicationState.SUBMITTED, ApplicationState.ACCEPTED)
         if previous is ApplicationState.RUNNING:
             self._apps_running -= 1
@@ -381,8 +414,12 @@ class ResourceManager:
             self._apps_running += 1
         elif state in pending:
             self._apps_pending += 1
-        if state.is_final:
-            self._active_apps.pop(app.app_id, None)
+        if state.is_final and \
+                self._active_apps.pop(app.app_id, None) is not None:
+            self._queue_used_mb[app.queue] -= app.usage.memory_mb
+            if app.pending:
+                self._pending_requests -= len(app.pending)
+                self._unindex(app)
 
     # ---------------------------------------------------------- scheduling
     def _normalize(self, resource: YarnResource) -> YarnResource:
@@ -402,7 +439,6 @@ class ResourceManager:
         rather than piling onto whichever NM reports first.
         """
         budget = self.config.max_assignments_per_heartbeat
-        active = [a for a in self._active_apps.values() if a.pending]
         tel = self.env.telemetry
         if tel is not None:
             # The RM-side scheduling backlog, sampled at every
@@ -410,8 +446,9 @@ class ResourceManager:
             if self._backlog_gauge_tel is not tel:
                 self._backlog_gauge = tel.gauge("yarn.rm.heartbeat_backlog")
                 self._backlog_gauge_tel = tel
-            self._backlog_gauge.set(sum(len(a.pending) for a in active))
-        for app in self.policy.app_order(active):
+            self._backlog_gauge.set(self._pending_requests)
+        drained: List[AppRecord] = []
+        for app in self.policy.app_order(self._runnable):
             while app.pending and budget > 0:
                 request = app.pending[0]
                 if not request.resource.fits_in(nm.available):
@@ -427,12 +464,17 @@ class ResourceManager:
                         request.missed_opportunities += 1
                         break
                 app.pending.popleft()
+                self._pending_requests -= 1
                 self._allocate(app, request, nm)
                 budget -= 1
+            if not app.pending:
+                drained.append(app)
             # Keep offering this node to later apps while space remains.
             if budget <= 0 or \
                     nm.available.memory_mb < self.config.min_allocation_mb:
                 break
+        for app in drained:     # after the walk: the index was being read
+            self._unindex(app)
         sanitizer = self.env.sanitizer
         if sanitizer is not None:
             sanitizer.check_resource_manager(self)
@@ -445,6 +487,7 @@ class ResourceManager:
             resource=request.resource)
         nm.reserve(container)
         app.usage = app.usage.plus(container.resource)
+        self._queue_used_mb[app.queue] += container.resource.memory_mb
         app.live_containers[container.container_id] = container
         self.metrics_counters["containersAllocated"] += 1
         tel = self.env.telemetry
@@ -457,7 +500,7 @@ class ResourceManager:
             if request.requested_at is not None:
                 tel.histogram("yarn.container.allocation_latency").observe(
                     self.env.now - request.requested_at)
-        if getattr(app, "_am_pending", False) and app.am_container is None:
+        if app._am_pending and app.am_container is None:
             app.am_container = container
             self._launch_am(app, container)
         else:
@@ -512,6 +555,8 @@ class ResourceManager:
         if container.container_id in app.live_containers:
             del app.live_containers[container.container_id]
             app.usage = app.usage.minus(container.resource)
+            if app.app_id in self._active_apps:
+                self._queue_used_mb[app.queue] -= container.resource.memory_mb
         if container is not app.am_container:
             app.completed.append(container)
         sanitizer = self.env.sanitizer

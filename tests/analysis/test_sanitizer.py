@@ -121,6 +121,38 @@ def test_yarn_rm_checker_catches_tally_drift():
         sanitizer.check_resource_manager(rm)
 
 
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda rm: rm._runnable.reverse(), "runnable index"),
+    (lambda rm: rm._runnable.pop(), "runnable index"),
+    (lambda rm: setattr(rm, "_pending_requests", 3),
+     "pending-request count 3 != scan 2"),
+    (lambda rm: rm._queue_used_mb.__setitem__("default", 512),
+     "per-queue usage tally"),
+], ids=["runnable-order", "runnable-membership", "pending-count",
+        "queue-usage"])
+def test_yarn_rm_checker_catches_scheduling_index_drift(corrupt, message):
+    from repro.yarn import AppSpec, YarnCluster, YarnConfig, YarnResource
+
+    env = Environment()
+    sanitizer = SimSanitizer.install(env)
+    machine = Machine(env, stampede(num_nodes=1))
+    cluster = YarnCluster(env, machine, machine.nodes, config=YarnConfig())
+    env.run(env.process(cluster.start()))
+    rm = cluster.resource_manager
+    # Two AM asks larger than the node: they stay queued, so both apps
+    # sit in the runnable index while heartbeats keep checking it.
+    for name in ("a", "b"):
+        rm.submit_application(AppSpec(
+            name=name, am_resource=YarnResource(10 ** 6, 1),
+            am_program=lambda ctx: iter(())))
+    env.run(until=env.now + 5.0)
+    assert [a.spec.name for a in rm._runnable] == ["a", "b"]
+    sanitizer.check_resource_manager(rm)  # clean state passes
+    corrupt(rm)
+    with pytest.raises(InvariantViolation, match=message):
+        sanitizer.check_resource_manager(rm)
+
+
 def test_namenode_checker_catches_phantom_replica():
     from repro.hdfs import HdfsCluster
 

@@ -7,7 +7,9 @@ from repro.sim import Environment
 from repro.yarn import (
     AppSpec,
     ApplicationState,
+    CapacityPolicy,
     FairPolicy,
+    FifoPolicy,
     YarnCluster,
     YarnConfig,
     YarnResource,
@@ -24,34 +26,43 @@ def make_yarn(num_nodes=2, policy=None):
     return env, cluster
 
 
+class App:
+    """What a policy reads of an ``AppRecord``."""
+
+    def __init__(self, seq, mb, queue="default"):
+        self.seq = seq
+        self.app_id = f"application_{seq:04d}"
+        self.usage = YarnResource(mb, 1)
+        self.queue = queue
+
+
+def test_policies_receive_apps_in_submission_order():
+    """The ``app_order`` contract: input is the RM's runnable index,
+    pre-ordered by ``seq``; FIFO hands it back as is, Capacity
+    round-robins its queues (by name) FIFO within each."""
+    apps = [App(1, 0, "b"), App(2, 0, "a"), App(3, 0, "b"), App(4, 0, "b")]
+    assert list(FifoPolicy().app_order(apps)) == apps
+    capacity = CapacityPolicy({"a": 0.5, "b": 0.5})
+    assert [a.seq for a in capacity.app_order(apps)] == [2, 1, 3, 4]
+
+
 def test_fair_policy_orders_by_usage():
     policy = FairPolicy()
 
-    class App:
-        def __init__(self, app_id, mb, queue="default"):
-            self.app_id = app_id
-            self.usage = YarnResource(mb, 1)
-            self.queue = queue
-
-    apps = [App("application_0001", 4000), App("application_0002", 100),
-            App("application_0003", 2000)]
+    # The RM hands policies its runnable index: already in seq order.
+    apps = [App(1, 4000), App(2, 100), App(3, 2000), App(4, 100)]
     ordered = policy.app_order(apps)
     assert [a.app_id for a in ordered] == [
-        "application_0002", "application_0003", "application_0001"]
+        "application_0002", "application_0004", "application_0003",
+        "application_0001"]
 
 
 def test_fair_policy_weights():
     policy = FairPolicy(weights={"gold": 4.0})
 
-    class App:
-        def __init__(self, app_id, mb, queue):
-            self.app_id = app_id
-            self.usage = YarnResource(mb, 1)
-            self.queue = queue
-
     # gold has 4x the weight: 4000MB/4 = 1000 effective < plain 2000
-    gold = App("application_0001", 4000, "gold")
-    plain = App("application_0002", 2000, "default")
+    gold = App(1, 4000, "gold")
+    plain = App(2, 2000, "default")
     assert policy.app_order([gold, plain])[0] is gold
 
 
