@@ -19,7 +19,7 @@ shared DB; the client-side managers replay them onto the handles.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.analysis.sanitizer import InvariantViolation
 from repro.core.agent.executor import ExecutionError, make_backend
@@ -28,7 +28,7 @@ from repro.core.description import AgentConfig, ComputePilotDescription
 from repro.core.states import PilotState, UnitState
 from repro.rms.job import BatchJob
 from repro.saga.registry import Site
-from repro.sim.engine import Environment, Interrupt
+from repro.sim.engine import Environment, Interrupt, Process
 
 
 def advance_doc(collection, uid: str, state, now: float, **extra) -> None:
@@ -55,7 +55,9 @@ class Agent:
         self.config: AgentConfig = description.agent_config
         self.lrm = None
         self.backend = None
-        self._unit_procs: List = []
+        #: uid -> pipeline process, for *live* pipelines only (a
+        #: pipeline removes itself on exit); dict order = claim order.
+        self._unit_procs: Dict[str, Process] = {}
         self._claimed: set = set()
         self._pilot_span = None
 
@@ -143,8 +145,7 @@ class Agent:
                 self._pilots().update_one({"_id": self.pilot_uid},
                                           {"heartbeat": self.env.now})
                 if tel is not None:
-                    in_flight = sum(1 for p in self._unit_procs
-                                    if p.is_alive)
+                    in_flight = len(self._unit_procs)
                     tel.emit("agent", "heartbeat", pilot=self.pilot_uid,
                              claimed=len(self._claimed),
                              in_flight=in_flight)
@@ -177,8 +178,8 @@ class Agent:
             if doc["_id"] in self._claimed:
                 continue
             self._claimed.add(doc["_id"])
-            self._unit_procs.append(self.env.process(
-                self._unit_pipeline(doc), name=f"unit-{doc['_id']}"))
+            self._unit_procs[doc["_id"]] = self.env.process(
+                self._unit_pipeline(doc), name=f"unit-{doc['_id']}")
 
     # -------------------------------------------------------- unit pipeline
     def _unit_pipeline(self, doc: Dict):
@@ -272,6 +273,7 @@ class Agent:
             self._advance_unit(uid, UnitState.FAILED,
                                stderr=repr(exc), exit_code=1)
         finally:
+            del self._unit_procs[uid]
             if allocation is not None:
                 self.backend.release(allocation)
             _phase(None)
@@ -283,9 +285,8 @@ class Agent:
 
     # -------------------------------------------------------------- teardown
     def _teardown(self, final_state: PilotState):
-        for proc in self._unit_procs:
-            if proc.is_alive:
-                proc.interrupt(cause="pilot teardown")
+        for proc in self._unit_procs.values():
+            proc.interrupt(cause="pilot teardown")
         if self.backend is not None:
             yield from self.backend.teardown()
         if self.lrm is not None:

@@ -5,11 +5,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.description import ComputePilotDescription
-from repro.core.states import PILOT_TRANSITIONS, PilotState, check_transition
+from repro.core.states import PILOT_TRANSITIONS, PilotState, StateHandle
 from repro.sim.engine import Environment, Event
 
 
-class ComputePilot:
+class ComputePilot(StateHandle):
     """Handle to a submitted pilot.
 
     State changes flow from the agent through the shared DB; the
@@ -17,43 +17,20 @@ class ComputePilot:
     per-state events that ``wait()`` exposes.
     """
 
+    _transitions = PILOT_TRANSITIONS
+
     def __init__(self, env: Environment, uid: str,
                  description: ComputePilotDescription):
         self.env = env
         self.uid = uid
         self.description = description
-        self.state = PilotState.NEW
+        self.state: PilotState = PilotState.NEW
         self.history: List[Tuple[float, PilotState]] = [
             (env.now, PilotState.NEW)]
-        self._state_events: Dict[PilotState, Event] = {
-            s: Event(env) for s in PilotState}
+        self._state_events: Optional[Dict[PilotState, Event]] = None
         self._final_event = Event(env)
         #: populated once ACTIVE: agent-side metrics for the benchmarks
         self.agent_info: Dict[str, float] = {}
-
-    def advance(self, new_state: PilotState) -> None:
-        """Apply one state transition (legality-checked)."""
-        check_transition(PILOT_TRANSITIONS, self.state, new_state)
-        self.state = new_state
-        self.history.append((self.env.now, new_state))
-        event = self._state_events[new_state]
-        if not event.triggered:
-            event.succeed(self)
-        if new_state.is_final and not self._final_event.triggered:
-            self._final_event.succeed(self)
-
-    def wait(self, state: Optional[PilotState] = None) -> Event:
-        """Event firing when the pilot reaches ``state`` (or any final)."""
-        if state is None:
-            return self._final_event
-        return self._state_events[state]
-
-    def timestamp(self, state: PilotState) -> Optional[float]:
-        """When the pilot first entered ``state`` (None if never)."""
-        for t, s in self.history:
-            if s is state:
-                return t
-        return None
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<ComputePilot {self.uid} {self.state.value}>"

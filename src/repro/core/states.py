@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import enum
+from typing import Dict, Optional
+
+from repro.sim.engine import Event
 
 
 class PilotState(enum.Enum):
@@ -130,3 +133,56 @@ def check_transition(table, current, new) -> None:
     if new not in allowed:
         raise ValueError(
             f"illegal transition {current.value} -> {new.value}")
+
+
+class StateHandle:
+    """The state machine behind :class:`ComputeUnit` / :class:`ComputePilot`.
+
+    A mixin: the handle's ``__init__`` declares ``env``, ``state``,
+    ``history``, ``_state_events = None`` and ``_final_event`` (kept
+    there so the snapshot audit sees them typed) and the class names
+    its ``_transitions`` table.
+
+    Per-state events exist only while someone waits: :meth:`wait`
+    creates the event for a state on first request and :meth:`advance`
+    fires it only if present, so a handle nobody observes schedules
+    nothing but its final event (which the managers always listen to).
+    """
+
+    _transitions: Dict = {}
+
+    def advance(self, new_state) -> None:
+        """Apply one state transition (legality-checked)."""
+        check_transition(self._transitions, self.state, new_state)
+        self.state = new_state
+        self.history.append((self.env.now, new_state))
+        if self._state_events is not None:
+            event = self._state_events.get(new_state)
+            if event is not None and not event.triggered:
+                event.succeed(self)
+        if new_state.is_final and not self._final_event.triggered:
+            self._final_event.succeed(self)
+
+    def wait(self, state=None) -> Event:
+        """Event firing when the handle reaches ``state`` (or any final).
+
+        A state already in ``history`` yields an event that fires at
+        the current simulated time, so late waiters never block.
+        """
+        if state is None:
+            return self._final_event
+        if self._state_events is None:
+            self._state_events = {}
+        event = self._state_events.get(state)
+        if event is None:
+            event = self._state_events[state] = Event(self.env)
+            if self.timestamp(state) is not None:
+                event.succeed(self)
+        return event
+
+    def timestamp(self, state) -> Optional[float]:
+        """When the handle first entered ``state`` (None if never)."""
+        for t, s in self.history:
+            if s is state:
+                return t
+        return None

@@ -5,52 +5,29 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.description import ComputeUnitDescription
-from repro.core.states import UNIT_TRANSITIONS, UnitState, check_transition
+from repro.core.states import UNIT_TRANSITIONS, StateHandle, UnitState
 from repro.sim.engine import Environment, Event
 
 
-class ComputeUnit:
+class ComputeUnit(StateHandle):
     """Handle to a submitted Compute-Unit."""
+
+    _transitions = UNIT_TRANSITIONS
 
     def __init__(self, env: Environment, uid: str,
                  description: ComputeUnitDescription):
         self.env = env
         self.uid = uid
         self.description = description
-        self.state = UnitState.NEW
+        self.state: UnitState = UnitState.NEW
         self.history: List[Tuple[float, UnitState]] = [
             (env.now, UnitState.NEW)]
         self.pilot_uid: Optional[str] = None
         self.result: Any = None
         self.exit_code: Optional[int] = None
         self.stderr: str = ""
-        self._state_events: Dict[UnitState, Event] = {
-            s: Event(env) for s in UnitState}
+        self._state_events: Optional[Dict[UnitState, Event]] = None
         self._final_event = Event(env)
-
-    def advance(self, new_state: UnitState) -> None:
-        """Apply one state transition (legality-checked)."""
-        check_transition(UNIT_TRANSITIONS, self.state, new_state)
-        self.state = new_state
-        self.history.append((self.env.now, new_state))
-        event = self._state_events[new_state]
-        if not event.triggered:
-            event.succeed(self)
-        if new_state.is_final and not self._final_event.triggered:
-            self._final_event.succeed(self)
-
-    def wait(self, state: Optional[UnitState] = None) -> Event:
-        """Event firing when the unit reaches ``state`` (or any final)."""
-        if state is None:
-            return self._final_event
-        return self._state_events[state]
-
-    def timestamp(self, state: UnitState) -> Optional[float]:
-        """When the unit first entered ``state`` (None if never)."""
-        for t, s in self.history:
-            if s is state:
-                return t
-        return None
 
     @property
     def startup_time(self) -> Optional[float]:

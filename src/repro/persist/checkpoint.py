@@ -43,8 +43,11 @@ from repro.persist.store import (
     canonical_json,
 )
 
-#: Snapshot payload format; bumped on incompatible fingerprint changes.
-CHECKPOINT_FORMAT = 1
+#: Snapshot payload format; bumped whenever an unchanged scenario's
+#: barrier coordinates or fingerprint move.  2: unit/pilot handles stopped
+#: dispatching unobserved per-state events, so a format-1 barrier's
+#: ``steps`` names a different point of the same run.
+CHECKPOINT_FORMAT = 2
 
 #: Where the checkpoint workflow is documented (error-message pointer).
 DOCS_POINTER = "README.md 'Crash-safe state & resume'"

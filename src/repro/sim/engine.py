@@ -327,7 +327,7 @@ class Condition(Event):
                 raise SimulationError("events belong to different environments")
             if event.callbacks is None:
                 self._check(event)
-            else:
+            elif not self._triggered:
                 event.callbacks.append(self._check)
 
     def _collect(self) -> dict[Event, Any]:
@@ -335,6 +335,27 @@ class Condition(Event):
 
     def _check(self, event: Event) -> None:
         raise NotImplementedError
+
+    def _detach(self) -> None:
+        """Unsubscribe from every operand that has not dispatched yet.
+
+        Called once, when the condition settles.  Without it a
+        long-lived operand (a node's failure event raced against one
+        timeout per task) keeps every settled condition reachable and
+        walks all of them when it finally fires.  Operands that are
+        mid-dispatch or processed (``callbacks is None``) are skipped;
+        ``list.remove`` keeps the other subscribers' relative order.
+        Operand conditions are left subscribed to *their* operands:
+        they are ordinary events somebody else may still wait on.
+        """
+        check = self._check
+        for event in self._events:
+            callbacks = event.callbacks
+            if callbacks is not None:
+                try:
+                    callbacks.remove(check)
+                except ValueError:
+                    pass
 
 
 class AnyOf(Condition):
@@ -349,6 +370,7 @@ class AnyOf(Condition):
             self.fail(event.value)
         else:
             self.succeed(self._collect())
+        self._detach()
 
 
 class AllOf(Condition):
@@ -361,9 +383,11 @@ class AllOf(Condition):
             return
         if not event.ok:
             self.fail(event.value)
+            self._detach()
             return
         self._count += 1
         if self._count == len(self._events):
+            # Every operand has dispatched: nothing left to detach from.
             self.succeed(self._collect())
 
 

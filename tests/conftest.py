@@ -13,8 +13,7 @@ FAST_RMS = RmsConfig(submit_latency=0.2, schedule_interval=0.5,
                      prolog_seconds=0.5, epilog_seconds=0.2)
 
 
-@pytest.fixture()
-def stack():
+def make_stack():
     """(env, registry, session, pmgr, umgr) on a 3-node Stampede."""
     env = Environment()
     registry = Registry()
@@ -26,3 +25,9 @@ def stack():
     pmgr = PilotManager(session)
     umgr = UnitManager(session)
     return env, registry, session, pmgr, umgr
+
+
+@pytest.fixture()
+def stack():
+    """A fresh :func:`make_stack` world per test."""
+    return make_stack()

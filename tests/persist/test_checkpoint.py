@@ -3,6 +3,7 @@
 import pytest
 
 from repro.persist import (
+    CHECKPOINT_FORMAT,
     PersistError,
     RestoreMismatch,
     SchemaDrift,
@@ -139,6 +140,25 @@ def test_schema_drift_detected(tmp_path):
     store.set_ref("latest", store.put(record))
     with pytest.raises(SchemaDrift, match="state-manifest"):
         restore(tmp_path / "s")
+
+
+def test_older_checkpoint_format_refused_by_name(tmp_path):
+    """A format-1 store (written before unit/pilot state events became
+    on-demand) records a barrier ``steps`` this build replays to a
+    different point; it is refused up front, not as a digest diff."""
+    assert CHECKPOINT_FORMAT == 2
+    session = launch("bag", seed=9, **BAG)
+    session.env.run(until=60.0)
+    session.checkpoint(tmp_path / "s")
+    store = SnapshotStore(tmp_path / "s")
+    record = store.resolve("latest")
+    record["format"] = 1
+    store.set_ref("latest", store.put(record))
+    with pytest.raises(PersistError,
+                       match=r"checkpoint format 1 unsupported; "
+                             r"this build reads format 2") as info:
+        restore(tmp_path / "s")
+    assert not isinstance(info.value, RestoreMismatch)
 
 
 def test_named_refs_select_barriers(tmp_path):
