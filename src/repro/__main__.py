@@ -68,10 +68,7 @@ rebuilds the session in a fresh process by deterministic replay and
 :mod:`repro.persist`.
 
 Every verb is declared in the :data:`repro.cli.REGISTRY` command
-registry (name, arguments, runner, exit codes); renamed flags keep
-their old spellings as deprecation-gated aliases (``--out`` for
-``--output`` on ``sweep``/``trace``, ``--update`` for
-``--update-manifest`` on ``audit-state``).
+registry (name, arguments, runner, exit codes).
 
 ``main`` returns the process exit code (0 success, 2 usage errors)
 instead of raising ``SystemExit``, so it doubles as the console-script

@@ -2,10 +2,7 @@
 
 simlint (:mod:`repro.analysis.simlint`) checks determinism hazards *by
 construction*; this module checks the stack's accounting invariants
-*in motion*.  It generalizes what used to be scattered opt-in
-``debug=True`` branches (the continuous scheduler's counter
-cross-check, the bandwidth pipe's dual-accounting ledger) into one
-composable mechanism:
+*in motion*, as one composable mechanism:
 
 * each invariant is a checker method on :class:`SimSanitizer`
   (scheduler core-accounting, pipe byte conservation, YARN

@@ -614,12 +614,11 @@ def audit_command(paths: Sequence[str],
     """Drive one snapshot-safety audit; returns the process exit code.
 
     ``--update-manifest`` rewrites the committed manifest from this
-    run (the old ``--update`` spelling is a deprecated alias).  With
-    ``--check``, exit 1 when (a) the derived manifest differs from the
-    committed one — the serialization contract drifted — or (b) an
-    unsuppressed hazard finding is not covered by the shared baseline
-    ledger (judged only against the SIM11x family), or a SIM11x ledger
-    entry went stale.
+    run.  With ``--check``, exit 1 when (a) the derived manifest
+    differs from the committed one — the serialization contract
+    drifted — or (b) an unsuppressed hazard finding is not covered by
+    the shared baseline ledger (judged only against the SIM11x
+    family), or a SIM11x ledger entry went stale.
     """
     from repro.analysis.simlint import (
         Baseline,

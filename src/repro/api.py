@@ -13,10 +13,6 @@ environment::
     pmgr = session.pilot_manager()
     umgr = session.unit_manager(restart_policy=RestartPolicy())
     session.faults.node_crash(at=120.0, node="c251-101")
-
-The old per-subsystem import paths (``from repro.core import ...``)
-keep working behind :class:`DeprecationWarning` aliases; see the
-migration table in README.md.
 """
 
 from repro.core.data import (

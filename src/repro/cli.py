@@ -5,29 +5,12 @@ runner, documented exit codes — collected in :data:`REGISTRY`.  The
 parser is *derived* from the registry, so adding a verb is adding one
 entry, and the help text, dispatch table and exit-code contract can
 never drift apart.
-
-Renamed flags keep their old spellings as **deprecation-gated
-aliases**: the old flag still works, stores to the same destination,
-and emits a :class:`DeprecationWarning` naming the replacement.  The
-test suite runs with ``-W error::DeprecationWarning``, so nothing in
-the repo may still use an old spelling.
-
-Current aliases:
-
-===================  ==================  =====================
-command              deprecated          replacement
-===================  ==================  =====================
-``sweep``            ``--out``           ``--output``
-``trace``            ``--out``           ``--output``
-``audit-state``      ``--update``        ``--update-manifest``
-===================  ==================  =====================
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
 
@@ -35,46 +18,19 @@ from repro.experiments.sweeps import GRIDS
 
 
 # ----------------------------------------------------------- argument specs
-def _deprecated_action(primary: str, store_true: bool):
-    """An argparse action for an old flag spelling: warn, then store."""
-
-    class _Alias(argparse.Action):
-        def __init__(self, option_strings, dest, **kwargs):
-            if store_true:
-                kwargs["nargs"] = 0
-            super().__init__(option_strings, dest, **kwargs)
-
-        def __call__(self, parser, namespace, values, option_string=None):
-            warnings.warn(
-                f"{option_string} is deprecated; use {primary}",
-                DeprecationWarning, stacklevel=2)
-            setattr(namespace, self.dest,
-                    True if store_true else values)
-
-    return _Alias
-
-
 @dataclass(frozen=True)
 class Arg:
-    """One ``add_argument`` call, plus optional deprecated spellings."""
+    """One ``add_argument`` call."""
 
     flags: Tuple[str, ...]
     kwargs: Dict[str, Any] = field(default_factory=dict)
-    deprecated: Tuple[str, ...] = ()
 
     def add_to(self, parser: argparse.ArgumentParser) -> None:
-        action = parser.add_argument(*self.flags, **self.kwargs)
-        store_true = self.kwargs.get("action") == "store_true"
-        for old in self.deprecated:
-            parser.add_argument(
-                old, dest=action.dest,
-                action=_deprecated_action(self.flags[0], store_true),
-                default=argparse.SUPPRESS, help=argparse.SUPPRESS)
+        parser.add_argument(*self.flags, **self.kwargs)
 
 
-def arg(*flags: str, deprecated: Tuple[str, ...] = (),
-        **kwargs: Any) -> Arg:
-    return Arg(flags=flags, kwargs=kwargs, deprecated=tuple(deprecated))
+def arg(*flags: str, **kwargs: Any) -> Arg:
+    return Arg(flags=flags, kwargs=kwargs)
 
 
 @dataclass(frozen=True)
@@ -394,7 +350,6 @@ COMMANDS: Tuple[Command, ...] = (
             arg("--quick", action="store_true",
                 help="figure6/chaos/raptor/service: run a reduced grid"),
             arg("--output", default=None, metavar="FILE",
-                deprecated=("--out",),
                 help="write the structured JSON result here"),
             arg("--run-dir", default=None, metavar="DIR",
                 help="journal per-cell completion here (crash-safe; "
@@ -458,7 +413,6 @@ COMMANDS: Tuple[Command, ...] = (
                 help="exit 1 on manifest/checkpoint-schema drift or "
                      "findings that differ from the baseline (CI mode)"),
             arg("--update-manifest", action="store_true",
-                deprecated=("--update",),
                 help="rewrite the state manifest from this run"),
             arg("--graph-cache", default=None, metavar="FILE",
                 help="cache the import-graph analysis here "
@@ -482,7 +436,6 @@ COMMANDS: Tuple[Command, ...] = (
             arg("--iterations", type=int, default=2),
             arg("--seed", type=int, default=42),
             arg("--output", default=None, metavar="DIR",
-                deprecated=("--out",),
                 help="write trace.json / spans.jsonl / events.jsonl / "
                      "metrics.jsonl here"),
         ),

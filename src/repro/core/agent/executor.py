@@ -155,6 +155,7 @@ class ForkBackend:
                       or self.config.default_unit_memory_mb) * MB
             memory = min(memory, node.memory_bytes)
             yield node.memory.get(memory)
+            closing = False
             try:
                 if unit_desc.service is not None:
                     result = yield from unit_desc.service(ServiceContext(
@@ -174,8 +175,16 @@ class ForkBackend:
                 if unit_desc.output_bytes > 0:
                     yield self.shared_fs.write(unit_desc.output_bytes)
                     self.shared_fs.delete(unit_desc.output_bytes)
+            except GeneratorExit:
+                closing = True
+                raise
             finally:
-                yield node.memory.put(memory)
+                # A generator being closed may not suspend: release the
+                # memory (the put fits, so it applies at once) and wait
+                # on the event only on the normal and exception paths.
+                released = node.memory.put(memory)
+                if not closing:
+                    yield released
         finally:
             if tel is not None:
                 tel.tracer.end(task_span)

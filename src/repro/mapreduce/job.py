@@ -71,14 +71,6 @@ class MRJobSpec:
     #:   directly reducer-ward over the high-performance interconnect,
     #:   bypassing the disk on both sides.
     shuffle_transport: str = "local"
-    #: Batch the reduce-side fetch into one disk read + one fabric
-    #: transfer per (map node -> reduce node) pair instead of one pair
-    #: of events per map task.  Byte counts and job output are
-    #: identical either way (the per-pair path exists for the
-    #: equivalence tests); coalescing cuts the simulated event count by
-    #: the maps-per-node factor and charges one transfer latency per
-    #: node, as a real batched fetch would.
-    coalesce_shuffle: bool = True
 
     def validate(self) -> None:
         if self.num_reducers < 1:
@@ -187,11 +179,12 @@ class MapReduceJob:
             # rdma: no spill — map output streams directly at fetch time
         self._map_outputs[map_id] = (node_name, dict(partitions))
 
-    def _fetch_coalesced(self, partition: int, node_name: str, fetched):
+    def _fetch(self, partition: int, node_name: str, fetched):
         """Batched shuffle fetch: one disk read + one fabric transfer
         per (map node -> reduce node) pair, regardless of how many map
-        tasks ran on that node.  Generator; extends ``fetched`` in map-id
-        order (identical pair order to the per-pair path)."""
+        tasks ran on that node — one transfer latency per node, as a
+        real batched fetch charges.  Generator; extends ``fetched`` in
+        map-id order."""
         spec = self.spec
         machine = self.hdfs.machine
         #: map_node -> per-map-task chunk sizes, in first-seen (map id)
@@ -220,38 +213,12 @@ class MapReduceJob:
                 yield machine.network.send_many(map_node, node_name, sizes)
             self.counters.shuffle_bytes += nbytes
 
-    def _fetch_per_pair(self, partition: int, node_name: str, fetched):
-        """Legacy shuffle fetch: one disk read + one transfer per
-        (map task, reduce task) pair.  Kept for the coalescing
-        equivalence tests.  Generator."""
-        spec = self.spec
-        machine = self.hdfs.machine
-        for _map_id, (map_node, partitions) in sorted(
-                self._map_outputs.items()):
-            pairs = partitions.get(partition, [])
-            nbytes = len(pairs) * spec.bytes_per_pair
-            if nbytes > 0:
-                if spec.shuffle_transport == "local":
-                    src = machine.node_by_name(map_node)
-                    yield src.local_disk.read(nbytes)
-                    yield machine.network.send(map_node, node_name, nbytes)
-                elif spec.shuffle_transport == "lustre":
-                    yield machine.shared_fs.read(nbytes)
-                    machine.shared_fs.delete(nbytes)
-                else:  # rdma
-                    yield machine.network.send(map_node, node_name, nbytes)
-                self.counters.shuffle_bytes += nbytes
-            fetched.extend(pairs)
-
     def _run_reduce_task(self, partition: int, node_name: str):
         """Reduce task body (generator): fetch, merge, reduce, write."""
         spec = self.spec
         machine = self.hdfs.machine
         fetched: List[Tuple[Any, Any]] = []
-        if spec.coalesce_shuffle:
-            yield from self._fetch_coalesced(partition, node_name, fetched)
-        else:
-            yield from self._fetch_per_pair(partition, node_name, fetched)
+        yield from self._fetch(partition, node_name, fetched)
 
         # Insertion-order grouping: the fetch order (sorted map ids) is
         # deterministic, so no sort is needed — and the old

@@ -31,8 +31,6 @@ from repro.core.states import ServiceState
 from repro.pilot_api.service import (
     ComputeDataService,
     PilotComputeService,
-    State,
 )
 
-__all__ = ["ComputeDataService", "PilotComputeService", "ServiceState",
-           "State"]
+__all__ = ["ComputeDataService", "PilotComputeService", "ServiceState"]

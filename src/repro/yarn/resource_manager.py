@@ -228,12 +228,8 @@ class ResourceManager:
         """RM daemon startup.  Generator."""
         yield self.env.timeout(self.config.rm_startup_seconds)
         self.running = True
-        if self.config.bucketed_heartbeats:
-            self._heartbeat_procs.append(self.env.process(
-                self._bucketed_heartbeat_loop(), name="hb-bucket"))
-        else:
-            for nm in self.node_managers.values():
-                self._start_heartbeat(nm)
+        for nm in self.node_managers.values():
+            self._start_heartbeat(nm)
 
     def stop(self) -> None:
         self.running = False
@@ -245,7 +241,7 @@ class ResourceManager:
         self.node_managers[nm.name] = nm
         nm._attach_rm(self)
         self._nm_liveness_changed(nm)
-        if self.running and not self.config.bucketed_heartbeats:
+        if self.running:
             self._start_heartbeat(nm)
 
     # ------------------------------------------------- incremental tallies
@@ -299,33 +295,6 @@ class ResourceManager:
                 if (missed >= self.config.nm_liveness_heartbeats
                         and nm.name not in self.lost_nodes):
                     self._handle_node_loss(nm)
-
-    def _bucketed_heartbeat_loop(self):
-        """One process drives every NM's heartbeat (opt-in via
-        :attr:`YarnConfig.bucketed_heartbeats`).
-
-        At 10k nodes the per-NM loops put one pending timeout on the
-        event heap per node per beat; bucketing collapses that to a
-        single event and walks the NMs in registration order — the same
-        order the per-NM processes fire in when created in registration
-        order, but interleaved differently with same-instant events, so
-        it is off by default to keep existing traces byte-identical.
-        """
-        missed: Dict[str, int] = {}
-        while self.running:
-            yield self.config.nm_heartbeat
-            for nm in list(self.node_managers.values()):
-                if nm.alive:
-                    if missed.get(nm.name):
-                        self.lost_nodes.discard(nm.name)
-                        missed[nm.name] = 0
-                    self._schedule_on(nm)
-                else:
-                    count = missed.get(nm.name, 0) + 1
-                    missed[nm.name] = count
-                    if (count >= self.config.nm_liveness_heartbeats
-                            and nm.name not in self.lost_nodes):
-                        self._handle_node_loss(nm)
 
     def _handle_node_loss(self, nm: NodeManager) -> None:
         """Declare ``nm`` LOST: kill its containers so their apps see

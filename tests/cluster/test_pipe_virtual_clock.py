@@ -177,22 +177,6 @@ def test_sanitized_shadow_ledger_agrees(schedule):
     assert checked == plain
 
 
-def test_pipe_debug_kwarg_is_deprecated_but_still_checks():
-    """``debug=True`` warns but the per-instance ledger checks run."""
-    env = Environment()
-    with pytest.warns(DeprecationWarning, match="debug=True"):
-        pipe = SharedBandwidthPipe(env, aggregate_bw=100.0, debug=True)
-
-    def worker():
-        yield pipe.transfer(1000.0)
-
-    env.run(env.process(worker()))
-    # When REPRO_SANITIZE already installed an env-level sanitizer it
-    # takes precedence over the per-instance alias checker.
-    checker = env.sanitizer or pipe._own_sanitizer
-    assert checker.checks_run.get("pipe", 0) > 0
-
-
 def test_transfer_many_equals_one_summed_transfer():
     """A coalesced batch is one transfer of the summed size: one
     latency charge, one completion event."""

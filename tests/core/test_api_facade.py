@@ -1,12 +1,14 @@
-"""The repro.api facade and the deprecated repro.core aliases."""
+"""The repro.api facade and the deprecation gate over src/repro."""
 
 import importlib
-import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
+import repro
 import repro.api
 import repro.core
 from repro.api import PilotManager, Session, UnitManager
@@ -59,17 +61,6 @@ def test_session_telemetry_installs_hub(stack):
     assert session.telemetry is tel
 
 
-def test_core_alias_access_warns_and_resolves():
-    with pytest.warns(DeprecationWarning,
-                      match="from repro.api import Session"):
-        aliased = repro.core.Session
-    assert aliased is Session
-    with pytest.warns(DeprecationWarning):
-        assert repro.core.UnitManager is UnitManager
-    assert sorted(repro.core.__all__) == list(repro.core.__all__)
-    assert "Session" in dir(repro.core)
-
-
 def test_core_submodule_imports_stay_silent():
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
@@ -78,20 +69,31 @@ def test_core_submodule_imports_stay_silent():
 
 
 def test_core_unknown_attribute_raises():
-    with pytest.raises(AttributeError, match="Nonsense"):
-        repro.core.Nonsense
+    """No package-level class aliases: stock module/import errors."""
+    for name in ("Session", "Nonsense"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(repro.core, name)
+    with pytest.raises(ImportError, match="State"):
+        from repro.pilot_api import State  # noqa: F401
 
 
 def test_no_deprecated_core_imports_left_in_src():
-    """The migration gate: src/ must import the facade, not the aliases."""
-    src = Path(repro.api.__file__).resolve().parents[1]
-    pattern = re.compile(
-        r"^\s*from repro\.core import (?P<names>[^(\n]+)$", re.MULTILINE)
-    aliased = set(repro.core.__all__)
-    offenders = []
-    for path in sorted(src.rglob("*.py")):
-        for match in pattern.finditer(path.read_text()):
-            names = {n.strip() for n in match.group("names").split(",")}
-            if names & aliased:
-                offenders.append(f"{path.name}: {sorted(names & aliased)}")
+    """The deprecation gate: no file under src/repro mentions
+    ``DeprecationWarning``, and every ``repro.*`` module imports clean
+    with that warning promoted to an error (in a fresh interpreter —
+    this process already has the tree imported)."""
+    pkg = Path(repro.__file__).resolve().parent
+    offenders = [str(path.relative_to(pkg))
+                 for path in sorted(pkg.rglob("*.py"))
+                 if "DeprecationWarning" in path.read_text()]
     assert not offenders, offenders
+    script = (
+        "import importlib, pkgutil, sys\n"
+        f"sys.path.insert(0, {str(pkg.parent)!r})\n"
+        "import repro\n"
+        "for mod in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+        "    importlib.import_module(mod.name)\n")
+    done = subprocess.run(
+        [sys.executable, "-W", "error::DeprecationWarning", "-c", script],
+        capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

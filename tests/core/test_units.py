@@ -234,3 +234,35 @@ def test_unit_startup_time_metric(stack):
     startup = units[0].startup_time
     # poll interval + spawn overhead; small but strictly positive
     assert 0.0 < startup < 5.0
+
+
+def test_closing_fork_execution_mid_compute_releases_memory():
+    """A fork pipeline closed mid-execution (torn down or collected)
+    returns the unit's memory without suspending — a generator that
+    yields while closing raises "generator ignored GeneratorExit"."""
+    from types import SimpleNamespace
+
+    from repro.cluster import Machine, stampede
+    from repro.core.agent.executor import ForkBackend
+    from repro.sim import Environment
+
+    env = Environment()
+    machine = Machine(env, stampede(num_nodes=1))
+    lrm = SimpleNamespace(nodes=machine.nodes,
+                          site=SimpleNamespace(machine=machine))
+    backend = ForkBackend(env, lrm, fast_agent())
+    desc = ComputeUnitDescription(cores=1, cpu_seconds=50.0,
+                                  memory_mb=1024)
+    node = machine.nodes[0]
+    full = node.memory.level
+
+    def pipeline():
+        allocation = yield backend.schedule(desc)
+        yield from backend.execute(desc, allocation)
+
+    running = pipeline()
+    env.process(running)
+    env.run(until=10.0)          # spawned, memory held, mid-compute
+    assert node.memory.level == full - 1024 * 1024 ** 2
+    running.close()              # must not suspend while closing
+    assert node.memory.level == full

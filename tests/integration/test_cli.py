@@ -54,9 +54,10 @@ def test_help_exits_zero():
     assert main(["--help"]) == 0
 
 
-def test_sweep_list_prints_registered_grids(capsys):
+def test_sweep_list_prints_registered_grids(capsys, tmp_path):
     from repro.experiments.sweeps import GRIDS
-    assert main(["sweep", "--list"]) == 0
+    assert main(["sweep", "--list",
+                 "--output", str(tmp_path / "ignored.json")]) == 0
     out = capsys.readouterr().out
     assert "registered sweep grids:" in out
     for name in GRIDS:
@@ -96,8 +97,6 @@ def test_raptor_sweep_quick_cli(capsys):
 # Persistence verbs, resumable sweeps, and the declarative registry
 # ---------------------------------------------------------------------------
 
-import pytest
-
 
 def test_registry_sanity():
     """Every verb is declared once, carries help text, and documents a
@@ -109,23 +108,6 @@ def test_registry_sanity():
         assert REGISTRY[cmd.name] is cmd
         assert cmd.help
         assert any(code == 0 for code, _ in cmd.exit_codes)
-
-
-def test_deprecated_alias_table_matches_docs():
-    from repro.cli import COMMANDS
-    aliases = {(cmd.name, old)
-               for cmd in COMMANDS
-               for spec in cmd.args
-               for old in spec.deprecated}
-    assert ("sweep", "--out") in aliases
-    assert ("trace", "--out") in aliases
-    assert ("audit-state", "--update") in aliases
-
-
-def test_deprecated_alias_warns_and_still_works(tmp_path):
-    with pytest.warns(DeprecationWarning, match="--out is deprecated"):
-        assert main(["sweep", "--list", "--out",
-                     str(tmp_path / "ignored.json")]) == 0
 
 
 def test_subcommand_help_documents_exit_codes(capsys):

@@ -1,15 +1,16 @@
 """Coalesced vs per-pair shuffle fetch equivalence.
 
-``coalesce_shuffle=True`` (the default) batches the reduce-side fetch
-into one disk read plus one fabric transfer per (map node -> reduce
-node) pair; ``False`` keeps the seed's one-pair-of-events-per-map-task
-path.  The batching is an I/O-schedule change only: job output, every
-counter, and the total bytes shuffled must be identical.
+:class:`MapReduceJob` batches the reduce-side fetch into one disk read
+plus one fabric transfer per (map node -> reduce node) pair.
+:class:`PerPairFetchJob` below is the reference model: the seed's
+one-pair-of-events-per-map-task schedule.  The batching is an
+I/O-schedule change only: job output, every counter, and the total
+bytes shuffled must be identical.
 """
 
 import pytest
 
-from repro.mapreduce import MapReduceJob, MRJobSpec
+from repro.mapreduce import MapReduceJob
 from tests.mapreduce.test_mapreduce import (
     EXPECTED,
     WORDS,
@@ -20,22 +21,46 @@ from tests.mapreduce.test_mapreduce import (
 )
 
 
-def run_wordcount(transport, coalesce, num_reducers=3):
+class PerPairFetchJob(MapReduceJob):
+    """Reference model: one disk read + one transfer per (map task,
+    reduce task) pair."""
+
+    def _fetch(self, partition, node_name, fetched):
+        spec = self.spec
+        machine = self.hdfs.machine
+        for _map_id, (map_node, partitions) in sorted(
+                self._map_outputs.items()):
+            pairs = partitions.get(partition, [])
+            nbytes = len(pairs) * spec.bytes_per_pair
+            if nbytes > 0:
+                if spec.shuffle_transport == "local":
+                    src = machine.node_by_name(map_node)
+                    yield src.local_disk.read(nbytes)
+                    yield machine.network.send(map_node, node_name, nbytes)
+                elif spec.shuffle_transport == "lustre":
+                    yield machine.shared_fs.read(nbytes)
+                    machine.shared_fs.delete(nbytes)
+                else:  # rdma
+                    yield machine.network.send(map_node, node_name, nbytes)
+                self.counters.shuffle_bytes += nbytes
+            fetched.extend(pairs)
+
+
+def run_wordcount(job_cls, transport="local", num_reducers=3):
     env, machine, hdfs, yarn = make_stack()
     load_words(env, hdfs, WORDS)
     spec = wordcount_spec()
     spec.shuffle_transport = transport
-    spec.coalesce_shuffle = coalesce
     spec.num_reducers = num_reducers
-    job = MapReduceJob(env, spec, hdfs)
+    job = job_cls(env, spec, hdfs)
     output = env.run(env.process(job.run_inline()))
-    return job, output
+    return job, output, env.now
 
 
 @pytest.mark.parametrize("transport", ["local", "lustre", "rdma"])
 def test_coalesced_matches_per_pair(transport):
-    batched, out_batched = run_wordcount(transport, coalesce=True)
-    per_pair, out_per_pair = run_wordcount(transport, coalesce=False)
+    batched, out_batched, _ = run_wordcount(MapReduceJob, transport)
+    per_pair, out_per_pair, _ = run_wordcount(PerPairFetchJob, transport)
     # Identical output down to record order within each partition.
     assert out_batched == out_per_pair
     assert collect_counts(out_batched) == EXPECTED
@@ -48,14 +73,6 @@ def test_coalesced_matches_per_pair(transport):
 def test_coalescing_reduces_simulated_shuffle_time():
     """One latency charge per (map node, reduce node) pair instead of
     one per map task: the simulated clock should not be slower."""
-    times = {}
-    for coalesce in (True, False):
-        env, machine, hdfs, yarn = make_stack()
-        load_words(env, hdfs, WORDS)
-        spec = wordcount_spec()
-        spec.coalesce_shuffle = coalesce
-        spec.num_reducers = 3
-        job = MapReduceJob(env, spec, hdfs)
-        env.run(env.process(job.run_inline()))
-        times[coalesce] = env.now
-    assert times[True] <= times[False]
+    _, _, t_batched = run_wordcount(MapReduceJob)
+    _, _, t_per_pair = run_wordcount(PerPairFetchJob)
+    assert t_batched <= t_per_pair
