@@ -70,9 +70,10 @@ rebuilds the session in a fresh process by deterministic replay and
 Every verb is declared in the :data:`repro.cli.REGISTRY` command
 registry (name, arguments, runner, exit codes).
 
-``main`` returns the process exit code (0 success, 2 usage errors)
-instead of raising ``SystemExit``, so it doubles as the console-script
-entry point.
+``main`` returns the process exit code (0 success, 2 usage errors; 1 is
+each verb's documented failure — for ``figure5`` … ``all``, a violated
+paper-shape check of :mod:`repro.experiments.tables`) instead of raising
+``SystemExit``, so it doubles as the console-script entry point.
 """
 
 from __future__ import annotations

@@ -56,98 +56,65 @@ class Command:
 
 
 # ----------------------------------------------------------------- runners
-def _figure5() -> None:
+def _figure5(args: argparse.Namespace):
     from repro.experiments import (
         run_figure5_pilot_startup,
         run_figure5_unit_startup,
     )
     from repro.experiments.tables import figure5_report
-    print(figure5_report(run_figure5_pilot_startup(),
-                         run_figure5_unit_startup()))
+    return figure5_report(run_figure5_pilot_startup(),
+                          run_figure5_unit_startup())
 
 
-def _figure6(quick: bool) -> None:
+def _figure6(args: argparse.Namespace):
     from repro.experiments import run_figure6
+    from repro.experiments.figure6 import figure6_grid
     from repro.experiments.tables import figure6_report
-    kwargs = {}
-    if quick:
-        kwargs = {"scenarios": [(10_000, 5_000), (1_000_000, 50)],
-                  "task_counts": [8, 32]}
-    print(figure6_report(run_figure6(**kwargs)))
+    scenarios, task_counts = figure6_grid(args.quick)
+    return figure6_report(run_figure6(scenarios=scenarios,
+                                      task_counts=task_counts))
 
 
-def _ablations() -> None:
+def _ablations(args: argparse.Namespace):
+    from repro.experiments import SCENARIOS, run_figure6_cell
     from repro.experiments.ablations import (
         run_am_reuse,
         run_integration_level,
         run_spark_deploy_mode,
     )
-    from repro.experiments.tables import format_table
-    a1 = run_integration_level()
-    print("A1 — YARN integration level (CU startup)")
-    print(format_table(["wiring", "CU startup (s)", "WAN round-trips"],
-                       [(r.wiring, r.unit_startup, r.wan_roundtrips)
-                        for r in a1]))
-    a2 = run_spark_deploy_mode()
-    print("\nA2 — Spark deployment mode (cluster-ready time)")
-    print(format_table(["mode", "cluster ready (s)", "frameworks"],
-                       [(r.mode, r.cluster_ready, r.frameworks_started)
-                        for r in a2]))
-    a3 = run_am_reuse()
-    print("\nA3 — Application Master re-use (warm CU startup)")
-    print(format_table(["mode", "warm CU startup (s)"],
-                       [(r.mode, r.warm_unit_startup) for r in a3]))
+    from repro.experiments.tables import ablations_report
+    # A3 on the real workload: the two Stampede 32-task Figure 6 cells,
+    # as run and with the paper's proposed AM re-use.
+    a3_kmeans = [
+        tuple(run_figure6_cell("stampede", "RP-YARN", points, clusters, 32,
+                               reuse_application_master=reuse)
+              for reuse in (False, True))
+        for points, clusters in (SCENARIOS[0], SCENARIOS[-1])]
+    return ablations_report(run_integration_level(),
+                            run_spark_deploy_mode(), run_am_reuse(),
+                            a3_kmeans)
 
 
-def _sensitivity() -> None:
-    from repro.experiments.sensitivity import (
-        crossover_bandwidth,
-        sweep_lustre_bandwidth,
-    )
-    from repro.experiments.tables import format_table
-    rows = sweep_lustre_bandwidth()
-    print("S1 — YARN advantage vs job-visible Lustre bandwidth")
-    print(format_table(
-        ["lustre share (MB/s)", "RP (s)", "RP-YARN (s)", "advantage (%)"],
-        [(f"{r.lustre_bw / 1e6:.0f}", r.rp_runtime, r.yarn_runtime,
-          r.yarn_advantage * 100) for r in rows]))
-    crossover = crossover_bandwidth(rows)
-    if crossover is not None:
-        print(f"crossover at ~{crossover / 1e6:.0f} MB/s")
+def _sensitivity(args: argparse.Namespace):
+    from repro.experiments.sensitivity import sweep_lustre_bandwidth
+    from repro.experiments.tables import sensitivity_report
+    return sensitivity_report(sweep_lustre_bandwidth())
 
 
-def _run_figure5(args: argparse.Namespace) -> int:
-    _figure5()
-    print()
-    return 0
+#: The paper's artefacts, in the order ``all`` prints them; each returns
+#: ``(report text, every paper-shape check holds)``.
+_PAPER = {"figure5": _figure5, "figure6": _figure6,
+          "ablations": _ablations, "sensitivity": _sensitivity}
 
 
-def _run_figure6(args: argparse.Namespace) -> int:
-    _figure6(args.quick)
-    print()
-    return 0
-
-
-def _run_ablations(args: argparse.Namespace) -> int:
-    _ablations()
-    print()
-    return 0
-
-
-def _run_sensitivity(args: argparse.Namespace) -> int:
-    _sensitivity()
-    return 0
-
-
-def _run_all(args: argparse.Namespace) -> int:
-    _figure5()
-    print()
-    _figure6(args.quick)
-    print()
-    _ablations()
-    print()
-    _sensitivity()
-    return 0
+def _run_paper(args: argparse.Namespace) -> int:
+    names = list(_PAPER) if args.command == "all" else [args.command]
+    holds = True
+    for name in names:
+        text, ok = _PAPER[name](args)
+        print(text + "\n")
+        holds = holds and ok
+    return 0 if holds else 1
 
 
 def _run_trace(args: argparse.Namespace) -> int:
@@ -320,18 +287,14 @@ def _run_restore(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- registry
 _QUICK = arg("--quick", action="store_true",
              help="figure6: run a reduced 16-cell grid")
+_PAPER_EXIT_CODES = ((0, "every paper-shape check holds"),
+                     (1, "a paper-shape check failed"), (2, "usage error"))
 
 COMMANDS: Tuple[Command, ...] = (
-    Command(name="figure5", runner=_run_figure5,
-            help="run the figure5 experiment(s)"),
-    Command(name="figure6", runner=_run_figure6,
-            help="run the figure6 experiment(s)", args=(_QUICK,)),
-    Command(name="ablations", runner=_run_ablations,
-            help="run the ablations experiment(s)"),
-    Command(name="sensitivity", runner=_run_sensitivity,
-            help="run the sensitivity experiment(s)"),
-    Command(name="all", runner=_run_all,
-            help="run the all experiment(s)", args=(_QUICK,)),
+    *(Command(name=name, runner=_run_paper, exit_codes=_PAPER_EXIT_CODES,
+              help=f"run the {name} experiment(s)",
+              args=(_QUICK,) if name in ("figure6", "all") else ())
+      for name in (*_PAPER, "all")),
     Command(
         name="sweep", runner=_run_sweep,
         help="run an experiment grid over a process pool "

@@ -99,6 +99,14 @@ def run_figure6_cell(machine: str, flavor: str, points: int,
                      centroids_ok=ok)
 
 
+def figure6_grid(quick: bool = False):
+    """``(scenarios, task_counts)`` of the full 36-cell grid, or of the
+    reduced 16-cell one (smallest and largest scenario, 8 and 32 tasks)."""
+    if quick:
+        return [SCENARIOS[0], SCENARIOS[-1]], [8, 32]
+    return SCENARIOS, sorted(TASK_CONFIGS)
+
+
 def run_figure6(machines: Optional[List[str]] = None,
                 flavors: Optional[List[str]] = None,
                 scenarios=None, task_counts=None,

@@ -95,9 +95,8 @@ def figure5_cells(root_seed: int = 42) -> List[SweepCell]:
 def figure6_cells(root_seed: int = 42,
                   quick: bool = False) -> List[SweepCell]:
     """The Figure 6 K-Means grid (36 cells; 16 with ``quick``)."""
-    from repro.experiments.calibration import SCENARIOS, TASK_CONFIGS
-    scenarios = [SCENARIOS[0], SCENARIOS[-1]] if quick else SCENARIOS
-    task_counts = [8, 32] if quick else sorted(TASK_CONFIGS)
+    from repro.experiments.figure6 import figure6_grid
+    scenarios, task_counts = figure6_grid(quick)
     return [
         _cell("figure6", "kmeans", root_seed, machine=machine,
               points=points, clusters=clusters, ntasks=ntasks,

@@ -8,8 +8,8 @@ sharded run it lands in — and returns one flat, JSON-able result row
 with throughput, admission and latency-percentile numbers.
 
 Everything here is simulation-side and seed-deterministic: wall-clock
-measurement belongs to ``benchmarks/bench_service.py``, which wraps
-this function.
+measurement belongs to the ``service-sessions`` workload of
+``benchmarks/suite``, which wraps this function.
 """
 
 from __future__ import annotations

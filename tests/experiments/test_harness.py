@@ -117,5 +117,12 @@ def test_format_table_alignment():
 
 
 def test_within_band():
-    assert within(5.0, (1.0, 10.0)) == "OK"
-    assert "off" in within(50.0, (1.0, 10.0))
+    assert within(62.0, "mode1_overhead") == (True, "paper 50-85 ±10: OK")
+    # the band's tolerance is part of the verdict, on both sides
+    assert within(40.0, "mode1_overhead")[0]
+    assert within(39.9, "mode1_overhead") == (False,
+                                              "paper 50-85 ±10: FAIL")
+    assert not within(95.1, "mode1_overhead")[0]
+    # no tolerance registered: the bare paper band
+    assert within(80.0, "pilot_startup_plain") == (True, "paper 45-80: OK")
+    assert not within(80.1, "pilot_startup_plain")[0]

@@ -80,3 +80,20 @@ def test_run_sharded_rejects_bad_args():
         run_sharded(SPEC, shards=0)
     with pytest.raises(ValueError, match="jobs"):
         run_sharded(SPEC, shards=2, jobs=0)
+
+
+def test_ten_thousand_concurrent_sessions_hold_their_latency_slo():
+    """The headline scenario, on simulated time only: task_seconds far
+    exceeds the arrival window, so all 10,240 sessions are open at once.
+    Latencies come from the service's own telemetry histograms and are
+    seed-deterministic, so the SLO is pinned exactly."""
+    row = run_load(LoadSpec(tenants=64, sessions_per_tenant=160,
+                            tasks_per_session=2, arrival_window=2.0,
+                            task_seconds=5.0, raptor_workers=31))
+    assert row["peak_concurrent_sessions"] == 10240
+    assert row["tickets_failed"] == 0
+    assert row["tickets_completed"] == row["tickets_submitted"]
+    assert row["sessions_closed"] == row["sessions_opened"] == 10240
+    assert [row[f"submit_p{p}"] for p in (50, 95, 99)] == [0.05, 0.05, 0.1]
+    assert [row[f"completion_p{p}"] for p in (50, 95, 99)] == [
+        2500.0, 5000.0, 5000.0]

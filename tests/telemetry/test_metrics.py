@@ -112,18 +112,16 @@ def test_histogram_single_bucket_and_overflow(registry):
 
 
 def test_harness_percentile_helpers(env):
-    from benchmarks._harness import percentile_keys, percentile_results
+    """``Histogram.percentiles`` is what result rows (``run_load``'s
+    ``submit_p50`` ...) are built from: one entry per asked percentile,
+    ``None`` while empty, bucket upper bounds once observed."""
     registry = MetricsRegistry(env)
     h = registry.histogram("lat", bounds=(1.0, 10.0))
-    assert percentile_keys("submit") == ("submit_p50", "submit_p95",
-                                         "submit_p99")
-    # empty histogram -> 0.0 placeholders, never None in result rows
-    assert percentile_results("submit", h) == {
-        "submit_p50": 0.0, "submit_p95": 0.0, "submit_p99": 0.0}
+    assert h.percentiles((50, 95, 99)) == {50: None, 95: None, 99: None}
     for v in (0.5, 0.6, 20.0):
         h.observe(v)
-    out = percentile_results("submit", h)
-    assert out["submit_p50"] == 1.0 and out["submit_p99"] == 20.0
+    out = h.percentiles((50, 95, 99))
+    assert out[50] == 1.0 and out[99] == 20.0
 
 
 def test_histogram_time_windows(registry, env):
