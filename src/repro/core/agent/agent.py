@@ -31,17 +31,6 @@ from repro.saga.registry import Site
 from repro.sim.engine import Environment, Interrupt, Process
 
 
-def advance_doc(collection, uid: str, state, now: float, **extra) -> None:
-    """Append a state to a document's history (single-writer protocol)."""
-    doc = collection.find_one({"_id": uid})
-    if doc is None:
-        raise KeyError(f"no document {uid}")
-    changes = dict(extra)
-    changes["state"] = state.value
-    changes["history"] = doc["history"] + [(now, state.value)]
-    collection.update_one({"_id": uid}, changes)
-
-
 class Agent:
     """One agent instance, bound to a pilot and a site."""
 
@@ -53,12 +42,15 @@ class Agent:
         self.site = site
         self.description = description
         self.config: AgentConfig = description.agent_config
+        self._pilots = session.db.collection("pilots")
+        self._units = session.db.collection("units")
         self.lrm = None
         self.backend = None
         #: uid -> pipeline process, for *live* pipelines only (a
         #: pipeline removes itself on exit); dict order = claim order.
         self._unit_procs: Dict[str, Process] = {}
-        self._claimed: set = set()
+        #: units claimed so far (the queue delivers each uid once).
+        self._claims = 0
         self._pilot_span = None
 
     # ------------------------------------------------------------- payload
@@ -70,15 +62,8 @@ class Agent:
 
         return _run
 
-    def _pilots(self):
-        return self.session.db.collection("pilots")
-
-    def _units(self):
-        return self.session.db.collection("units")
-
     def _advance_pilot(self, state: PilotState, **extra) -> None:
-        advance_doc(self._pilots(), self.pilot_uid, state, self.env.now,
-                    **extra)
+        self._pilots.advance(self.pilot_uid, state, self.env.now, **extra)
         tel = self.env.telemetry
         if tel is not None:
             tel.emit("pilot", "state", uid=self.pilot_uid,
@@ -86,7 +71,7 @@ class Agent:
                      agent_info=extra.get("agent_info"))
 
     def _advance_unit(self, uid: str, state: UnitState, **extra) -> None:
-        advance_doc(self._units(), uid, state, self.env.now, **extra)
+        self._units.advance(uid, state, self.env.now, **extra)
         tel = self.env.telemetry
         if tel is not None:
             tel.emit("unit", "state", uid=uid, pilot=self.pilot_uid,
@@ -142,12 +127,12 @@ class Agent:
                                  pilot=self.pilot_uid, node=name)
                         tel.counter("agent.nodes_lost").inc()
                 self._claim_new_units()
-                self._pilots().update_one({"_id": self.pilot_uid},
-                                          {"heartbeat": self.env.now})
+                self._pilots.set(self.pilot_uid,
+                                 {"heartbeat": self.env.now})
                 if tel is not None:
                     in_flight = len(self._unit_procs)
                     tel.emit("agent", "heartbeat", pilot=self.pilot_uid,
-                             claimed=len(self._claimed),
+                             claimed=self._claims,
                              in_flight=in_flight)
                     tel.gauge("agent.inflight_units",
                               pilot=self.pilot_uid).set(in_flight)
@@ -163,21 +148,17 @@ class Agent:
             # bootstrap/LRM failure: the pilot fails, the batch job
             # exits "cleanly" with the error recorded in the document.
             final_state = PilotState.FAILED
-            self._pilots().update_one({"_id": self.pilot_uid},
-                                      {"agent_error": repr(exc)})
+            self._pilots.set(self.pilot_uid, {"agent_error": repr(exc)})
         yield from self._teardown(final_state)
 
     def _cancel_requested(self) -> bool:
-        doc = self._pilots().find_one({"_id": self.pilot_uid})
-        return bool(doc and doc.get("cancel_requested"))
+        return bool(self._pilots.get(self.pilot_uid)["cancel_requested"])
 
     def _claim_new_units(self) -> None:
-        for doc in self._units().find({
-                "pilot": self.pilot_uid,
-                "state": UnitState.UMGR_SCHEDULING.value}):
-            if doc["_id"] in self._claimed:
-                continue
-            self._claimed.add(doc["_id"])
+        for doc in self._units.drain(self.pilot_uid):
+            if doc["state"] != UnitState.UMGR_SCHEDULING.value:
+                continue    # cancelled (or failed over) before claim
+            self._claims += 1
             self._unit_procs[doc["_id"]] = self.env.process(
                 self._unit_pipeline(doc), name=f"unit-{doc['_id']}")
 
@@ -278,10 +259,7 @@ class Agent:
                 self.backend.release(allocation)
             _phase(None)
             if tel is not None:
-                doc_now = self._units().find_one({"_id": uid})
-                tel.tracer.end(unit_span,
-                               final_state=doc_now["state"] if doc_now
-                               else None)
+                tel.tracer.end(unit_span, final_state=doc["state"])
 
     # -------------------------------------------------------------- teardown
     def _teardown(self, final_state: PilotState):
@@ -291,13 +269,9 @@ class Agent:
             yield from self.backend.teardown()
         if self.lrm is not None:
             self.lrm.teardown()
-        doc = self._pilots().find_one({"_id": self.pilot_uid})
-        if doc and not self._is_final(doc["state"]):
+        if not PilotState(
+                self._pilots.get(self.pilot_uid)["state"]).is_final:
             self._advance_pilot(final_state)
         tel = self.env.telemetry
         if tel is not None and self._pilot_span is not None:
             tel.tracer.end(self._pilot_span, final_state=final_state.value)
-
-    @staticmethod
-    def _is_final(state_value: str) -> bool:
-        return PilotState(state_value).is_final

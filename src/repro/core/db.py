@@ -2,142 +2,93 @@
 
 RADICAL-Pilot coordinates Pilot-/Unit-Managers and agents through a
 shared MongoDB instance (paper Figure 3, steps U.2/U.3).  This module
-provides the subset RP uses — collections of dict documents with
-``insert``/``find``/``update_one`` and an event-based ``watch`` so
-simulation processes can block on document changes — plus a modeled
-round-trip latency per operation batch.
+provides what that protocol uses — collections of dict documents read
+and written by ``_id`` (``insert``/``get``/``set``/``advance``), a
+per-pilot pending queue the Unit-Manager fills and the agent drains in
+bulk, and an event-based ``watch`` so simulation processes can block on
+document changes — plus a modeled round-trip latency per operation
+batch.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List
 
 from repro.sim.engine import Environment, Event
 
-_MISSING = object()  # "no index built yet" (None means unindexable)
+
+class DuplicateKey(KeyError):
+    """``insert`` of an ``_id`` the collection already holds."""
 
 
 class Collection:
-    """One named collection of documents.
-
-    Equality queries on non-``_id`` keys are served from lazily built
-    secondary indexes (one per queried key set), kept current by
-    ``insert``/``update_one``.  Matches come back sorted by insertion
-    sequence — the same order the full scan produces — so indexed and
-    scanned reads are interchangeable byte-for-byte.
-    """
+    """One named collection of documents, keyed by ``_id``."""
 
     def __init__(self, env: Environment, name: str):
         self.env = env
         self.name = name
+        #: _id -> document, in insertion order (nothing is ever deleted).
         self._docs: Dict[str, Dict[str, Any]] = {}
         self._id_seq = itertools.count(1)
         self._watchers: List[Event] = []
-        self._seq: Dict[str, int] = {}
-        self._seq_counter = itertools.count()
-        # key-tuple -> value-tuple -> {_id: doc}; None marks a key set
-        # with unhashable values (always scanned).
-        self._indexes: Dict[Tuple[str, ...],
-                            Optional[Dict[Tuple, Dict[str, Dict]]]] = {}
+        #: pilot uid -> unit uids queued for it, oldest first.
+        self._pending: Dict[str, List[str]] = {}
 
     def insert(self, doc: Dict[str, Any]) -> str:
         """Insert a document, assigning ``_id`` if missing."""
         doc = dict(doc)
-        doc.setdefault("_id", f"{self.name}.{next(self._id_seq)}")
-        self._docs[doc["_id"]] = doc
-        self._seq[doc["_id"]] = next(self._seq_counter)
-        for keys, buckets in self._indexes.items():
-            if buckets is None:
-                continue
-            try:
-                value = tuple(doc.get(k) for k in keys)
-                buckets.setdefault(value, {})[doc["_id"]] = doc
-            except TypeError:
-                self._indexes[keys] = None
+        _id = doc.setdefault("_id", f"{self.name}.{next(self._id_seq)}")
+        if _id in self._docs:
+            raise DuplicateKey(f"{self.name}: duplicate _id {_id!r}")
+        self._docs[_id] = doc
         self._notify()
-        return doc["_id"]
+        return _id
 
-    def find(self, query: Optional[Dict[str, Any]] = None) -> List[Dict[str, Any]]:
-        """All documents matching the (equality-only) query."""
-        if query and "_id" in query:
-            # Primary-key fast path: ``_id`` is the dict key, so an
-            # equality query on it never needs the full scan (the scan
-            # is O(collection) and dominates many-unit runs otherwise).
-            doc = self._docs.get(query["_id"])
-            if doc is None:
-                return []
-            if all(doc.get(k) == v for k, v in query.items()):
-                return [doc]
-            return []
-        if query:
-            keys = tuple(sorted(query))
-            buckets = self._indexes.get(keys, _MISSING)
-            if buckets is _MISSING:
-                buckets = self._build_index(keys)
-            if buckets is not None:
-                try:
-                    value = tuple(query[k] for k in keys)
-                    bucket = buckets.get(value)
-                except TypeError:
-                    bucket = None  # unhashable query value: scan below
-                else:
-                    if bucket is None:
-                        return []
-                    seq = self._seq
-                    return sorted(bucket.values(),
-                                  key=lambda d: seq[d["_id"]])
-        out = []
-        for doc in self._docs.values():
-            if all(doc.get(k) == v for k, v in (query or {}).items()):
-                out.append(doc)
-        return out
-
-    def _build_index(self, keys: Tuple[str, ...]):
-        """Index every document by its values at ``keys`` (or mark the
-        key set unindexable if any value is unhashable)."""
-        buckets: Dict[Tuple, Dict[str, Dict]] = {}
+    def get(self, _id: str) -> Dict[str, Any]:
+        """The (live) document with this ``_id``; KeyError if none."""
         try:
-            for doc in self._docs.values():
-                value = tuple(doc.get(k) for k in keys)
-                buckets.setdefault(value, {})[doc["_id"]] = doc
-        except TypeError:
-            buckets = None
-        self._indexes[keys] = buckets
-        return buckets
+            return self._docs[_id]
+        except KeyError:
+            raise KeyError(f"{self.name}: no document {_id!r}") from None
 
-    def find_one(self, query: Optional[Dict[str, Any]] = None) -> Optional[Dict[str, Any]]:
-        matches = self.find(query)
-        return matches[0] if matches else None
+    def get_many(self, ids) -> List[Dict[str, Any]]:
+        """The documents with these ``_id``s, in the order given (one
+        bulk read instead of a round trip per document)."""
+        docs = self._docs
+        try:
+            return [docs[_id] for _id in ids]
+        except KeyError as exc:
+            raise KeyError(
+                f"{self.name}: no document {exc.args[0]!r}") from None
 
-    def update_one(self, query: Dict[str, Any],
-                   changes: Dict[str, Any]) -> bool:
-        """Apply ``changes`` ($set semantics) to the first match."""
-        doc = self.find_one(query)
-        if doc is None:
-            return False
-        for keys, buckets in self._indexes.items():
-            if buckets is None or not any(k in changes for k in keys):
-                continue
-            try:
-                old = tuple(doc.get(k) for k in keys)
-                new = tuple(changes.get(k, doc.get(k)) for k in keys)
-                if new != old:
-                    bucket = buckets[old]
-                    del bucket[doc["_id"]]
-                    if not bucket:
-                        del buckets[old]
-                    buckets.setdefault(new, {})[doc["_id"]] = doc
-            except TypeError:
-                self._indexes[keys] = None
-        doc.update(changes)
+    def set(self, _id: str, fields: Dict[str, Any]) -> None:
+        """Apply ``fields`` ($set semantics) to one document."""
+        self.get(_id).update(fields)
         self._notify()
-        return True
 
-    def snapshot_state(self) -> list:
-        """All documents in insertion-sequence order (for fingerprints)."""
-        return [self._docs[doc_id] for doc_id, _ in
-                sorted(self._seq.items(), key=lambda kv: kv[1])]
+    def advance(self, _id: str, state, now: float, **extra) -> None:
+        """Append ``state`` to a document's history (single-writer
+        protocol) and set ``extra`` alongside, as one change."""
+        doc = self.get(_id)
+        doc.update(extra)
+        doc["state"] = value = state.value
+        doc["history"].append((now, value))
+        self._notify()
+
+    def enqueue(self, pilot: str, _id: str) -> None:
+        """Queue document ``_id`` for ``pilot``'s agent to claim."""
+        self._pending.setdefault(pilot, []).append(_id)
+
+    def drain(self, pilot: str) -> List[Dict[str, Any]]:
+        """Hand over (and forget) everything queued for ``pilot``, in
+        queueing order.  Each document is delivered exactly once."""
+        return [self._docs[_id] for _id in self._pending.pop(pilot, ())]
+
+    def snapshot_state(self) -> dict:
+        """Documents in insertion order plus the undrained queues."""
+        return {"docs": list(self._docs.values()),
+                "pending": dict(self._pending)}
 
     def watch(self) -> Event:
         """Event firing at the next mutation of this collection."""
@@ -169,12 +120,9 @@ class Database:
         return self._collections[name]
 
     def snapshot_state(self) -> dict:
-        """Checkpoint fingerprint: every collection's documents.
-
-        Documents come back in insertion-sequence order (the canonical
-        read order everywhere else in the stack); values are
-        canonicalized by the persist layer, not here.
-        """
+        """Checkpoint fingerprint: every collection's documents and
+        pending queues (values are canonicalized by the persist layer,
+        not here)."""
         return {name: col.snapshot_state()
                 for name, col in sorted(self._collections.items())}
 

@@ -28,7 +28,7 @@ class ComputePilot(StateHandle):
         self.history: List[Tuple[float, PilotState]] = [
             (env.now, PilotState.NEW)]
         self._state_events: Optional[Dict[PilotState, Event]] = None
-        self._final_event = Event(env)
+        self._final_event: Optional[Event] = None
         #: populated once ACTIVE: agent-side metrics for the benchmarks
         self.agent_info: Dict[str, float] = {}
 

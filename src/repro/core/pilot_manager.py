@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.core.agent.agent import Agent, advance_doc
+from repro.core.agent.agent import Agent
 from repro.core.description import ComputePilotDescription
 from repro.core.pilot import ComputePilot
 from repro.core.session import Session
@@ -64,7 +64,7 @@ class PilotManager:
         service = self._service(description.resource)
         agent = Agent(self.session, uid, service.site, description)
         self.agents[uid] = agent
-        advance_doc(col, uid, PilotState.PENDING_LAUNCH, self.env.now)
+        col.advance(uid, PilotState.PENDING_LAUNCH, self.env.now)
 
         saga_job = service.create_job(SagaDescription(
             executable="radical-pilot-agent",
@@ -86,31 +86,29 @@ class PilotManager:
 
     def _launch(self, uid: str, saga_job):
         col = self.session.db.collection("pilots")
-        advance_doc(col, uid, PilotState.LAUNCHING, self.env.now)
+        col.advance(uid, PilotState.LAUNCHING, self.env.now)
         saga_job.run()
         try:
             yield saga_job.wait_started()
         except RuntimeError:
             # canceled or failed before starting
-            doc = col.find_one({"_id": uid})
-            if doc and not PilotState(doc["state"]).is_final:
-                advance_doc(col, uid, PilotState.FAILED, self.env.now)
+            if not PilotState(col.get(uid)["state"]).is_final:
+                col.advance(uid, PilotState.FAILED, self.env.now)
             return
         # From here the agent payload drives the DB document; the batch
         # job's final state is checked as a safety net.
         batch_job = saga_job.batch_job
         yield batch_job.finished
-        doc = col.find_one({"_id": uid})
-        if doc and not PilotState(doc["state"]).is_final:
+        if not PilotState(col.get(uid)["state"]).is_final:
             # agent died without finalizing (e.g. crashed payload)
-            advance_doc(col, uid, PilotState.FAILED, self.env.now,
+            col.advance(uid, PilotState.FAILED, self.env.now,
                         fail_reason=batch_job.fail_reason)
 
     # ------------------------------------------------------------- control
     def cancel_pilot(self, uid: str) -> None:
         """Request pilot cancellation (served at the agent's next poll)."""
-        col = self.session.db.collection("pilots")
-        col.update_one({"_id": uid}, {"cancel_requested": True})
+        self.session.db.collection("pilots").set(
+            uid, {"cancel_requested": True})
 
     def wait_pilot(self, pilot: ComputePilot,
                    state: Optional[PilotState] = None):
@@ -119,8 +117,8 @@ class PilotManager:
 
     def last_heartbeat(self, uid: str):
         """Timestamp of the pilot agent's last heartbeat (None = never)."""
-        doc = self.session.db.collection("pilots").find_one({"_id": uid})
-        return None if doc is None else doc.get("heartbeat")
+        return self.session.db.collection("pilots").get(uid).get(
+            "heartbeat")
 
     # ------------------------------------------------- heartbeat monitor
     def _heartbeat_monitor(self):
@@ -157,11 +155,8 @@ class PilotManager:
             for uid, pilot in self.pilots.items():
                 if pilot.state is not PilotState.ACTIVE:
                     continue
-                doc = col.find_one({"_id": uid})
-                if doc is None:
-                    continue
-                last = doc.get("heartbeat",
-                               pilot.timestamp(PilotState.ACTIVE))
+                last = col.get(uid).get(
+                    "heartbeat", pilot.timestamp(PilotState.ACTIVE))
                 if last is None:
                     continue
                 if self.env.now - last > self.heartbeat_timeout:
@@ -171,7 +166,7 @@ class PilotManager:
                                  last_heartbeat=last,
                                  silent_for=self.env.now - last)
                         tel.counter("pmgr.heartbeat_timeouts").inc()
-                    advance_doc(col, uid, PilotState.FAILED, self.env.now,
+                    col.advance(uid, PilotState.FAILED, self.env.now,
                                 fail_reason="agent heartbeat timeout")
 
     # ------------------------------------------------------------- watcher
@@ -185,9 +180,7 @@ class PilotManager:
     def _sync(self) -> None:
         col = self.session.db.collection("pilots")
         for uid, pilot in self.pilots.items():
-            doc = col.find_one({"_id": uid})
-            if doc is None:
-                continue
+            doc = col.get(uid)
             for _, state_value in doc["history"][len(pilot.history):]:
                 pilot.advance(PilotState(state_value))
                 if pilot.state is PilotState.ACTIVE:

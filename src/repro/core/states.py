@@ -128,8 +128,7 @@ COARSE_UNIT_STATES = {
 
 def check_transition(table, current, new) -> None:
     """Raise ``ValueError`` unless ``current -> new`` is in ``table``."""
-    allowed = table.get(current, set())
-    if new not in allowed:
+    if new not in table.get(current, ()):
         raise ValueError(
             f"illegal transition {current.value} -> {new.value}")
 
@@ -138,14 +137,14 @@ class StateHandle:
     """The state machine behind :class:`ComputeUnit` / :class:`ComputePilot`.
 
     A mixin: the handle's ``__init__`` declares ``env``, ``state``,
-    ``history``, ``_state_events = None`` and ``_final_event`` (kept
-    there so the snapshot audit sees them typed) and the class names
-    its ``_transitions`` table.
+    ``history``, ``_state_events = None`` and ``_final_event = None``
+    (kept there so the snapshot audit sees them typed) and the class
+    names its ``_transitions`` table.
 
-    Per-state events exist only while someone waits: :meth:`wait`
-    creates the event for a state on first request and :meth:`advance`
-    fires it only if present, so a handle nobody observes schedules
-    nothing but its final event (which the managers always listen to).
+    Events exist only while someone waits: :meth:`wait` creates the
+    event for a state (or for "any final state") on first request and
+    :meth:`advance` fires it only if present, so a handle nobody
+    observes schedules nothing.
     """
 
     _transitions: Dict = {}
@@ -159,8 +158,10 @@ class StateHandle:
             event = self._state_events.get(new_state)
             if event is not None and not event.triggered:
                 event.succeed(self)
-        if new_state.is_final and not self._final_event.triggered:
-            self._final_event.succeed(self)
+        final = self._final_event
+        if final is not None and new_state.is_final \
+                and not final.triggered:
+            final.succeed(self)
 
     def wait(self, state=None) -> Event:
         """Event firing when the handle reaches ``state`` (or any final).
@@ -169,7 +170,12 @@ class StateHandle:
         the current simulated time, so late waiters never block.
         """
         if state is None:
-            return self._final_event
+            event = self._final_event
+            if event is None:
+                event = self._final_event = Event(self.env)
+                if self.state.is_final:
+                    event.succeed(self)
+            return event
         if self._state_events is None:
             self._state_events = {}
         event = self._state_events.get(state)

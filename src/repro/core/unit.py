@@ -27,7 +27,7 @@ class ComputeUnit(StateHandle):
         self.exit_code: Optional[int] = None
         self.stderr: str = ""
         self._state_events: Optional[Dict[UnitState, Event]] = None
-        self._final_event = Event(env)
+        self._final_event: Optional[Event] = None
 
     @property
     def startup_time(self) -> Optional[float]:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
-from repro.core.agent.agent import advance_doc
 from repro.core.description import ComputeUnitDescription
 from repro.core.pilot import ComputePilot
 from repro.core.session import Session
@@ -131,7 +130,9 @@ class UnitManager:
             restart_policy.validate()
         self.pilots: List[ComputePilot] = []
         self.units: Dict[str, ComputeUnit] = {}
-        self._observed: set = set()
+        #: the units not yet final on their handle: what ``_sync`` walks
+        #: (a unit leaves when its final state has been routed).
+        self._live: Dict[str, ComputeUnit] = {}
         #: attempt uid -> root uid (the first attempt's uid).
         self._roots: Dict[str, str] = {}
         #: root uid -> event fired when the logical unit is final.
@@ -174,14 +175,12 @@ class UnitManager:
                      pilot=pilot.uid)
             tel.counter("umgr.pilot_failures").inc()
         col = self.session.db.collection("units")
-        for uid in sorted(self.units):
-            unit = self.units[uid]
-            if unit.pilot_uid != pilot.uid:
+        for uid in sorted(self._live):
+            if self._live[uid].pilot_uid != pilot.uid:
                 continue
-            doc = col.find_one({"_id": uid})
-            if doc is None or UnitState(doc["state"]).is_final:
+            if UnitState(col.get(uid)["state"]).is_final:
                 continue
-            advance_doc(col, uid, UnitState.FAILED, self.env.now,
+            col.advance(uid, UnitState.FAILED, self.env.now,
                         stderr=f"pilot {pilot.uid} failed", exit_code=1)
 
     # --------------------------------------------------------------- units
@@ -211,7 +210,7 @@ class UnitManager:
         """Queue one unit in the shared DB, assigned to ``pilot``."""
         col = self.session.db.collection("units")
         uid = unit.uid
-        self.units[uid] = unit
+        self.units[uid] = self._live[uid] = unit
         col.insert({
             "_id": uid,
             "pilot": pilot.uid,
@@ -222,7 +221,8 @@ class UnitManager:
             "stderr": "",
             "exit_code": None,
         })
-        advance_doc(col, uid, UnitState.UMGR_SCHEDULING, self.env.now)
+        col.advance(uid, UnitState.UMGR_SCHEDULING, self.env.now)
+        col.enqueue(pilot.uid, uid)
         tel = self.env.telemetry
         if tel is not None:
             tel.emit("unit", "submitted", uid=uid, pilot=pilot.uid,
@@ -281,10 +281,9 @@ class UnitManager:
         """
         col = self.session.db.collection("units")
         for unit in units:
-            doc = col.find_one({"_id": unit.uid})
-            if doc and doc["state"] in (UnitState.NEW.value,
-                                        UnitState.UMGR_SCHEDULING.value):
-                advance_doc(col, unit.uid, UnitState.CANCELED, self.env.now)
+            if col.get(unit.uid)["state"] in (
+                    UnitState.NEW.value, UnitState.UMGR_SCHEDULING.value):
+                col.advance(unit.uid, UnitState.CANCELED, self.env.now)
 
     # ------------------------------------------------------------- watcher
     def _watch_loop(self):
@@ -295,25 +294,27 @@ class UnitManager:
             yield change
 
     def _sync(self) -> None:
-        col = self.session.db.collection("units")
-        for uid, unit in self.units.items():
-            if uid in self._observed:
-                # Already settled and routed: the single-writer protocol
-                # never extends a final document's history, so replaying
-                # it again is a no-op — skip the lookup entirely.
+        docs = self.session.db.collection("units").get_many(self._live)
+        states = UnitState._value2member_map_
+        settled = []
+        for unit, doc in zip(self._live.values(), docs, strict=True):
+            history = doc["history"]
+            seen = len(unit.history)
+            if len(history) == seen:
                 continue
-            doc = col.find_one({"_id": uid})
-            if doc is None:
-                continue
-            for _, state_value in doc["history"][len(unit.history):]:
-                unit.advance(UnitState(state_value))
-            if unit.state.is_final and uid not in self._observed:
-                self._observed.add(uid)
+            for _, state_value in history[seen:]:
+                unit.advance(states[state_value])
+            if unit.state.is_final:
+                # The single-writer protocol never extends a final
+                # document's history: route it once, then stop looking.
+                settled.append(unit.uid)
                 unit.result = doc.get("result")
                 unit.exit_code = doc.get("exit_code")
                 unit.stderr = doc.get("stderr", "")
                 self._feed_scheduler(unit)
                 self._handle_final(unit)
+        for uid in settled:
+            del self._live[uid]
 
     # ------------------------------------------------------------- restarts
     def _handle_final(self, unit: ComputeUnit) -> None:

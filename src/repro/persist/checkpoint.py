@@ -46,8 +46,10 @@ from repro.persist.store import (
 #: Snapshot payload format; bumped whenever an unchanged scenario's
 #: barrier coordinates or fingerprint move.  2: unit/pilot handles stopped
 #: dispatching unobserved per-state events, so a format-1 barrier's
-#: ``steps`` names a different point of the same run.
-CHECKPOINT_FORMAT = 2
+#: ``steps`` names a different point of the same run.  3: the unobserved
+#: final event went the same way (one fewer step per unit), and the DB
+#: fingerprint became ``{"docs": [...], "pending": {...}}`` per collection.
+CHECKPOINT_FORMAT = 3
 
 #: Where the checkpoint workflow is documented (error-message pointer).
 DOCS_POINTER = "README.md 'Crash-safe state & resume'"

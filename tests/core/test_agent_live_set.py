@@ -25,11 +25,13 @@ def test_heartbeat_in_flight_matches_a_full_scan(stack):
     pilot = active_pilot(env, pmgr, umgr)
     agent = pmgr.agents[pilot.uid]
     units_db = session.db.collection("units")
+    # A heartbeat follows the claim pass, so by then the agent has
+    # claimed every unit submitted so far.
     scanned = []
     tel.bus.subscribe(
         lambda e: scanned.append(sum(
-            1 for uid in agent._claimed
-            if units_db.find_one({"_id": uid})["state"] not in FINAL)),
+            1 for uid in umgr.units
+            if units_db.get(uid)["state"] not in FINAL)),
         categories=["agent"], names=["heartbeat"])
     cores = agent.lrm.total_cores
     units = umgr.submit_units(
@@ -56,7 +58,7 @@ def test_live_set_does_not_grow_with_finished_units(stack):
             [ComputeUnitDescription(cores=1, cpu_seconds=0.5)] * cores)
         env.run(umgr.wait_units(units))
         assert len(agent._unit_procs) == 0
-    assert len(agent._claimed) == 5 * cores
+    assert agent._claims == 5 * cores
     # mid-wave the set holds exactly the pipelines still running
     units = umgr.submit_units(
         [ComputeUnitDescription(cores=1, cpu_seconds=30.0)] * cores)

@@ -1,4 +1,4 @@
-"""Per-state events on the unit/pilot handles exist only on demand.
+"""State events on the unit/pilot handles exist only on demand.
 
 Parametrised over both handles: they share one implementation
 (:class:`repro.core.states.StateHandle`), and these tests are what
@@ -56,16 +56,30 @@ def test_both_handles_share_the_one_implementation(make, path):
 
 
 @pytest.mark.parametrize("make,path", HANDLES)
-def test_unobserved_handle_schedules_only_its_final_event(make, path):
+def test_unobserved_handle_schedules_nothing(make, path):
     env = Environment()
     handle = make(env)
     seq_before = env.snapshot_state()["seq"]
     for state in path:
         handle.advance(state)
-    assert handle._state_events is None
-    assert env.snapshot_state()["seq"] == seq_before + 1
-    assert handle.wait().triggered
+    assert handle._state_events is None and handle._final_event is None
+    assert env.snapshot_state()["seq"] == seq_before
     assert [s for _, s in handle.history][1:] == path
+
+
+@pytest.mark.parametrize("make,path", HANDLES)
+def test_final_wait_after_final_fires_at_once_with_handle(make, path):
+    env = Environment()
+    handle = make(env)
+    _drive(env, handle, path)
+    env.run()
+    seq_before = env.snapshot_state()["seq"]
+    late = handle.wait()
+    assert late.triggered and not late.processed
+    assert env.snapshot_state()["seq"] == seq_before + 1
+    assert handle.wait() is late
+    assert env.run(late) is handle
+    assert env.now == float(len(path))
 
 
 @pytest.mark.parametrize("make,path", HANDLES)
@@ -174,12 +188,17 @@ def test_state_never_reached_stays_pending_and_leaks_its_waiter(
 def test_final_wait_is_eager_and_fires_once(make, path):
     env = Environment()
     handle = make(env)
+    assert handle._final_event is None
     final = handle.wait()
     assert final is handle._final_event and not final.triggered
+    fired = []
+    final.callbacks.append(fired.append)
     _drive(env, handle, path)
     assert env.run(final) is handle
     assert env.now == float(len(path))
     assert handle.state.is_final
+    env.run()
+    assert fired == [final] and handle.wait() is final
     # the per-state event of the final state is separate and on demand
     assert handle.wait(path[-1]) is not final
     assert env.run(handle.wait(path[-1])) is handle

@@ -76,22 +76,6 @@ def test_done_only_reachable_through_full_pipeline():
 
 
 # -------------------------------------------------------------- database
-@given(docs=st.lists(st.dictionaries(
-    keys=st.sampled_from(["a", "b", "c"]),
-    values=st.integers(0, 5), max_size=3), min_size=0, max_size=20))
-@settings(max_examples=50)
-def test_db_find_matches_python_filter(docs):
-    env = Environment()
-    col = Database(env).collection("things")
-    for doc in docs:
-        col.insert(doc)
-    query = {"a": 1}
-    expected = [d for d in docs if d.get("a") == 1]
-    found = col.find(query)
-    assert len(found) == len(expected)
-    assert all(f.get("a") == 1 for f in found)
-
-
 @given(n=st.integers(min_value=1, max_value=30))
 @settings(max_examples=20)
 def test_db_ids_unique_and_stable(n):
@@ -100,7 +84,7 @@ def test_db_ids_unique_and_stable(n):
     ids = [col.insert({"i": i}) for i in range(n)]
     assert len(set(ids)) == n
     for i, _id in enumerate(ids):
-        assert col.find_one({"_id": _id})["i"] == i
+        assert col.get(_id)["i"] == i
 
 
 def test_db_update_and_watch():
@@ -118,18 +102,12 @@ def test_db_update_and_watch():
 
     def mutator():
         yield env.timeout(5.0)
-        assert col.update_one({"_id": uid}, {"state": "Done"})
+        col.set(uid, {"state": "Done"})
 
     env.process(mutator())
     env.run()
     assert fired == [5.0]
-    assert col.find_one({"_id": uid})["state"] == "Done"
-
-
-def test_db_update_missing_returns_false():
-    env = Environment()
-    col = Database(env).collection("c")
-    assert not col.update_one({"_id": "nope"}, {"x": 1})
+    assert col.get(uid)["state"] == "Done"
 
 
 def test_db_roundtrip_costs_time():

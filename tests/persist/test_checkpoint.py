@@ -143,22 +143,24 @@ def test_schema_drift_detected(tmp_path):
 
 
 def test_older_checkpoint_format_refused_by_name(tmp_path):
-    """A format-1 store (written before unit/pilot state events became
-    on-demand) records a barrier ``steps`` this build replays to a
+    """A format-1 or format-2 store (written while unit/pilot handles
+    still dispatched unobserved per-state events, resp. an unobserved
+    final event) records a barrier ``steps`` this build replays to a
     different point; it is refused up front, not as a digest diff."""
-    assert CHECKPOINT_FORMAT == 2
+    assert CHECKPOINT_FORMAT == 3
     session = launch("bag", seed=9, **BAG)
     session.env.run(until=60.0)
     session.checkpoint(tmp_path / "s")
     store = SnapshotStore(tmp_path / "s")
-    record = store.resolve("latest")
-    record["format"] = 1
-    store.set_ref("latest", store.put(record))
-    with pytest.raises(PersistError,
-                       match=r"checkpoint format 1 unsupported; "
-                             r"this build reads format 2") as info:
-        restore(tmp_path / "s")
-    assert not isinstance(info.value, RestoreMismatch)
+    for older in (1, 2):
+        record = store.resolve("latest")
+        record["format"] = older
+        store.set_ref("latest", store.put(record))
+        with pytest.raises(PersistError,
+                           match=rf"checkpoint format {older} unsupported; "
+                                 r"this build reads format 3") as info:
+            restore(tmp_path / "s")
+        assert not isinstance(info.value, RestoreMismatch)
 
 
 def test_named_refs_select_barriers(tmp_path):
