@@ -1,13 +1,15 @@
 """K-Means: reference implementation + the paper's task decompositions.
 
 All variants implement Lloyd's algorithm with a fixed iteration count
-(the paper runs 2 iterations) and identical arithmetic, so centroids
-agree bit-for-bit across engines given the same data and initial
-centers (deterministic: initial centroids are the first ``k`` points).
+(the paper runs 2 iterations) over the same kernel (``_partial_sums``),
+from the same deterministic start (initial centroids are the first
+``k`` points).  Labels are identical across engines; centroids agree to
+``np.allclose``, not bit for bit, because each engine sums its partial
+results over a different chunking (32 map units vs one array).
 
-The guides' idioms apply: the inner kernel is fully vectorized
-(distance matrix via broadcasting, partial sums via ``np.add.at``-free
-bincount operations) and avoids copies.
+The assignment kernel is one GEMM per row block and needs O(block)
+memory beyond its inputs and the label vector — never the (points x
+clusters) distance matrix; partial sums are ``np.bincount`` reductions.
 """
 
 from __future__ import annotations
@@ -21,16 +23,32 @@ from repro.core.description import ComputeUnitDescription
 
 
 # --------------------------------------------------------------- reference
-def _assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Index of the nearest centroid for every point (vectorized).
+#: Elements in one (rows x clusters) distance tile: 2**17 float64 = 1 MiB, so
+#: the GEMM's output is still in cache when argmin reads it (the fastest of
+#: 2**14..2**19 on all three paper scenarios).
+_TILE_ELEMENTS = 1 << 17
 
-    Uses the ||p-c||^2 = ||p||^2 - 2 p.c + ||c||^2 expansion: one GEMM
-    instead of a (points x clusters x dim) temporary — the cache-friendly
-    formulation the optimization guide prescribes.
+
+def _assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Index of the nearest centroid for every point (lowest on a tie).
+
+    Uses the ||p-c||^2 = ||p||^2 - 2 p.c + ||c||^2 expansion — one GEMM,
+    no (points x clusters x dim) temporary — over blocks of rows, so the
+    only scratch is one reused tile of at most ``_TILE_ELEMENTS``
+    distances (a single row if there are more clusters than that).
     """
-    cross = points @ centroids.T                       # (n, k)
+    n, k = len(points), len(centroids)
+    ct = -2.0 * centroids.T                            # (dim, k)
     c_norm = (centroids * centroids).sum(axis=1)       # (k,)
-    return np.argmin(c_norm[None, :] - 2.0 * cross, axis=1)
+    labels = np.empty(n, dtype=np.intp)
+    rows = max(1, _TILE_ELEMENTS // k)
+    tile = np.empty((min(rows, n), k), dtype=np.result_type(points, ct))
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        dist = np.matmul(points[lo:hi], ct, out=tile[:hi - lo])
+        dist += c_norm
+        np.argmin(dist, axis=1, out=labels[lo:hi])
+    return labels
 
 
 def _partial_sums(points: np.ndarray, centroids: np.ndarray

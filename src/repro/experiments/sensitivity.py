@@ -16,7 +16,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.analytics import generate_points, kmeans_reference
 from repro.analytics.kmeans import run_kmeans_pilot
 from repro.cluster.machine import stampede
 from repro.cluster.storage import StorageSpec
@@ -25,8 +24,10 @@ from repro.api import ComputePilotDescription, PilotState
 from repro.experiments.calibration import (
     CALIBRATED_KMEANS_COST,
     CALIBRATED_RMS,
+    ITERATIONS,
     agent_config,
 )
+from repro.experiments.figure6 import _expected_for, _points_for
 from repro.saga import Registry, Site
 from repro.sim import Environment
 
@@ -42,7 +43,7 @@ class SensitivityRow:
         return (self.rp_runtime - self.yarn_runtime) / self.rp_runtime
 
 
-def _run_cell(lustre_bw: float, flavor: str, points: np.ndarray,
+def _run_cell(lustre_bw: float, flavor: str, points: int,
               clusters: int, ntasks: int, nodes: int) -> float:
     spec = stampede(num_nodes=nodes)
     spec = replace(spec, shared_fs=StorageSpec(
@@ -61,14 +62,16 @@ def _run_cell(lustre_bw: float, flavor: str, points: np.ndarray,
     umgr.add_pilots(pilot)
     env.run(pilot.wait(PilotState.ACTIVE))
 
-    def workload():
-        yield from run_kmeans_pilot(
-            umgr, points, clusters, ntasks=ntasks, iterations=2,
-            cost=CALIBRATED_KMEANS_COST)
-
     t0 = env.now
-    env.run(env.process(workload()))
+    centroids, _ = env.run(env.process(run_kmeans_pilot(
+        umgr, _points_for(points, clusters), clusters, ntasks=ntasks,
+        iterations=ITERATIONS, cost=CALIBRATED_KMEANS_COST)))
     span = env.now - t0
+    if not np.allclose(centroids, _expected_for(points, clusters)):
+        raise RuntimeError(
+            f"sensitivity cell lustre_bw={lustre_bw:g} flavor={flavor} "
+            f"points={points} clusters={clusters} ntasks={ntasks}: "
+            f"centroids diverge from the NumPy reference")
     setup = pilot.agent_info["lrm_setup_seconds"]
     return span + (setup if flavor == "RP-YARN" else 0.0)
 
@@ -78,14 +81,13 @@ def sweep_lustre_bandwidth(
         points: int = 1_000_000, clusters: int = 50,
         ntasks: int = 32, nodes: int = 3) -> List[SensitivityRow]:
     """Run the sweep; returns one row per bandwidth point."""
-    data = generate_points(points, clusters, seed=1234)
     rows = []
     for bw_mb in bandwidths_mb or [10, 30, 100, 300]:
         bw = bw_mb * 1e6
         rows.append(SensitivityRow(
             lustre_bw=bw,
-            rp_runtime=_run_cell(bw, "RP", data, clusters, ntasks, nodes),
-            yarn_runtime=_run_cell(bw, "RP-YARN", data, clusters,
+            rp_runtime=_run_cell(bw, "RP", points, clusters, ntasks, nodes),
+            yarn_runtime=_run_cell(bw, "RP-YARN", points, clusters,
                                    ntasks, nodes)))
     return rows
 

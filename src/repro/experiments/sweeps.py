@@ -279,13 +279,11 @@ def _run_ablations_cell(cell: SweepCell) -> List[Dict[str, Any]]:
 
 
 def _run_sensitivity_cell(cell: SweepCell) -> List[Dict[str, Any]]:
-    from repro.analytics import generate_points
     from repro.experiments import sensitivity
     params = dict(cell.params)
     points, clusters, ntasks, nodes = 1_000_000, 50, 32, 3
-    data = generate_points(points, clusters, seed=1234)
     bw = params["bw_mb"] * 1e6
-    runtime = sensitivity._run_cell(bw, params["flavor"], data, clusters,
+    runtime = sensitivity._run_cell(bw, params["flavor"], points, clusters,
                                     ntasks, nodes)
     return [{"lustre_bw": bw, "flavor": params["flavor"],
              "runtime": runtime}]

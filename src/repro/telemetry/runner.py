@@ -64,15 +64,14 @@ def run_traced_kmeans(machine: str = "stampede",
     """
     # Imports are deferred so ``python -m repro trace --help`` stays fast.
     from repro import telemetry
-    from repro.analytics import generate_points, kmeans_reference
     from repro.analytics.kmeans import run_kmeans_pilot
     from repro.core import profiler
     from repro.experiments.calibration import (
         CALIBRATED_KMEANS_COST,
-        DIM,
         TASK_CONFIGS,
         agent_config,
     )
+    from repro.experiments.figure6 import _expected_for, _points_for
     from repro.experiments.harness import MACHINE_TEMPLATES, Testbed
 
     if machine not in MACHINE_TEMPLATES:
@@ -94,7 +93,7 @@ def run_traced_kmeans(machine: str = "stampede",
     pilot, _, _ = testbed.start_pilot(
         nodes=nodes, agent_config=agent_config(lrm))
 
-    data = generate_points(points, clusters, dim=DIM, seed=1234)
+    data = _points_for(points, clusters)
     holder: Dict[str, object] = {}
 
     def workload():
@@ -107,8 +106,8 @@ def run_traced_kmeans(machine: str = "stampede",
     testbed.run(workload())
     runtime = testbed.env.now - t0
 
-    expected = kmeans_reference(data, clusters, iterations=iterations)
-    ok = bool(np.allclose(holder["centroids"], expected))
+    ok = bool(np.allclose(holder["centroids"],
+                          _expected_for(points, clusters, iterations)))
 
     run = TraceRun(
         machine=machine, flavor=flavor, points=points, clusters=clusters,

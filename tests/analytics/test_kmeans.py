@@ -1,10 +1,22 @@
 """Tests for K-Means: reference correctness + cross-engine agreement."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analytics import generate_points, kmeans_reference
+from repro.analytics import kmeans
 from repro.analytics.kmeans import _assign, _partial_sums, _update
+
+
+def reference_assign(points, centroids):
+    """The unblocked kernel ``_assign`` replaced (ISSUE 23), kept as the
+    reference model: the full (n x k) distance matrix in one piece."""
+    cross = points @ centroids.T                       # (n, k)
+    c_norm = (centroids * centroids).sum(axis=1)       # (k,)
+    return np.argmin(c_norm[None, :] - 2.0 * cross, axis=1)
 
 
 def test_generate_points_shape_and_determinism():
@@ -28,6 +40,71 @@ def test_assign_nearest_centroid():
     centroids = np.array([[0.0, 0.0], [1.0, 1.0]])
     labels = _assign(points, centroids)
     assert labels.tolist() == [0, 1, 1]
+
+
+@given(k=st.sampled_from([1, 2, 50, kmeans._TILE_ELEMENTS + 1]),
+       size=st.sampled_from(["one", "block-1", "block", "block+1",
+                             "blocks"]),
+       dim=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+       on_grid=st.booleans(), strided=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_blocked_assign_matches_reference(k, size, dim, seed, on_grid,
+                                          strided):
+    """Same labels as the one-piece kernel at every block boundary, for
+    fewer clusters than a tile holds and for more, on duplicated
+    centroids and on non-contiguous views."""
+    block = max(1, kmeans._TILE_ELEMENTS // k)
+    n = {"one": 1, "block-1": block - 1, "block": block,
+         "block+1": block + 1, "blocks": 2 * block + 3}[size]
+    rng = np.random.default_rng(seed)
+    wide = rng.uniform(0.0, 1.0, size=(n, 2 * dim))
+    # drawn with replacement: duplicated centroids tie exactly
+    distinct = max(1, k // 2)
+    centroids = rng.uniform(0.0, 1.0, size=(distinct, dim))[
+        rng.integers(0, distinct, size=k)]
+    if on_grid:
+        # quarter-unit coordinates make every product and sum exact, so
+        # distinct centroids tie too and both kernels must break the tie
+        # the same way
+        wide, centroids = np.round(wide * 4) / 4, np.round(centroids * 4) / 4
+    # array_split along columns hands out non-contiguous (n, dim) views
+    points = np.array_split(wide, 2, axis=1)[0] if strided \
+        else np.ascontiguousarray(wide[:, :dim])
+    assert not (strided and n > 1 and points.flags.c_contiguous)
+    labels = _assign(points, centroids)
+    assert labels.dtype == np.intp and labels.shape == (n,)
+    assert np.array_equal(labels, reference_assign(points, centroids))
+
+
+def test_assign_breaks_ties_towards_the_lowest_index():
+    points = generate_points(1000, 4, seed=5)
+    centroids = np.tile(points[:4], (3, 1))      # every centroid 3 times
+    labels = _assign(points, centroids)
+    assert labels.max() < 4
+    assert np.array_equal(labels, reference_assign(points, centroids))
+
+
+def test_assign_handles_row_chunks_of_a_read_only_dataset():
+    """What the pilot decomposition feeds the kernel: ``array_split``
+    row chunks (some empty) of an array nobody may write to."""
+    points = generate_points(10, 3, seed=2)
+    points.setflags(write=False)
+    chunks = np.array_split(points, 16)
+    labels = np.concatenate([_assign(c, points[:3]) for c in chunks])
+    assert np.array_equal(labels, reference_assign(points, points[:3]))
+
+
+def test_reference_memory_is_bounded_by_the_tile_not_the_matrix():
+    """200,000 x 50 float64 distances are 80 MB apiece (the replaced
+    kernel held three); the blocked one peaks at a tile plus labels."""
+    points = generate_points(200_000, 50, seed=1234)
+    tracemalloc.start()
+    try:
+        kmeans_reference(points, 50, iterations=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 def test_partial_sums_against_manual():

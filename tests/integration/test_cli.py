@@ -28,6 +28,16 @@ def test_figure6_quick_cli(capsys):
     assert out.count("not in grid") == 2
 
 
+def test_figure6_full_cli(capsys):
+    """The whole paper gate: all 36 cells, all 11 shapes evaluated."""
+    assert main(["figure6"]) == 0
+    out = capsys.readouterr().out
+    assert "all 36 cells of the grid ran" in out
+    assert "FAIL" not in out and out.count("not in grid") == 0
+    shapes = out.split("Paper shapes (§IV-B)")[1]
+    assert shapes.count("OK |") == 11        # every figure6_checks entry
+
+
 def test_ablations_cli(capsys):
     assert main(["ablations"]) == 0
     out = capsys.readouterr().out
