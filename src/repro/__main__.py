@@ -14,7 +14,6 @@ Usage::
     python -m repro sweep chaos --run-dir runs/c1 --resume
     python -m repro lint [--check]       # determinism linter (simlint)
     python -m repro lint --flow [--check]   # + cross-module taint (SIM10x)
-    python -m repro audit-state [--check]   # snapshot-safety audit (SIM11x)
     python -m repro checkpoint bag --store ckpt --at 120
     python -m repro restore ckpt [--until T]
 
@@ -49,23 +48,12 @@ global-RNG / salted-hash / process-environment values tracked across
 assignments, returns and module boundaries until they reach an
 event-schedule, digest, aggregate-row or telemetry sink.
 
-``audit-state`` walks every class reachable from ``Session`` /
-``Environment`` / ``PilotService`` and classifies each attribute as
-snapshot-safe or hazardous (open handles, live generators, executor
-handles, bound callables, module-global backrefs — SIM11x), deriving
-the committed ``state-manifest.json`` contract the checkpoint layer
-serializes against — see :mod:`repro.analysis.snapshot`.  ``--check``
-fails on manifest (= checkpoint-schema) drift or un-baselined hazards;
-``--update-manifest`` rewrites the manifest.  Both passes share
-``lint``'s suppression and baseline machinery and a ``--graph-cache``
-that reuses one import-graph build across CI steps.
-
 ``checkpoint`` launches a registered scenario (``checkpoint --list``
 names them), optionally advances the clock with ``--at T``, and writes
 a crash-safe snapshot into a content-addressed store; ``restore``
 rebuilds the session in a fresh process by deterministic replay and
-*proves* the state digest matches before exiting 0 — see
-:mod:`repro.persist`.
+*proves* the fingerprint's schema and state digest match before
+exiting 0 — see :mod:`repro.persist`.
 
 Every verb is declared in the :data:`repro.cli.REGISTRY` command
 registry (name, arguments, runner, exit codes).

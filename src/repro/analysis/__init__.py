@@ -7,14 +7,11 @@ instead of a reviewed one:
   a rule registry (:data:`repro.analysis.rules.RULES`, codes
   ``SIM001``-``SIM006``), inline suppressions and a committed
   baseline.  Run it with ``python -m repro lint [--check]``.
-* :mod:`repro.analysis.simflow` / :mod:`repro.analysis.snapshot` —
-  project-wide, import-graph-aware passes over the
-  :class:`~repro.analysis.project.Project` model: cross-module
-  determinism *taint* tracking (``SIM10x``, ``python -m repro lint
-  --flow``) and the snapshot-safety *audit* of everything reachable
-  from ``Session``/``Environment``/``PilotService`` (``SIM11x``,
-  ``python -m repro audit-state``, committed ``state-manifest.json``).
-  Both share simlint's suppression and baseline machinery.
+* :mod:`repro.analysis.simflow` — a project-wide, import-graph-aware
+  pass over the :class:`~repro.analysis.project.Project` model:
+  cross-module determinism *taint* tracking (``SIM10x``, ``python -m
+  repro lint --flow``), sharing simlint's suppression and baseline
+  machinery.
 * :mod:`repro.analysis.sanitizer` — :class:`SimSanitizer`, composable
   runtime invariant checkers over the scheduler, bandwidth pipes,
   YARN and HDFS, switched on with ``REPRO_SANITIZE=1`` or
@@ -22,51 +19,12 @@ instead of a reviewed one:
   :mod:`repro.telemetry`.
 """
 
-from repro.analysis.project import AnalysisCache, Project
-from repro.analysis.rules import RULES, Rule
+# Only the sanitizer is re-exported: the simulation stack imports it at
+# run time, and must not drag the AST linter in with it.
 from repro.analysis.sanitizer import (
     InvariantViolation,
     SimSanitizer,
     sanitize_enabled,
 )
-from repro.analysis.simflow import analyze_paths, analyze_project
-from repro.analysis.simlint import (
-    Baseline,
-    BaselineEntry,
-    Finding,
-    format_json,
-    format_text,
-    lint_command,
-    lint_file,
-    lint_paths,
-    lint_source,
-)
-from repro.analysis.snapshot import (
-    ManifestEntry,
-    audit_command,
-    audit_paths,
-)
 
-__all__ = [
-    "AnalysisCache",
-    "Baseline",
-    "BaselineEntry",
-    "Finding",
-    "InvariantViolation",
-    "ManifestEntry",
-    "Project",
-    "RULES",
-    "Rule",
-    "SimSanitizer",
-    "analyze_paths",
-    "analyze_project",
-    "audit_command",
-    "audit_paths",
-    "format_json",
-    "format_text",
-    "lint_command",
-    "lint_file",
-    "lint_paths",
-    "lint_source",
-    "sanitize_enabled",
-]
+__all__ = ["InvariantViolation", "SimSanitizer", "sanitize_enabled"]

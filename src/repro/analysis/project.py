@@ -2,10 +2,10 @@
 
 simlint's SIM001-006 rules see one module at a time, so a wall-clock
 value that crosses a function or module boundary before reaching a
-digest is invisible to them.  The flow rules (SIM10x) and the
-snapshot-safety audit (SIM11x) need the *whole* project: which modules
-exist, what every local name resolves to, and where each function and
-class is defined.  This module builds that model once:
+digest is invisible to them.  The flow rules (SIM10x) need the *whole*
+project: which modules exist, what every local name resolves to, and
+where each function and class is defined.  This module builds that
+model once:
 
 * :class:`ModuleInfo` — one parsed module: AST, import table (local
   name -> fully-dotted target), functions and classes by local
@@ -17,19 +17,14 @@ class is defined.  This module builds that model once:
 * :func:`repo_root_of` — marker-based repo-root detection
   (``pyproject.toml``/``.git``), so finding paths are repo-root-relative
   POSIX strings and the baseline ledger is cwd-independent.
-* :class:`AnalysisCache` — a content-hash-keyed cache of analysis
-  results, so CI steps that share a tree (``lint --flow`` then
-  ``audit-state``) build the import graph once.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 #: Files that mark a repository root, checked in order while walking up.
 ROOT_MARKERS = ("pyproject.toml", ".git")
@@ -63,13 +58,6 @@ class FunctionInfo:
     node: ast.AST                 # FunctionDef | AsyncFunctionDef
     module: "ModuleInfo"
     class_name: Optional[str] = None
-
-    @property
-    def is_generator(self) -> bool:
-        for sub in ast.walk(self.node):
-            if isinstance(sub, (ast.Yield, ast.YieldFrom)):
-                return True
-        return False
 
     @property
     def params(self) -> List[str]:
@@ -162,8 +150,6 @@ class Project:
 
     def __init__(self) -> None:
         self.modules: Dict[str, ModuleInfo] = {}
-        #: rel_path -> sha256 of the source, for the analysis cache.
-        self.file_hashes: Dict[str, str] = {}
 
     # --------------------------------------------------------------- load
     @classmethod
@@ -210,13 +196,6 @@ class Project:
                             tree=ast.parse(source, filename=rel_path))
         module.index()
         self.modules[name] = module
-        self.file_hashes[rel_path] = hashlib.sha256(
-            source.encode()).hexdigest()
-
-    def content_digest(self) -> str:
-        """One hash over every module's content, for cache keys."""
-        payload = json.dumps(sorted(self.file_hashes.items()))
-        return hashlib.sha256(payload.encode()).hexdigest()
 
     # ---------------------------------------------------------- resolution
     def _resolve_dotted(self, module: ModuleInfo, dotted: str,
@@ -286,11 +265,6 @@ class Project:
         found = self._lookup(qualified, "class")
         return found if isinstance(found, ClassInfo) else None
 
-    def find_class(self, qualname: str) -> Optional[ClassInfo]:
-        """A class by its fully-qualified dotted name."""
-        found = self._lookup(qualname, "class")
-        return found if isinstance(found, ClassInfo) else None
-
     def method(self, cls: ClassInfo, name: str) -> Optional[FunctionInfo]:
         """A method on ``cls`` (same-module base classes included)."""
         seen = set()
@@ -313,41 +287,3 @@ class Project:
                 if base_cls is not None:
                     stack.append(base_cls)
         return None
-
-
-# -------------------------------------------------------------------- cache
-class AnalysisCache:
-    """Content-hash-keyed store for analysis results.
-
-    One JSON file holds independently-cached sections (``flow``,
-    ``manifest``) keyed by a digest over every scanned file, so the
-    ``lint --flow`` CI step and the ``audit-state`` step that follows
-    it share one import-graph build: the second step sees matching
-    hashes and reuses the stored result without re-walking the tree.
-    """
-
-    def __init__(self, path: Path | str):
-        self.path = Path(path)
-        self._data: Dict[str, object] = {}
-        if self.path.exists():
-            try:
-                self._data = json.loads(self.path.read_text())
-            except (ValueError, OSError):
-                self._data = {}
-
-    def get(self, section: str, digest: str):
-        entry = self._data.get(section)
-        if isinstance(entry, dict) and entry.get("digest") == digest:
-            return entry.get("payload")
-        return None
-
-    def put(self, section: str, digest: str, payload) -> None:
-        self._data[section] = {"digest": digest, "payload": payload}
-        self.path.write_text(json.dumps(self._data, indent=2,
-                                        sort_keys=True) + "\n")
-
-
-def load_project(paths: Iterable[Path | str]) -> Tuple[Project, str]:
-    """Build the project and its content digest in one call."""
-    project = Project.load(paths)
-    return project, project.content_digest()

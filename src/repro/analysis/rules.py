@@ -55,7 +55,7 @@ class Rule:
     summary: str = ""
     #: ``module`` rules run per file inside :func:`lint_source`;
     #: ``project`` rules need the whole import graph and are driven by
-    #: :mod:`repro.analysis.simflow` / :mod:`repro.analysis.snapshot`.
+    #: :mod:`repro.analysis.simflow`.
     scope: str = "module"
 
     def check(self, tree: ast.Module, source: str) -> Iterator[RawFinding]:
@@ -367,11 +367,10 @@ class ProjectRule(Rule):
     """A rule that needs the whole import graph.
 
     The per-module :meth:`check` is a registered no-op: findings for
-    these codes come from the cross-module passes
-    (:func:`repro.analysis.simflow.analyze_paths` for SIM10x,
-    :func:`repro.analysis.snapshot.audit_paths` for SIM11x), which
-    attach to the same :data:`RULES` codes so suppressions, baselines
-    and ``--list-rules`` treat both families uniformly.
+    these codes come from the cross-module pass
+    (:func:`repro.analysis.simflow.analyze_paths`), which attaches to
+    the same :data:`RULES` codes so suppressions, baselines and
+    ``--list-rules`` treat both families uniformly.
     """
 
     scope = "project"
@@ -430,51 +429,3 @@ class TaintedTelemetryRule(ProjectRule):
 
     code = "SIM104"
     summary = "nondeterministic value reaches a telemetry label/sample"
-
-
-@register
-class OpenHandleStateRule(ProjectRule):
-    """SIM111: an open file handle stored as snapshot state."""
-
-    code = "SIM111"
-    summary = "open file handle stored as snapshot state"
-
-
-@register
-class GeneratorStateRule(ProjectRule):
-    """SIM112: a live generator/coroutine stored as snapshot state.
-
-    Suspended frames cannot be serialized; a checkpoint layer must
-    replay them from journaled events instead.
-    """
-
-    code = "SIM112"
-    summary = "generator/coroutine stored as snapshot state"
-
-
-@register
-class ExecutorStateRule(ProjectRule):
-    """SIM113: a process/thread executor handle stored as state."""
-
-    code = "SIM113"
-    summary = "executor/thread handle stored as snapshot state"
-
-
-@register
-class CallableStateRule(ProjectRule):
-    """SIM114: a lambda or bound method stored as snapshot state."""
-
-    code = "SIM114"
-    summary = "lambda/bound method stored as snapshot state"
-
-
-@register
-class GlobalBackrefStateRule(ProjectRule):
-    """SIM115: a module-global backref stored as snapshot state.
-
-    Serializing a reference to module-global mutable state forks it:
-    the restored copy and the live global silently diverge.
-    """
-
-    code = "SIM115"
-    summary = "module-global backref stored as snapshot state"

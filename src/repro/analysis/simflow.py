@@ -52,7 +52,6 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.project import (
-    AnalysisCache,
     FunctionInfo,
     ModuleInfo,
     Project,
@@ -677,23 +676,6 @@ def analyze_project(project: Project) -> List[Finding]:
     return FlowAnalysis(project).run()
 
 
-def analyze_paths(paths: Iterable[Path | str],
-                  cache_path: Optional[Path | str] = None
-                  ) -> List[Finding]:
-    """Flow-analyze every module under ``paths``.
-
-    ``cache_path`` names an :class:`~repro.analysis.project.AnalysisCache`
-    file: when the tree's content digest matches the cached one, the
-    stored findings are returned without re-running the analysis.
-    """
-    project = Project.load(paths)
-    digest = project.content_digest()
-    cache = AnalysisCache(cache_path) if cache_path else None
-    if cache is not None:
-        payload = cache.get("flow", digest)
-        if payload is not None:
-            return sorted(Finding.from_dict(f) for f in payload)
-    findings = analyze_project(project)
-    if cache is not None:
-        cache.put("flow", digest, [f.to_dict() for f in findings])
-    return findings
+def analyze_paths(paths: Iterable[Path | str]) -> List[Finding]:
+    """Flow-analyze every module under ``paths``."""
+    return analyze_project(Project.load(paths))

@@ -55,12 +55,6 @@ class Finding:
         return {"path": self.path, "line": self.line, "col": self.col,
                 "code": self.code, "message": self.message}
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "Finding":
-        return cls(path=str(data["path"]), line=int(data["line"]),
-                   col=int(data["col"]), code=str(data["code"]),
-                   message=str(data["message"]))
-
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
 
@@ -91,14 +85,7 @@ def flow_rule_codes() -> List[str]:
     """Codes of the cross-module flow rules (SIM10x), sorted."""
     from repro.analysis.rules import RULES
     return sorted(code for code, rule in RULES.items()
-                  if rule.scope == "project" and code < "SIM110")
-
-
-def audit_rule_codes() -> List[str]:
-    """Codes of the snapshot-safety rules (SIM11x), sorted."""
-    from repro.analysis.rules import RULES
-    return sorted(code for code, rule in RULES.items()
-                  if rule.scope == "project" and code >= "SIM110")
+                  if rule.scope == "project")
 
 
 def lint_source(source: str, path: str = "<string>",
@@ -107,8 +94,7 @@ def lint_source(source: str, path: str = "<string>",
 
     ``rules`` restricts the run to the given codes (default: all
     registered per-module rules; project-scope rules need the import
-    graph and are driven by :mod:`repro.analysis.simflow` /
-    :mod:`repro.analysis.snapshot` instead).
+    graph and are driven by :mod:`repro.analysis.simflow` instead).
     """
     from repro.analysis.rules import RULES
 
@@ -242,7 +228,7 @@ class Baseline:
         and baseline entries no fresh finding matched (so the ledger
         can never hold entries that silently stopped reproducing).
 
-        The ledger is shared by the module-rule, flow and audit passes;
+        The ledger is shared by the module-rule and flow passes;
         ``codes`` names the rule codes *this* run executed, so entries
         for families that did not run are never reported stale.
         """
@@ -309,15 +295,13 @@ def lint_command(paths: Sequence[str], output: str = "text",
                  check: bool = False, baseline_path: str = "simlint-baseline.json",
                  update_baseline: bool = False,
                  list_rules: bool = False,
-                 flow: bool = False,
-                 graph_cache: Optional[str] = None) -> int:
+                 flow: bool = False) -> int:
     """Drive one lint run; returns the process exit code.
 
     Without ``--check`` the scan is report-only (exit 0).  With
     ``--check``, exit 1 when the scan disagrees with the baseline in
     either direction (new findings, or stale entries).  ``flow`` adds
-    the cross-module SIM10x taint pass (``graph_cache`` reuses the
-    import-graph build across CI steps); the baseline ledger is shared,
+    the cross-module SIM10x taint pass; the baseline ledger is shared,
     with staleness judged only against the rule families that ran.
     """
     from repro.analysis.rules import RULES
@@ -334,8 +318,7 @@ def lint_command(paths: Sequence[str], output: str = "text",
     codes_run = module_rule_codes()
     if flow:
         from repro.analysis.simflow import analyze_paths
-        findings = sorted(findings + analyze_paths(
-            paths, cache_path=graph_cache))
+        findings = sorted(findings + analyze_paths(paths))
         codes_run += flow_rule_codes()
     if update_baseline:
         Baseline.from_findings(findings).save(baseline_path)

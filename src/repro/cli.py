@@ -196,16 +196,7 @@ def _run_lint(args: argparse.Namespace) -> int:
         baseline_path=args.baseline,
         update_baseline=args.update_baseline,
         list_rules=args.list_rules,
-        flow=args.flow, graph_cache=args.graph_cache)
-
-
-def _run_audit_state(args: argparse.Namespace) -> int:
-    from repro.analysis.snapshot import audit_command
-    return audit_command(
-        paths=args.paths, roots=args.root or None,
-        manifest_path=args.manifest, baseline_path=args.baseline,
-        output=args.format, check=args.check,
-        update=args.update_manifest, graph_cache=args.graph_cache)
+        flow=args.flow)
 
 
 def _parse_param(item: str) -> Tuple[str, Any]:
@@ -347,43 +338,8 @@ COMMANDS: Tuple[Command, ...] = (
             arg("--flow", action="store_true",
                 help="also run the cross-module SIM10x taint pass "
                      "(import-graph-aware)"),
-            arg("--graph-cache", default=None, metavar="FILE",
-                help="cache the import-graph analysis here "
-                     "(shared with audit-state in CI)"),
         ),
         exit_codes=((0, "clean"), (1, "new findings in --check mode"),
-                    (2, "usage error"))),
-    Command(
-        name="audit-state", runner=_run_audit_state,
-        help="audit snapshot state reachable from Session/Environment/"
-             "PilotService (SIM11x)",
-        args=(
-            arg("paths", nargs="*", default=["src/repro"],
-                help="files or directories to analyze "
-                     "(default: src/repro)"),
-            arg("--root", action="append", default=[],
-                metavar="DOTTED.Class",
-                help="override the audited root classes (repeatable)"),
-            arg("--manifest", default="state-manifest.json",
-                metavar="FILE",
-                help="committed state-manifest contract file"),
-            arg("--baseline", default="simlint-baseline.json",
-                metavar="FILE",
-                help="shared baseline ledger of accepted findings"),
-            arg("--format", default="text", choices=["text", "json"],
-                dest="format", help="finding output format"),
-            arg("--check", action="store_true",
-                help="exit 1 on manifest/checkpoint-schema drift or "
-                     "findings that differ from the baseline (CI mode)"),
-            arg("--update-manifest", action="store_true",
-                help="rewrite the state manifest from this run"),
-            arg("--graph-cache", default=None, metavar="FILE",
-                help="cache the import-graph analysis here "
-                     "(shared with lint --flow in CI)"),
-        ),
-        exit_codes=((0, "clean"),
-                    (1, "manifest drift or new findings in --check "
-                        "mode"),
                     (2, "usage error"))),
     Command(
         name="trace", runner=_run_trace,

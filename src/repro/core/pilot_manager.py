@@ -200,16 +200,9 @@ class PilotManager:
         for uid, pilot in sorted(self.pilots.items()):
             entry: dict = {"state": pilot.state.value}
             agent = self.agents.get(uid)
-            backend = getattr(agent, "backend", None)
-            scheduler = getattr(backend, "scheduler", None)
-            if scheduler is not None:
-                snap = getattr(scheduler, "snapshot_state", None)
-                if snap is not None:
-                    entry["scheduler"] = snap()
-                else:
-                    entry["scheduler"] = {
-                        "free_cores": getattr(scheduler, "free_cores",
-                                              None)}
+            # No backend until the agent has bootstrapped.
+            if agent is not None and agent.backend is not None:
+                entry["scheduler"] = agent.backend.scheduler.snapshot_state()
             pilots[uid] = entry
         return {"kind": "pilot_manager", "uid": self.uid,
                 "pilots": pilots}

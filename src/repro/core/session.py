@@ -133,10 +133,15 @@ class Session:
     def register_component(self, component) -> None:
         """Track ``component`` for the checkpoint fingerprint walk.
 
-        Managers and overlays call this at construction; anything with
-        a ``snapshot_state()`` method contributes to the state digest
+        Managers and overlays call this at construction; their
+        ``snapshot_state()`` contributes to the state digest
         :mod:`repro.persist` verifies after a restore.
         """
+        if not callable(getattr(component, "snapshot_state", None)):
+            raise TypeError(
+                f"{type(component).__name__} has no snapshot_state(); a "
+                f"registered component must contribute to the checkpoint "
+                f"fingerprint")
         if component not in self.components:
             self.components.append(component)
 

@@ -34,8 +34,8 @@ from repro.persist.checkpoint import (
     SchemaDrift,
     checkpoint_session,
     fingerprint_diff,
+    fingerprint_schema,
     launch,
-    manifest_digest,
     restore,
     scenario,
     scenario_names,
@@ -69,8 +69,8 @@ __all__ = [
     "canonical_json",
     "checkpoint_session",
     "fingerprint_diff",
+    "fingerprint_schema",
     "launch",
-    "manifest_digest",
     "payload_digest",
     "restore",
     "scenario",

@@ -1,9 +1,8 @@
 """Crash-safe session checkpoints: record the recipe, replay the state.
 
 A live session cannot be pickled — its processes are suspended Python
-generator frames (exactly the SIM112 hazard the snapshot auditor
-flags).  Instead of serializing frames, a checkpoint records how to
-*rebuild* them:
+generator frames.  Instead of serializing frames, a checkpoint records
+how to *rebuild* them:
 
 * the **provenance** — which registered :func:`scenario` built the
   session, with which seed and parameters;
@@ -23,40 +22,38 @@ digests match byte-for-byte — and when they do not, the restore fails
 loudly with :class:`RestoreMismatch` instead of continuing from a
 silently divergent world.
 
-The committed ``state-manifest.json`` (maintained by ``python -m repro
-audit-state``) doubles as the checkpoint schema: its digest is embedded
-in every snapshot, so restoring with a drifted manifest raises
-:class:`SchemaDrift` before any replay happens.
+The fingerprint is also the checkpoint schema: every snapshot records
+the field names its fingerprint declared (:func:`fingerprint_schema`),
+and a restore whose replayed fingerprint declares different ones raises
+:class:`SchemaDrift` naming the section and the fields.
 """
 
 from __future__ import annotations
 
-import hashlib
 import importlib
+import inspect
 from dataclasses import dataclass, field, is_dataclass
-from pathlib import Path
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict
 
 from repro.persist.store import (
     PersistError,
     SnapshotStore,
-    canonical_json,
+    payload_digest,
 )
+from repro.sim.engine import SimulationError
 
-#: Snapshot payload format; bumped whenever an unchanged scenario's
-#: barrier coordinates or fingerprint move.  2: unit/pilot handles stopped
-#: dispatching unobserved per-state events, so a format-1 barrier's
-#: ``steps`` names a different point of the same run.  3: the unobserved
-#: final event went the same way (one fewer step per unit), and the DB
-#: fingerprint became ``{"docs": [...], "pending": {...}}`` per collection.
-CHECKPOINT_FORMAT = 3
+#: Snapshot payload format; bumped when the payload's keys change or an
+#: unchanged scenario's barrier coordinates move.  Formats 1 and 2 counted
+#: unobserved per-state / final handle events as steps; 3 carried the
+#: digest of a static attribute manifest where 4 carries ``schema``.
+CHECKPOINT_FORMAT = 4
 
 #: Where the checkpoint workflow is documented (error-message pointer).
 DOCS_POINTER = "README.md 'Crash-safe state & resume'"
 
 
 class SchemaDrift(PersistError):
-    """The snapshot's state-manifest digest does not match this tree's."""
+    """The replayed fingerprint declares other fields than the snapshot's."""
 
 
 class RestoreMismatch(PersistError):
@@ -122,26 +119,16 @@ def launch(name: str, seed: int = 42, **params):
             f"unknown scenario {name!r}; registered: "
             f"{', '.join(sorted(_SCENARIOS)) or '(none)'}")
     fn = _SCENARIOS[name]
+    try:
+        inspect.signature(fn).bind(seed, **params)
+    except TypeError as exc:
+        raise PersistError(
+            f"scenario {name!r} rejects its parameters: {exc}") from None
     session = fn(seed, **params)
     session.provenance = Provenance(
         name=name, module=fn.__module__, qualname=fn.__qualname__,
         seed=seed, params=dict(params))
     return session
-
-
-# ----------------------------------------------------------- schema gate
-def manifest_digest(path: Optional[str] = None) -> Optional[str]:
-    """sha256 of the committed ``state-manifest.json`` (the schema gate).
-
-    ``None`` when no manifest is found — snapshots then record no gate
-    and restores skip the check (useful outside a repo checkout).
-    """
-    from repro.analysis.simlint import resolve_cli_path
-    candidate = Path(resolve_cli_path(path or "state-manifest.json",
-                                      must_exist=False))
-    if not candidate.exists():
-        return None
-    return hashlib.sha256(candidate.read_bytes()).hexdigest()
 
 
 # ------------------------------------------------------- the fingerprint
@@ -193,15 +180,25 @@ def state_fingerprint(session) -> Dict[str, Any]:
     if env.telemetry is not None:
         fp["telemetry"] = env.telemetry.metrics.snapshot_state()
     fp["components"] = [comp.snapshot_state()
-                        for comp in session.components
-                        if hasattr(comp, "snapshot_state")]
+                        for comp in session.components]
     return canonical(fp)
+
+
+def fingerprint_schema(fp: Dict[str, Any]) -> Dict[str, Any]:
+    """The field names ``fp`` declares per top-level section and per
+    component ``kind``, values erased; deeper keys are data (uids, stream
+    names).  Identical at every barrier of a scenario, so a difference
+    after replay means the code changed."""
+    schema = {name: dict.fromkeys(section) if isinstance(section, dict)
+              else None for name, section in fp.items()}
+    schema["components"] = {comp["kind"]: dict.fromkeys(comp)
+                            for comp in fp["components"]}
+    return schema
 
 
 def state_digest(session) -> str:
     """sha256 over the canonical JSON form of the fingerprint."""
-    return hashlib.sha256(
-        canonical_json(state_fingerprint(session)).encode()).hexdigest()
+    return payload_digest(state_fingerprint(session))
 
 
 # ------------------------------------------------------------ checkpoint
@@ -233,15 +230,15 @@ def checkpoint_session(session, path, ref: str = "latest") -> CheckpointInfo:
             "checkpoint_session() called from inside a running process; "
             "checkpoints must happen at a quiescent barrier between "
             "env.run() calls")
-    engine = session.env.snapshot_state()
+    fp = state_fingerprint(session)
+    engine = fp["engine"]
     payload = {
         "format": CHECKPOINT_FORMAT,
         "kind": "session_checkpoint",
         "provenance": session.provenance.payload(),
-        "barrier": {"now": engine["now"], "steps": engine["steps"],
-                    "seq": engine["seq"]},
-        "state_digest": state_digest(session),
-        "manifest_digest": manifest_digest(),
+        "barrier": {key: engine[key] for key in ("now", "steps", "seq")},
+        "state_digest": payload_digest(fp),
+        "schema": fingerprint_schema(fp),
     }
     store = SnapshotStore(path)
     digest = store.put(payload)
@@ -256,8 +253,8 @@ def restore(path, ref: str = "latest"):
     """Rebuild a checkpointed session in this process.
 
     Loads the snapshot, re-runs its scenario with the recorded seed and
-    parameters, replays the engine to the barrier and verifies the
-    state digest.  Returns the restored session, byte-identical (by
+    parameters, replays the engine to the barrier and verifies schema
+    and state digest.  Returns the restored session, byte-identical (by
     fingerprint) to the one that was checkpointed.
     """
     store = SnapshotStore(path, create=False)
@@ -270,28 +267,30 @@ def restore(path, ref: str = "latest"):
         raise PersistError(
             f"checkpoint format {record.get('format')!r} unsupported; "
             f"this build reads format {CHECKPOINT_FORMAT}")
-    recorded_schema = record.get("manifest_digest")
-    current_schema = manifest_digest()
-    if (recorded_schema is not None and current_schema is not None
-            and recorded_schema != current_schema):
-        raise SchemaDrift(
-            "snapshot was taken under a different state-manifest.json "
-            "(the checkpoint schema); run 'python -m repro audit-state "
-            f"--check' and see {DOCS_POINTER}")
     prov = record["provenance"]
     # Import the defining module so out-of-tree scenarios register.
     importlib.import_module(prov["module"])
     session = launch(prov["name"], seed=prov["seed"], **prov["params"])
     barrier = record["barrier"]
-    session.env.replay_to(barrier["steps"], now=barrier["now"])
-    engine = session.env.snapshot_state()
+    try:
+        session.env.replay_to(barrier["steps"], now=barrier["now"])
+    except SimulationError as exc:
+        raise RestoreMismatch(
+            f"replay cannot reach barrier {barrier}: {exc}") from exc
+    fp = state_fingerprint(session)
+    engine = fp["engine"]
     if engine["now"] != barrier["now"] or engine["seq"] != barrier["seq"]:
         raise RestoreMismatch(
             f"replay reached step {barrier['steps']} at "
             f"now={engine['now']} seq={engine['seq']}, but the snapshot "
             f"recorded now={barrier['now']} seq={barrier['seq']}; the "
             f"scenario is not deterministic")
-    actual = state_digest(session)
+    drift = fingerprint_diff(record["schema"], fingerprint_schema(fp))
+    if drift:
+        raise SchemaDrift(
+            f"fingerprint fields differ from the snapshot's (- recorded, "
+            f"+ this build): {'; '.join(drift)} (see {DOCS_POINTER})")
+    actual = payload_digest(fp)
     if actual != record["state_digest"]:
         raise RestoreMismatch(
             f"state digest after replay is {actual[:16]}…, snapshot "
@@ -301,17 +300,18 @@ def restore(path, ref: str = "latest"):
     return session
 
 
-def fingerprint_diff(a: Dict[str, Any], b: Dict[str, Any],
-                     prefix: str = "") -> list:
-    """Paths where two fingerprints differ (debugging aid for tests)."""
+def fingerprint_diff(a: Any, b: Any, prefix: str = "") -> list:
+    """Where two fingerprints (or schemas) differ: ``path: -x +y`` for names
+    only ``a`` / only ``b`` has, ``path: x != y`` for a changed value."""
     diffs = []
     if isinstance(a, dict) and isinstance(b, dict):
-        for key in sorted(set(a) | set(b)):
-            if key not in a or key not in b:
-                diffs.append(f"{prefix}.{key} (only one side)")
-            else:
-                diffs.extend(fingerprint_diff(a[key], b[key],
-                                              f"{prefix}.{key}"))
+        names = ([f"-{key}" for key in sorted(a.keys() - b.keys())]
+                 + [f"+{key}" for key in sorted(b.keys() - a.keys())])
+        if names:
+            diffs.append(f"{prefix or '(top level)'}: {' '.join(names)}")
+        for key in sorted(a.keys() & b.keys()):
+            diffs.extend(fingerprint_diff(
+                a[key], b[key], f"{prefix}.{key}" if prefix else key))
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             diffs.append(f"{prefix} (length {len(a)} vs {len(b)})")
@@ -332,8 +332,8 @@ __all__ = [
     "canonical",
     "checkpoint_session",
     "fingerprint_diff",
+    "fingerprint_schema",
     "launch",
-    "manifest_digest",
     "restore",
     "scenario",
     "scenario_names",

@@ -209,7 +209,7 @@ class Process(Event):
         super().__init__(env)
         # The live frame IS the process-interaction model; a checkpoint
         # replays processes from the event log instead of serializing it.
-        self._generator = generator  # simlint: disable=SIM112
+        self._generator = generator
         #: What the process is suspended on: an Event, a _Sleep slot
         #: (bare-number yield), or None while running / finished.
         self._target: Optional[object] = None

@@ -131,20 +131,6 @@ def test_cli_flow_check_passes_on_clean_tree(tmp_path, capsys):
                  "--baseline", str(tmp_path / "b.json")]) == 0
 
 
-def test_graph_cache_round_trips(tmp_path, capsys):
-    """A second --flow run against an unchanged tree reuses the cached
-    analysis and reports identical findings."""
-    pkg = build(tmp_path, mod=(
-        "import time\n"
-        "def kick(env):\n"
-        "    env.timeout(time.time())\n"))
-    cache = tmp_path / "graph.json"
-    first = analyze_paths([pkg], cache_path=cache)
-    assert cache.exists()
-    second = analyze_paths([pkg], cache_path=cache)
-    assert first == second and codes(second) == ["SIM101"]
-
-
 def test_flow_baseline_tolerated_and_not_stale_without_flow(tmp_path,
                                                            capsys):
     """A SIM10x entry in the shared ledger suppresses the finding under

@@ -1,5 +1,10 @@
 """Replay-based checkpoint/restore: determinism proofs and guard rails."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.persist import (
@@ -15,8 +20,11 @@ from repro.persist import (
     state_digest,
     state_fingerprint,
 )
-from repro.persist.checkpoint import fingerprint_diff
+from repro.persist.checkpoint import fingerprint_diff, fingerprint_schema
 from repro.sim.engine import Environment, SimulationError
+
+#: The package sources (subprocess PYTHONPATH, source-tree guard).
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 #: Small bag so each checkpoint test stays sub-second.
 BAG = {"ntasks": 4, "nodes": 2, "fault_rate": 0.5}
@@ -130,37 +138,157 @@ def test_checkpoint_refuses_mid_process(tmp_path):
         session.env.run(until=session.env.now + 1.0)
 
 
-def test_schema_drift_detected(tmp_path):
+def _checkpointed_bag(tmp_path):
     session = launch("bag", seed=9, **BAG)
     session.env.run(until=60.0)
     session.checkpoint(tmp_path / "s")
-    store = SnapshotStore(tmp_path / "s")
+    return SnapshotStore(tmp_path / "s")
+
+
+def _rewrite(store, **fields):
+    """Re-point ``latest`` at the stored record with ``fields`` replaced."""
     record = store.resolve("latest")
-    record["manifest_digest"] = "f" * 64   # snapshot from another tree
+    record.update(fields)
     store.set_ref("latest", store.put(record))
-    with pytest.raises(SchemaDrift, match="state-manifest"):
+
+
+def test_schema_drift_detected(tmp_path):
+    """A snapshot whose fingerprint declared other fields than this
+    build's is refused with the section and the fields by name."""
+    store = _checkpointed_bag(tmp_path)
+    schema = store.resolve("latest")["schema"]
+    fields = schema["components"]["unit_manager"]
+    del fields["restarts_used"]     # this build added a field...
+    fields["observed"] = None       # ...and dropped one
+    _rewrite(store, schema=schema)
+    with pytest.raises(SchemaDrift) as info:
+        restore(tmp_path / "s")
+    assert "components.unit_manager: -observed +restarts_used" \
+        in str(info.value)
+
+
+def test_schema_drift_from_a_changed_snapshot_state(tmp_path, monkeypatch):
+    """The restore side's walk is the schema: a ``snapshot_state`` that
+    starts hashing a new key is drift, not a bare digest mismatch."""
+    from repro.core.unit_manager import UnitManager
+    _checkpointed_bag(tmp_path)
+    original = UnitManager.snapshot_state
+    monkeypatch.setattr(
+        UnitManager, "snapshot_state",
+        lambda self: {**original(self), "live": 0})
+    with pytest.raises(SchemaDrift,
+                       match=r"components\.unit_manager: \+live"):
         restore(tmp_path / "s")
 
 
+@pytest.mark.parametrize("name,params", [
+    ("bag", BAG), ("raptor-stream", {"ntasks": 6})])
+def test_schema_is_value_independent(name, params):
+    """Same field names at every barrier and for every seed — only a
+    code change can move the schema."""
+    schemas = []
+    for seed in (3, 4):
+        session = launch(name, seed=seed, **params)
+        for _ in range(5):
+            schemas.append(fingerprint_schema(state_fingerprint(session)))
+            session.env.run(until=session.env.now + 7.0)
+    assert all(schema == schemas[0] for schema in schemas)
+    assert {"engine", "session", "rng", "db", "components"} <= \
+        set(schemas[0])
+
+
+def test_state_digests_pinned():
+    """Recorded on the parent of the commit that made the fingerprint
+    the schema: that change did not move a byte of what is hashed."""
+    bag = launch("bag", seed=9, ntasks=8)
+    bag.env.run(until=80.0)
+    assert state_digest(bag) == ("48c717f1032230d51678762d8003491c"
+                                 "3898354d634d9fe18df9da827a8723c7")
+    assert state_digest(launch("raptor-stream", seed=9)) == (
+        "d066da3ee2b104a9aaf351933386a0c4513d7d3d0ba3f26c0a5bcf2c3830ac2c")
+
+
 def test_older_checkpoint_format_refused_by_name(tmp_path):
-    """A format-1 or format-2 store (written while unit/pilot handles
-    still dispatched unobserved per-state events, resp. an unobserved
-    final event) records a barrier ``steps`` this build replays to a
-    different point; it is refused up front, not as a digest diff."""
-    assert CHECKPOINT_FORMAT == 3
-    session = launch("bag", seed=9, **BAG)
-    session.env.run(until=60.0)
-    session.checkpoint(tmp_path / "s")
-    store = SnapshotStore(tmp_path / "s")
-    for older in (1, 2):
-        record = store.resolve("latest")
-        record["format"] = older
-        store.set_ref("latest", store.put(record))
+    """Formats 1-3 either count steps this build replays to a different
+    point or carry no ``schema``; each is refused up front, by name,
+    not as a digest diff."""
+    assert CHECKPOINT_FORMAT == 4
+    store = _checkpointed_bag(tmp_path)
+    for older in (1, 2, 3):
+        _rewrite(store, format=older)
         with pytest.raises(PersistError,
                            match=rf"checkpoint format {older} unsupported; "
-                                 r"this build reads format 3") as info:
+                                 r"this build reads format 4") as info:
             restore(tmp_path / "s")
-        assert not isinstance(info.value, RestoreMismatch)
+        assert not isinstance(info.value, (RestoreMismatch, SchemaDrift))
+
+
+def test_unreachable_barrier_is_a_restore_mismatch(tmp_path):
+    """A barrier the replay cannot reach ends in a named persist error
+    carrying the engine's reason, not a raw SimulationError."""
+    store = _checkpointed_bag(tmp_path)
+    barrier = store.resolve("latest")["barrier"]
+    _rewrite(store, barrier={**barrier, "steps": 10**7})
+    with pytest.raises(RestoreMismatch, match="unreachable") as info:
+        restore(tmp_path / "s")
+    assert "10000000" in str(info.value)
+    assert isinstance(info.value.__cause__, SimulationError)
+
+
+def test_rejected_scenario_parameter_is_a_persist_error(tmp_path, capsys):
+    """A recorded parameter the scenario no longer accepts names the
+    scenario and the parameter; the CLI prints it and exits 1."""
+    from repro.__main__ import main
+    store = _checkpointed_bag(tmp_path)
+    prov = store.resolve("latest")["provenance"]
+    prov["params"]["gone"] = 1
+    _rewrite(store, provenance=prov)
+    with pytest.raises(PersistError, match=r"'bag'.*'gone'"):
+        restore(tmp_path / "s")
+    assert main(["restore", str(tmp_path / "s")]) == 1
+    assert capsys.readouterr().err.startswith("error: scenario 'bag'")
+
+
+def test_persist_round_trip_does_not_import_the_linter(tmp_path):
+    """Layering: checkpoint -> restore in a fresh interpreter loads the
+    sanitizer (the stack needs it) and none of the AST tooling."""
+    code = (
+        "import sys\n"
+        "from repro.persist import launch, restore\n"
+        "s = launch('bag', seed=9, ntasks=4)\n"
+        "s.env.run(until=60.0)\n"
+        f"s.checkpoint({str(tmp_path / 's')!r})\n"
+        f"restore({str(tmp_path / 's')!r})\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith('repro.analysis.')))\n")
+    inherited = os.environ.get("PYTHONPATH")
+    path = str(SRC) + (os.pathsep + inherited if inherited else "")
+    out = subprocess.run(
+        [sys.executable, "-c", code], check=True, capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "['repro.analysis.sanitizer']"
+
+
+def test_component_without_snapshot_state_rejected():
+    """A registered component that could not contribute to the digest
+    would be silently dropped from it; refuse it at registration."""
+    class Mute:
+        pass
+
+    session = launch("bag", seed=9, **BAG)
+    with pytest.raises(TypeError, match="Mute has no snapshot_state"):
+        session.register_component(Mute())
+
+
+def test_no_second_state_walker_in_the_sources():
+    """The fingerprint is the only definition of checkpointable state:
+    the static attribute manifest and its audit must not creep back."""
+    gone = ("state-manifest", "manifest_digest", "audit_state",
+            "audit-state", "SIM11")
+    hits = [f"{path.relative_to(SRC)}: {word}"
+            for path in sorted((SRC / "repro").rglob("*.py"))
+            for word in gone if word in path.read_text()]
+    assert hits == []
 
 
 def test_named_refs_select_barriers(tmp_path):
