@@ -5,8 +5,12 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from repro.cluster.storage import StorageSpec, StorageVolume
-from repro.sim.engine import Environment, Event, SimulationError
+from repro.sim.engine import Environment, Event, Interrupt, SimulationError
 from repro.sim.resources import Level, Resource
+
+
+class NodeDied(RuntimeError):
+    """The node died while a :meth:`Node.hold` was in flight."""
 
 
 class Node:
@@ -52,6 +56,8 @@ class Node:
         #: lets capacity ledgers track alive-flips incrementally instead
         #: of rescanning every node.
         self._liveness_watchers: List[Callable[["Node"], None]] = []
+        #: Processes inside :meth:`hold`, as an insertion-ordered set.
+        self._holding: dict = {}
 
     @property
     def cores(self) -> Resource:
@@ -118,9 +124,9 @@ class Node:
     def fail(self) -> None:
         """Mark the node dead (failure-injection hooks).
 
-        Fires :meth:`failure_event` so executing tasks racing the
-        compute timeout against node death observe the crash at the
-        exact injection instant.
+        Fires :meth:`failure_event`, whose first subscriber interrupts
+        every in-flight :meth:`hold`, so executing tasks observe the
+        crash at the exact injection instant.
         """
         self.alive = False
         self.failed_at = self.env.now
@@ -131,7 +137,8 @@ class Node:
 
     def recover(self) -> None:
         self.alive = True
-        self._failure = None
+        if self._failure is not None and self._failure.triggered:
+            self._failure = None
         for watcher in self._liveness_watchers:
             watcher(self)
 
@@ -151,7 +158,35 @@ class Node:
             return Event(self.env).succeed(self)
         if self._failure is None or self._failure.triggered:
             self._failure = Event(self.env)
+            self._failure.callbacks.append(self._kill_holders)
         return self._failure
+
+    def hold(self, seconds: float):
+        """``yield from`` inside a process: occupy the node for
+        ``seconds`` (one bare timeout); raise :class:`NodeDied` if it
+        dies first, which :meth:`_kill_holders` delivers.  Interrupts
+        from anyone else pass through unchanged.  Tie rule: a hold whose
+        timeout has popped has completed — a crash at the instant it
+        expires fires the failure event after that timeout."""
+        if not self.alive:
+            raise NodeDied(f"node {self.name} is down")
+        if self._failure is None:
+            self.failure_event()
+        proc = self.env.active_process
+        self._holding[proc] = None
+        try:
+            yield self.env.timeout(seconds)
+        except Interrupt as interrupt:
+            if interrupt.cause is self:
+                raise NodeDied(f"node {self.name} died") from None
+            raise
+        finally:
+            del self._holding[proc]
+
+    def _kill_holders(self, _failure: Event) -> None:
+        """Interrupt every in-flight :meth:`hold`, in entry order."""
+        for proc in list(self._holding):
+            proc.interrupt(self)
 
     def slow_down(self, factor: float) -> None:
         """Straggler injection: run ``factor``x slower than baseline.

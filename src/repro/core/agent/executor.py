@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.cluster.node import NodeDied
 from repro.cluster.storage import MB
 from repro.core.agent.app_master import ReusableAppMaster, run_unit_as_yarn_app
 from repro.core.agent.scheduler import (
@@ -69,19 +70,16 @@ def _run_payload(unit_desc: ComputeUnitDescription):
     return unit_desc.function(*unit_desc.args, **unit_desc.kwargs)
 
 
-def _compute_or_die(env: Environment, node, seconds: float):
-    """Race the compute phase against the node's failure event.
-
-    Generator: completes normally when the timeout wins, raises
-    :class:`ExecutionError` if the node dies first (fault injection
-    kills in-flight work, not just future placements).
-    """
+def _compute_or_die(node, seconds: float):
+    """Hold ``node`` for the compute phase; :class:`ExecutionError` if
+    it is down or dies first (faults kill in-flight work too)."""
     if not node.alive:
         raise ExecutionError(f"node {node.name} is down")
-    compute = env.timeout(seconds)
-    yield env.any_of([compute, node.failure_event()])
-    if not node.alive:
-        raise ExecutionError(f"node {node.name} died during execution")
+    try:
+        yield from node.hold(seconds)
+    except NodeDied:
+        raise ExecutionError(
+            f"node {node.name} died during execution") from None
 
 
 class ForkBackend:
@@ -169,7 +167,7 @@ class ForkBackend:
                 if unit_desc.cpu_seconds > 0:
                     speedup = allocation.total_cores
                     yield from _compute_or_die(
-                        self.env, node, node.compute_seconds(
+                        node, node.compute_seconds(
                             unit_desc.cpu_seconds / speedup))
                 result = _run_payload(unit_desc)
                 if unit_desc.output_bytes > 0:
@@ -360,7 +358,7 @@ class SparkBackend:
                 yield tier.read(unit_desc.input_bytes)
             if unit_desc.cpu_seconds > 0:
                 yield from _compute_or_die(
-                    self.env, node, node.compute_seconds(
+                    node, node.compute_seconds(
                         unit_desc.cpu_seconds / allocation.total_cores))
             result = _run_payload(unit_desc)
             if unit_desc.output_bytes > 0:

@@ -43,10 +43,9 @@ from repro.persist.store import (
 from repro.sim.engine import SimulationError
 
 #: Snapshot payload format; bumped when the payload's keys change or an
-#: unchanged scenario's barrier coordinates move.  Formats 1 and 2 counted
-#: unobserved per-state / final handle events as steps; 3 carried the
-#: digest of a static attribute manifest where 4 carries ``schema``.
-CHECKPOINT_FORMAT = 4
+#: unchanged scenario's barrier coordinates move.  Formats 1, 2 and 4
+#: counted since-removed events as steps; 3 carried no ``schema``.
+CHECKPOINT_FORMAT = 5
 
 #: Where the checkpoint workflow is documented (error-message pointer).
 DOCS_POINTER = "README.md 'Crash-safe state & resume'"

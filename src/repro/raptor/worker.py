@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Set
 
+from repro.cluster.node import Node, NodeDied
 from repro.sim.engine import Environment, Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cluster.node import Node
     from repro.raptor.task import RaptorConfig
 
 
@@ -68,19 +68,17 @@ class RaptorWorker:
         if not node.alive:
             raise WorkerLost(f"worker {self.uid}: node {node.name} is down")
         overhead = self.config.dispatch_overhead_seconds
-        if overhead > 0:
-            done = self.env.timeout(overhead)
-            yield self.env.any_of([done, node.failure_event()])
-            if not node.alive:
-                raise WorkerLost(
-                    f"worker {self.uid}: node {node.name} died in dispatch")
-        if description.cpu_seconds > 0:
-            compute = self.env.timeout(node.compute_seconds(
-                description.cpu_seconds / cores))
-            yield self.env.any_of([compute, node.failure_event()])
-            if not node.alive:
-                raise WorkerLost(
-                    f"worker {self.uid}: node {node.name} died mid-task")
+        phase = "in dispatch"
+        try:
+            if overhead > 0:
+                yield from node.hold(overhead)
+            phase = "mid-task"
+            if description.cpu_seconds > 0:
+                yield from node.hold(node.compute_seconds(
+                    description.cpu_seconds / cores))
+        except NodeDied:
+            raise WorkerLost(f"worker {self.uid}: node {node.name} "
+                             f"died {phase}") from None
         if description.function is None:
             return None
         return description.function(*description.args,
