@@ -15,6 +15,7 @@ ablation A3.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Callable, Optional
 
 from repro.sim.engine import Environment, Event, SimulationError
@@ -97,7 +98,7 @@ class ReusableAppMaster:
     def __init__(self, env: Environment, yarn: YarnCluster):
         self.env = env
         self.yarn = yarn
-        self._queue: list = []
+        self._queue: deque = deque()
         self._shutdown = False
         self._app = None
         self._started = Event(env)
@@ -111,10 +112,10 @@ class ReusableAppMaster:
             # container requests and start payloads in whatever YARN
             # granted.  Units overlap freely — no per-unit round-trips
             # are serialized, which is the whole point of AM re-use.
-            pending: list = []          # (payload, done) awaiting grants
+            pending: deque = deque()    # (payload, done) awaiting grants
             while True:
                 while pool._queue:
-                    cores, memory_mb, payload, done = pool._queue.pop(0)
+                    cores, memory_mb, payload, done = pool._queue.popleft()
                     ctx.request_containers(
                         1, YarnResource(memory_mb, cores))
                     pending.append((payload, done))
@@ -125,7 +126,7 @@ class ReusableAppMaster:
                     if not pending:
                         ctx.release_container(container)
                         continue
-                    payload, done = pending.pop(0)
+                    payload, done = pending.popleft()
                     finished = ctx.start_container(container, payload)
 
                     def _complete(event, _done=done):

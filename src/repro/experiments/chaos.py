@@ -6,8 +6,10 @@ Three deterministic scenarios, all driven by :mod:`repro.faults`:
   executor errors; the Unit-Manager's :class:`RestartPolicy` absorbs
   them, and the row reports the makespan inflation vs the fault rate.
 * **nm-loss** — a Mode I RP-YARN pilot loses a NodeManager mid-run;
-  the YARN RM expires the node, the per-unit AM re-attempts killed
-  containers on surviving nodes, and every unit still finishes.
+  the YARN RM expires the node.  Every task container there shares its
+  AM's node, so AM and task die together and no AM is left to
+  re-attempt; the Unit-Manager's :class:`RestartPolicy` resubmits those
+  units and every unit still finishes.
 * **hdfs-heal** — an HDFS cluster with the replication monitor armed
   loses a DataNode; the NameNode detects the silence, re-replicates
   and the row reports the measured MTTR plus the restored replication
@@ -109,7 +111,9 @@ def run_chaos_bag(flavor: str = "RP", fault_rate: float = 0.0,
 
 def run_nm_loss(machine: str = "stampede", ntasks: int = 12,
                 nodes: int = 2, seed: int = 42) -> NodeLossRow:
-    """Kill a NodeManager mid-run; AM re-attempts finish every unit."""
+    """Kill a NodeManager mid-run; client-side restarts finish every
+    unit (``reattempts`` counts AM re-attempts, which need an AM that
+    outlives its task container)."""
     from repro.api import (ComputeUnitDescription, RestartPolicy,
                            UnitManager)
     from repro.experiments.calibration import agent_config

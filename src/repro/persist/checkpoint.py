@@ -43,9 +43,10 @@ from repro.persist.store import (
 from repro.sim.engine import SimulationError
 
 #: Snapshot payload format; bumped when the payload's keys change or an
-#: unchanged scenario's barrier coordinates move.  Formats 1, 2 and 4
-#: counted since-removed events as steps; 3 carried no ``schema``.
-CHECKPOINT_FORMAT = 5
+#: unchanged scenario's barrier coordinates move.  Formats 1, 2, 4 and 5
+#: counted since-removed events as steps (5: the per-container child
+#: processes of a YARN-flavoured world); 3 carried no ``schema``.
+CHECKPOINT_FORMAT = 6
 
 #: Where the checkpoint workflow is documented (error-message pointer).
 DOCS_POINTER = "README.md 'Crash-safe state & resume'"

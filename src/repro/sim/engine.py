@@ -233,10 +233,26 @@ class Process(Event):
         event._ok = False
         event._value = Interrupt(cause)
         event._triggered = True
-        event.callbacks.append(self._resume)
+        event.callbacks.append(self._deliver_interrupt)
         self.env._schedule(event, PRIORITY_URGENT)
-        # Detach from whatever we were waiting on, so the original event
-        # does not resume us a second time.
+        self._detach()
+
+    def _deliver_interrupt(self, event: Event) -> None:
+        """Throw a scheduled interrupt into the process.
+
+        Several interrupts can be pending at one instant (a node crash
+        and a container kill).  One that finds the process finished is
+        dropped, as in SimPy; one that finds it waiting again (it caught
+        an earlier interrupt, or interrupted itself) detaches it first.
+        """
+        if self._triggered:
+            return
+        self._detach()
+        self._resume(event)
+
+    def _detach(self) -> None:
+        """Stop waiting on the current target, so it does not resume the
+        process a second time."""
         target = self._target
         if target is not None:
             if type(target) is _Sleep:

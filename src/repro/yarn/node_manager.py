@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional
 
 from repro.cluster.node import Node
-from repro.sim.engine import Environment, Event, Interrupt, SimulationError
+from repro.sim.engine import Environment, Interrupt, Process, SimulationError
 from repro.yarn.config import YarnConfig
 from repro.yarn.records import (
     ZERO_RESOURCE,
@@ -32,7 +32,8 @@ class NodeManager:
             vcores=config.nm_vcores(node.num_cores))
         self.used = ZERO_RESOURCE
         self.containers: Dict[str, Container] = {}
-        self._procs: Dict[str, object] = {}
+        #: The launch process of every container not yet finished.
+        self._procs: Dict[str, Process] = {}
         self.running = False
         #: When :meth:`fail` hit (MTTR base for the RM's loss handling).
         self.failed_at: Optional[float] = None
@@ -102,35 +103,27 @@ class NodeManager:
     def start_container(self, container: Container,
                         payload: Callable[..., object],
                         on_complete: Optional[Callable[[Container], None]]
-                        = None) -> Event:
+                        = None) -> Process:
         """Launch a payload inside an allocated container.
 
         Pays the localization + JVM spin-up cost, then runs
-        ``payload(env, container)`` as a process.  Returns an event that
-        fires when the container reaches a final state (its value is the
-        container).
+        ``payload(env, container)`` inline: the container is one
+        process, so a kill interrupts the payload itself and nothing of
+        it outlives the container.  Returns that process; it ends when
+        the container reaches a final state, and its value is the
+        container.
         """
-        if container.container_id not in self.containers:
+        cid = container.container_id
+        if cid not in self.containers:
             raise SimulationError(
-                f"container {container.container_id} not allocated on "
-                f"{self.name}")
+                f"container {cid} not allocated on {self.name}")
         if container.state is not ContainerState.ALLOCATED:
             raise SimulationError(
-                f"container {container.container_id} is "
-                f"{container.state.value}, cannot launch")
-        done = Event(self.env)
+                f"container {cid} is {container.state.value}, cannot launch")
         tel = self.env.telemetry
         if tel is not None:
-            tel.emit("yarn", "container_start",
-                     container_id=container.container_id, node=self.name,
-                     app=container.app_id)
-
-        def _finish_event() -> None:
-            if tel is not None:
-                tel.emit("yarn", "container_finished",
-                         container_id=container.container_id,
-                         node=self.name, app=container.app_id,
-                         state=container.state.value)
+            tel.emit("yarn", "container_start", container_id=cid,
+                     node=self.name, app=container.app_id)
 
         def _runner():
             try:
@@ -138,48 +131,39 @@ class NodeManager:
             except Interrupt:
                 # Killed/released during localization: state was already
                 # finalized by kill_container.
-                _finish_event()
-                done.succeed(container)
-                return
-            if container.state.is_final:   # killed during launch
-                _finish_event()
-                done.succeed(container)
-                return
+                return _finished(None)
             container.state = ContainerState.RUNNING
-            child = self.env.process(
-                payload(self.env, container),
-                name=f"container-{container.container_id}")
             try:
-                result = yield child
+                result = yield from payload(self.env, container)
             except Interrupt as intr:
-                if not container.state.is_final:
-                    container.state = ContainerState.KILLED
-                    container.diagnostics = str(intr.cause)
-                if child.is_alive:
-                    # The process inside the container dies with it —
-                    # otherwise the payload would keep simulating (and
-                    # touching unit state) as a zombie.
-                    child.interrupt(cause=intr.cause)
-                    child.callbacks.append(lambda _event: None)  # defused
+                outcome = ContainerState.KILLED, None, str(intr.cause)
             except Exception as exc:
-                container.state = ContainerState.FAILED
-                container.exit_code = 1
-                container.diagnostics = repr(exc)
+                outcome = ContainerState.FAILED, 1, repr(exc)
             else:
-                container.state = ContainerState.COMPLETED
-                container.exit_code = 0
-                container.diagnostics = ""
-                container.result = result
+                outcome = ContainerState.COMPLETED, 0, ""
+            # A kill already set the final state: a payload that swallowed
+            # its Interrupt and returned does not overwrite it.
+            if not container.state.is_final:
+                (container.state, container.exit_code,
+                 container.diagnostics) = outcome
+                if container.state is ContainerState.COMPLETED:
+                    container.result = result
             self._release(container)
-            _finish_event()
-            if on_complete is not None:
-                on_complete(container)
-            done.succeed(container)
+            return _finished(on_complete)
 
-        proc = self.env.process(_runner(),
-                                name=f"launch-{container.container_id}")
-        self._procs[container.container_id] = proc
-        return done
+        def _finished(notify) -> Container:
+            del self._procs[cid]
+            if tel is not None:
+                tel.emit("yarn", "container_finished", container_id=cid,
+                         node=self.name, app=container.app_id,
+                         state=container.state.value)
+            if notify is not None:
+                notify(container)
+            return container
+
+        proc = self.env.process(_runner(), name=f"launch-{cid}")
+        self._procs[cid] = proc
+        return proc
 
     def kill_container(self, container_id: str,
                        final_state: ContainerState = ContainerState.KILLED,
@@ -191,7 +175,7 @@ class NodeManager:
         container.state = final_state
         container.diagnostics = diagnostics
         proc = self._procs.get(container_id)
-        if proc is not None and proc.is_alive:
+        if proc is not None:
             proc.interrupt(cause=diagnostics or final_state.value)
         self._release(container)
 

@@ -326,12 +326,12 @@ class ResourceManager:
         self.apps[app_id] = app
         self._active_apps[app_id] = app
         self.metrics_counters["appsSubmitted"] += 1
-        self.env.process(self._accept(app), name=f"accept-{app_id}")
+        app.advance(ApplicationState.SUBMITTED)
+        self.env.timeout(self.config.rm_submit_latency).callbacks.append(
+            lambda _event: self._accept(app))
         return app
 
-    def _accept(self, app: AppRecord):
-        app.advance(ApplicationState.SUBMITTED)
-        yield self.env.timeout(self.config.rm_submit_latency)
+    def _accept(self, app: AppRecord) -> None:
         if app.state.is_final:
             return
         app.advance(ApplicationState.ACCEPTED)
@@ -481,11 +481,11 @@ class ResourceManager:
         ctx = AmContext(self, app, container)
 
         def am_payload(env, c):
+            # The AM program runs in the container's own process, so it
+            # lives and dies with the AM container.
             yield env.timeout(self.config.am_register_seconds)
             app.advance(ApplicationState.RUNNING)
-            result = yield env.process(app.spec.am_program(ctx),
-                                       name=f"am-main-{app.app_id}")
-            return result
+            return (yield from app.spec.am_program(ctx))
 
         done = nm.start_container(container, am_payload,
                                   on_complete=self._on_container_complete)

@@ -1,5 +1,6 @@
 """Chaos sweep: grid shape, determinism, and scenario invariants."""
 
+from repro.api import UnitManager
 from repro.experiments.chaos import run_chaos_bag, run_nm_loss
 from repro.experiments.sweeps import (
     build_cells,
@@ -48,11 +49,24 @@ def test_chaos_bag_restarts_recover_every_poisoned_unit():
     assert chaotic.makespan > clean.makespan
 
 
-def test_nm_loss_reattempts_finish_every_unit():
+def test_nm_loss_client_restarts_finish_every_unit(monkeypatch):
+    """Each task container shares its AM's node, so the lost NM takes
+    AM and task down together: no AM is left to re-attempt, and the
+    Unit-Manager's RestartPolicy brings every unit home."""
+    managers = []
+    init = UnitManager.__init__
+
+    def recording_init(self, *args, **kwargs):
+        managers.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(UnitManager, "__init__", recording_init)
     row = run_nm_loss(ntasks=6, seed=7)
     assert row.done == row.units == 6
     assert row.nodes_lost == 1
-    assert row.reattempts >= 1
+    assert row.reattempts == 0
+    (umgr,) = [m for m in managers if m.restart_policy is not None]
+    assert sum(umgr._restarts_used.values()) >= 1
 
 
 def test_chaos_sweep_parallel_matches_sequential():

@@ -257,6 +257,70 @@ def test_interrupted_process_can_continue():
     assert env.run(target) == 7.0
 
 
+def _interrupt_twice_at(env, target, when):
+    def interrupter():
+        yield env.timeout(when)
+        target.interrupt("first")
+        target.interrupt("second")
+
+    env.process(interrupter())
+
+
+def test_interrupt_pending_when_the_process_ends_is_dropped():
+    """The first of two same-instant interrupts ends the process; the
+    second neither crashes the run nor fires the process event twice."""
+    env = Environment()
+
+    def victim():
+        try:
+            yield env.timeout(100.0)
+        except Interrupt as intr:
+            return intr.cause
+
+    target = env.process(victim())
+    fired = []
+    target.callbacks.append(lambda event: fired.append(event.value))
+    _interrupt_twice_at(env, target, 2.0)
+    env.run()
+    assert fired == ["first"]
+
+
+def test_interrupt_pending_when_the_process_waits_again_detaches_it():
+    env = Environment()
+    trace = []
+
+    def victim():
+        for _ in range(2):
+            try:
+                yield env.timeout(100.0)
+            except Interrupt as intr:
+                trace.append((env.now, intr.cause))
+        yield env.timeout(5.0)
+        trace.append((env.now, "done"))
+
+    target = env.process(victim())
+    _interrupt_twice_at(env, target, 2.0)
+    env.run()
+    assert trace == [(2.0, "first"), (2.0, "second"), (7.0, "done")]
+
+
+def test_process_may_interrupt_itself():
+    env = Environment()
+
+    def selfish():
+        env.active_process.interrupt("me")
+        try:
+            yield env.timeout(10.0)
+        except Interrupt as intr:
+            assert (env.now, intr.cause) == (0.0, "me")
+        yield env.timeout(1.0)
+        return env.now
+
+    proc = env.process(selfish())
+    env.run()                     # the abandoned timeout resumes nothing
+    assert proc.value == 1.0 and env.now == 10.0
+
+
 def test_any_of_fires_on_first():
     env = Environment()
 
