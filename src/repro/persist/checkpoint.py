@@ -43,10 +43,11 @@ from repro.persist.store import (
 from repro.sim.engine import SimulationError
 
 #: Snapshot payload format; bumped when the payload's keys change or an
-#: unchanged scenario's barrier coordinates move.  Formats 1, 2, 4 and 5
-#: counted since-removed events as steps (5: the per-container child
-#: processes of a YARN-flavoured world); 3 carried no ``schema``.
-CHECKPOINT_FORMAT = 6
+#: unchanged scenario's barrier coordinates move.  Formats 1, 2, 4, 5
+#: and 6 counted since-removed events as steps (5: the per-container
+#: child processes of a YARN-flavoured world; 6: one dispatch process
+#: per raptor task); 3 carried no ``schema``.
+CHECKPOINT_FORMAT = 7
 
 #: Where the checkpoint workflow is documented (error-message pointer).
 DOCS_POINTER = "README.md 'Crash-safe state & resume'"

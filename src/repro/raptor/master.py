@@ -6,10 +6,11 @@ function tasks over its registered workers:
 
 * tasks enter a FIFO queue (client batches arrive after the modeled
   submission latency);
-* dispatch scans workers in registration order and places each task on
-  the first worker with enough free cores (deterministic, O(workers));
+* dispatch places each task on the first worker, in registration
+  order, with enough free cores (a lazy free-worker heap);
 * the task message streams master -> worker over the interconnect, the
-  result envelope streams back, and the task's future resolves;
+  result envelope streams back, the task's future resolves, and the
+  dispatch process carries on with the next task placed on that core;
 * a worker lost to a node crash gets its in-flight tasks re-dispatched
   (up to ``task_retries`` per task) on surviving workers — composing
   with the Unit-Manager restart policy that brings replacement worker
@@ -237,9 +238,9 @@ class RaptorMaster:
     def worker_lost(self, worker: RaptorWorker) -> None:
         """A worker's node died: drop it from the rotation.
 
-        Its in-flight tasks are owned by their dispatch processes, which
-        observe the same node-death event and requeue themselves — this
-        hook only handles membership and telemetry.
+        Its in-flight tasks are requeued by the dispatch processes
+        running them, whose node holds raise on the same node death —
+        this hook only handles membership and telemetry.
         """
         if worker.lost:
             return
@@ -310,16 +311,22 @@ class RaptorMaster:
         return _Task(tid, description, future, self.env.now)
 
     # ------------------------------------------------------------- dispatch
-    def _pump(self) -> None:
-        """Place queued tasks on free worker cores (deterministic scan)."""
+    def _pump(self, own: Optional[RaptorWorker] = None) -> Optional[_Task]:
+        """Place queued tasks on free worker cores (registration order).
+
+        Each placement spawns a dispatch process, except that a *first*
+        placement on ``own`` (whose core the calling dispatch process
+        just freed) is returned for the caller to run inline.
+        """
         if self.node is None or self.closed:
             return
         pending = self._pending
+        inline = None
         while pending:
             task = pending[0]
             worker = self._pick_worker(task.description.cores)
             if worker is None:
-                return
+                break
             pending.popleft()
             worker.free_cores -= min(task.description.cores, worker.cores)
             if worker.free_cores > 0 and not worker.queued:
@@ -327,8 +334,13 @@ class RaptorMaster:
                 heappush(self._free_heap, worker.reg_index)
             worker.running.add(task.tid)
             self._running[task.tid] = task
-            self.env.process(self._run_task(task, worker),
-                             name=f"{self.uid}-task-{task.tid}")
+            if worker is own:
+                inline = task
+            else:
+                self.env.process(self._run_task(task, worker),
+                                 name=f"{self.uid}-task-{task.tid}")
+            own = None  # only the first placement may run inline
+        return inline
 
     def _pick_worker(self, cores: int) -> Optional[RaptorWorker]:
         """First worker in registration order that can take the task.
@@ -374,7 +386,18 @@ class RaptorMaster:
         return found
 
     def _run_task(self, task: _Task, worker: RaptorWorker):
-        """One dispatch attempt: wire out, execute, wire back, settle."""
+        """A dispatch process: its task, then each next task ``_pump``
+        places on the core it freed.  The settling resume is woken by a
+        NORMAL event and schedules nothing URGENT (payload functions are
+        plain callables), so a spawned process's ``Initialize`` would run
+        next: running that task inline keeps the event order, minus one
+        process per task."""
+        while task is not None:
+            task = yield from self._dispatch(task, worker)
+
+    def _dispatch(self, task: _Task, worker: RaptorWorker):
+        """One dispatch attempt: wire out, execute, wire back, settle;
+        returns the next task placed on ``worker``'s freed core, if any."""
         task.attempts += 1
         config = self.config
         desc = task.description
@@ -402,8 +425,7 @@ class RaptorMaster:
                 worker=worker.uid, attempts=task.attempts,
                 submitted_at=task.submitted_at,
                 started_at=task.started_at, finished_at=self.env.now))
-            self._pump()
-            return
+            return self._pump(own=worker)
         result_bytes = desc.result_bytes
         if result_bytes is None:
             result_bytes = config.result_wire_bytes
@@ -415,7 +437,7 @@ class RaptorMaster:
             tid=task.tid, ok=True, result=result, worker=worker.uid,
             attempts=task.attempts, submitted_at=task.submitted_at,
             started_at=task.started_at, finished_at=self.env.now))
-        self._pump()
+        return self._pump(own=worker)
 
     def _release(self, task: _Task, worker: RaptorWorker) -> None:
         worker.free_cores += min(task.description.cores, worker.cores)

@@ -52,7 +52,12 @@ class RDD:
 
     def reduce_by_key(self, f: Callable[[Any, Any], Any],
                       num_partitions: Optional[int] = None) -> "RDD":
-        """Merge values per key with map-side combining (wide)."""
+        """Merge values per key (wide).
+
+        There is no map-side combine: every parent record is bucketed
+        and written to the shuffle, and ``f`` runs on the reduce side
+        only, so shuffle bytes are records x ``bytes_per_record``.
+        """
         return ShuffledRDD(self, num_partitions or self.num_partitions,
                            combiner=f)
 

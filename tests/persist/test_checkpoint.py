@@ -209,16 +209,16 @@ def test_state_digests_pinned():
 
 
 def test_older_checkpoint_format_refused_by_name(tmp_path):
-    """Formats 1-5 either count steps this build replays to a different
+    """Formats 1-6 either count steps this build replays to a different
     point or carry no ``schema``; each is refused up front, by name,
     not as a digest diff."""
-    assert CHECKPOINT_FORMAT == 6
+    assert CHECKPOINT_FORMAT == 7
     store = _checkpointed_bag(tmp_path)
-    for older in (1, 2, 3, 4, 5):
+    for older in (1, 2, 3, 4, 5, 6):
         _rewrite(store, format=older)
         with pytest.raises(PersistError,
                            match=rf"checkpoint format {older} unsupported; "
-                                 r"this build reads format 6") as info:
+                                 r"this build reads format 7") as info:
             restore(tmp_path / "s")
         assert not isinstance(info.value, (RestoreMismatch, SchemaDrift))
 

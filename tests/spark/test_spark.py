@@ -92,6 +92,24 @@ def test_reduce_by_key():
     assert dict(run(env, rdd.collect())) == {"a": 4, "b": 7, "c": 4}
 
 
+def test_reduce_by_key_shuffles_every_record():
+    """No map-side combine: 120 records over 3 keys write 120 records'
+    worth of shuffle bytes, not one per key and map partition."""
+    conf = SparkConf(num_executors=2, executor_cores=2,
+                     bytes_per_record=100.0)
+    env, cluster, ctx = make_spark(conf=conf)
+    pairs = [("abc"[i % 3], i) for i in range(120)]
+    rdd = ctx.parallelize(pairs, 4).reduce_by_key(lambda a, b: a + b)
+    disks = {executor.node.name: executor.node.local_disk
+             for executor in ctx.executors}.values()
+    before = sum(disk.write_bytes for disk in disks)
+    result = dict(run(env, rdd.collect()))
+    assert result == {k: sum(v for key, v in pairs if key == k)
+                      for k in "abc"}
+    written = sum(disk.write_bytes for disk in disks) - before
+    assert written == 120 * conf.bytes_per_record
+
+
 def test_group_by_key():
     env, cluster, ctx = make_spark()
     pairs = [("x", 1), ("y", 2), ("x", 3)]
