@@ -135,7 +135,7 @@ def _run_trace(args: argparse.Namespace) -> int:
 def _run_sweep(args: argparse.Namespace) -> int:
     from repro.experiments.sweeps import build_cells, run_sweep
     from repro.experiments.tables import format_table
-    from repro.persist import JournalError
+    from repro.persist import PersistError
     if args.list or args.grid is None:
         # Discoverability: list every registered grid with its size, so
         # new grids never need a trip through the source.
@@ -155,7 +155,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except JournalError as exc:
+    except PersistError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     status = "" if run.complete else \
@@ -239,7 +239,7 @@ def _run_checkpoint(args: argparse.Namespace) -> int:
         session.env.run(until=args.at)
     try:
         info = session.checkpoint(args.store, ref=args.ref)
-    except PersistError as exc:
+    except (PersistError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"checkpointed scenario {info.scenario!r} at "
@@ -255,7 +255,7 @@ def _run_restore(args: argparse.Namespace) -> int:
     from repro.persist import restore as restore_session
     try:
         session = restore_session(args.store, ref=args.ref)
-    except PersistError as exc:
+    except (PersistError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     prov = session.provenance
@@ -315,7 +315,7 @@ COMMANDS: Tuple[Command, ...] = (
                 help="execute at most N cells this invocation "
                      "(incremental runs)"),
         ),
-        exit_codes=((0, "success"), (1, "journal mismatch"),
+        exit_codes=((0, "success"), (1, "journal mismatch or disk error"),
                     (2, "usage error"))),
     Command(
         name="lint", runner=_run_lint,

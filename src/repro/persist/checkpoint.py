@@ -9,7 +9,7 @@ how to *rebuild* them:
 * the **replay barrier** — the engine's deterministic step counter at
   the moment of the checkpoint (plus ``now`` and the event sequence
   counter as cross-checks);
-* the **state digest** — a sha256 over the canonical fingerprint of
+* the **state digest** — a sha256 over one canonical JSON encoding of
   every snapshot-safe piece of state (event-queue shape, RNG
   bit-generator states, DB documents, scheduler ledgers, telemetry
   rows, fault ledger, registered components).
@@ -30,16 +30,15 @@ and a restore whose replayed fingerprint declares different ones raises
 
 from __future__ import annotations
 
+import functools
+import gc
 import importlib
 import inspect
-from dataclasses import dataclass, field, is_dataclass
-from typing import Any, Callable, Dict
+import json
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import Any, Callable, Dict, Optional
 
-from repro.persist.store import (
-    PersistError,
-    SnapshotStore,
-    payload_digest,
-)
+from repro.persist.store import PersistError, SnapshotStore, text_digest
 from repro.sim.engine import SimulationError
 
 #: Snapshot payload format; bumped when the payload's keys change or an
@@ -133,42 +132,45 @@ def launch(name: str, seed: int = 42, **params):
 
 
 # ------------------------------------------------------- the fingerprint
-def canonical(value: Any) -> Any:
-    """Reduce ``value`` to a JSON-able, order-stable form.
+@functools.cache
+def _field_names(cls: type) -> Optional[tuple]:
+    """A dataclass type's field names; None for any other type."""
+    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
 
-    Anything the fingerprint walk may encounter becomes deterministic
-    plain data; object identities (memory addresses) never leak in, so
-    the digest is stable across processes.
+
+def _leaf(value: Any) -> Any:
+    """The encoder's ``default``: plain data for what JSON has no form for.
+
+    Dataclasses become their shallow field dicts (NOT ``asdict``: it
+    deep-copies, following a callable field into a live object graph)
+    and sets sorted lists; callables and ``uid`` objects are named and
+    anything else is its type name, so no memory address is digested.
     """
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, dict):
-        return {str(k): canonical(v)
-                for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
-    if isinstance(value, (list, tuple)):
-        return [canonical(v) for v in value]
+    cls = type(value)
+    names = _field_names(cls)
+    if names is not None:
+        return {name: getattr(value, name) for name in names}
     if isinstance(value, (set, frozenset)):
-        return sorted(canonical(v) for v in value)
-    if is_dataclass(value) and not isinstance(value, type):
-        # NOT dataclasses.asdict: that deep-copies field values, and a
-        # description field may hold a callable bound to a live object
-        # graph (suspended generators included).  A shallow field walk
-        # routes every value back through this canonicalizer instead.
-        from dataclasses import fields
-        return {f.name: canonical(getattr(value, f.name))
-                for f in fields(value)}
+        return sorted(value)
     if callable(value):
         name = getattr(value, "__qualname__",
-                       getattr(value, "__name__", type(value).__name__))
+                       getattr(value, "__name__", cls.__name__))
         return f"<callable:{name}>"
     uid = getattr(value, "uid", None)
     if isinstance(uid, str):
-        return f"<{type(value).__name__}:{uid}>"
-    return f"<{type(value).__name__}>"
+        return f"<{cls.__name__}:{uid}>"
+    return f"<{cls.__name__}>"
 
 
-def state_fingerprint(session) -> Dict[str, Any]:
-    """The canonical walk over every snapshot-safe piece of state."""
+#: One C pass from the live sections to the canonical JSON text.  The
+#: sections are trees, so the per-container cycle check is skipped (a
+#: cycle still ends in RecursionError, never in a digest).
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                            check_circular=False, default=_leaf)
+
+
+def _sections(session) -> Dict[str, Any]:
+    """Every snapshot-safe piece of state, as its owner returns it."""
     env = session.env
     fp: Dict[str, Any] = {
         "engine": env.snapshot_state(),
@@ -182,7 +184,12 @@ def state_fingerprint(session) -> Dict[str, Any]:
         fp["telemetry"] = env.telemetry.metrics.snapshot_state()
     fp["components"] = [comp.snapshot_state()
                         for comp in session.components]
-    return canonical(fp)
+    return fp
+
+
+def state_fingerprint(session) -> Dict[str, Any]:
+    """The text :func:`state_digest` hashes, parsed back to plain data."""
+    return json.loads(_ENCODER.encode(_sections(session)))
 
 
 def fingerprint_schema(fp: Dict[str, Any]) -> Dict[str, Any]:
@@ -199,7 +206,7 @@ def fingerprint_schema(fp: Dict[str, Any]) -> Dict[str, Any]:
 
 def state_digest(session) -> str:
     """sha256 over the canonical JSON form of the fingerprint."""
-    return payload_digest(state_fingerprint(session))
+    return text_digest(_ENCODER.encode(_sections(session)))
 
 
 # ------------------------------------------------------------ checkpoint
@@ -231,15 +238,15 @@ def checkpoint_session(session, path, ref: str = "latest") -> CheckpointInfo:
             "checkpoint_session() called from inside a running process; "
             "checkpoints must happen at a quiescent barrier between "
             "env.run() calls")
-    fp = state_fingerprint(session)
-    engine = fp["engine"]
+    sections = _sections(session)
+    engine = sections["engine"]
     payload = {
         "format": CHECKPOINT_FORMAT,
         "kind": "session_checkpoint",
         "provenance": session.provenance.payload(),
         "barrier": {key: engine[key] for key in ("now", "steps", "seq")},
-        "state_digest": payload_digest(fp),
-        "schema": fingerprint_schema(fp),
+        "state_digest": text_digest(_ENCODER.encode(sections)),
+        "schema": fingerprint_schema(sections),
     }
     store = SnapshotStore(path)
     digest = store.put(payload)
@@ -269,6 +276,9 @@ def restore(path, ref: str = "latest"):
             f"checkpoint format {record.get('format')!r} unsupported; "
             f"this build reads format {CHECKPOINT_FORMAT}")
     prov = record["provenance"]
+    # A discarded world is cyclic garbage (generators <-> the env's
+    # queue): free those before replaying another.
+    gc.collect()
     # Import the defining module so out-of-tree scenarios register.
     importlib.import_module(prov["module"])
     session = launch(prov["name"], seed=prov["seed"], **prov["params"])
@@ -278,20 +288,20 @@ def restore(path, ref: str = "latest"):
     except SimulationError as exc:
         raise RestoreMismatch(
             f"replay cannot reach barrier {barrier}: {exc}") from exc
-    fp = state_fingerprint(session)
-    engine = fp["engine"]
+    sections = _sections(session)
+    engine = sections["engine"]
     if engine["now"] != barrier["now"] or engine["seq"] != barrier["seq"]:
         raise RestoreMismatch(
             f"replay reached step {barrier['steps']} at "
             f"now={engine['now']} seq={engine['seq']}, but the snapshot "
             f"recorded now={barrier['now']} seq={barrier['seq']}; the "
             f"scenario is not deterministic")
-    drift = fingerprint_diff(record["schema"], fingerprint_schema(fp))
+    drift = fingerprint_diff(record["schema"], fingerprint_schema(sections))
     if drift:
         raise SchemaDrift(
             f"fingerprint fields differ from the snapshot's (- recorded, "
             f"+ this build): {'; '.join(drift)} (see {DOCS_POINTER})")
-    actual = payload_digest(fp)
+    actual = text_digest(_ENCODER.encode(sections))
     if actual != record["state_digest"]:
         raise RestoreMismatch(
             f"state digest after replay is {actual[:16]}…, snapshot "
@@ -323,21 +333,3 @@ def fingerprint_diff(a: Any, b: Any, prefix: str = "") -> list:
         diffs.append(f"{prefix}: {a!r} != {b!r}")
     return diffs
 
-
-__all__ = [
-    "CHECKPOINT_FORMAT",
-    "CheckpointInfo",
-    "Provenance",
-    "RestoreMismatch",
-    "SchemaDrift",
-    "canonical",
-    "checkpoint_session",
-    "fingerprint_diff",
-    "fingerprint_schema",
-    "launch",
-    "restore",
-    "scenario",
-    "scenario_names",
-    "state_digest",
-    "state_fingerprint",
-]

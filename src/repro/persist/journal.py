@@ -18,6 +18,7 @@ recording results as the pool hands them back.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -37,6 +38,15 @@ class JournalError(PersistError):
 def _line_digest(payload: Dict[str, Any]) -> str:
     """Integrity digest for one journal line (body without ``check``)."""
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()[:16]
+
+
+def _entry(line: str) -> Optional[Dict[str, Any]]:
+    """The entry one journal line holds, or None if its check fails."""
+    try:
+        entry = json.loads(line)
+        return entry if entry.pop("check") == _line_digest(entry) else None
+    except (json.JSONDecodeError, KeyError, TypeError):
+        return None
 
 
 class SweepJournal:
@@ -104,14 +114,7 @@ class SweepJournal:
             newline = raw.find(b"\n", pos)
             end = len(raw) if newline < 0 else newline + 1
             line = raw[pos:end].decode("utf-8", "replace").strip()
-            ok = not line   # blank lines are skipped by completed()
-            if line:
-                try:
-                    entry = json.loads(line)
-                    ok = entry.pop("check") == _line_digest(entry)
-                except (json.JSONDecodeError, KeyError, TypeError):
-                    ok = False
-            if not ok:
+            if line and _entry(line) is None:   # completed() skips blanks
                 if end < len(raw):
                     raise JournalError(
                         f"corrupt journal line in {self.cells_path} "
@@ -138,9 +141,20 @@ class SweepJournal:
             self.run_dir.mkdir(parents=True, exist_ok=True)
             self._repair_torn_tail()
             self._fh = open(self.cells_path, "a", encoding="utf-8")
-        self._fh.write(line + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
+        start = self._fh.tell()
+        try:
+            self._fh.write(line + "\n")
+            self._fh.flush()
+            os.fsync(self._fh.fileno())
+        except OSError as exc:
+            # Leave the log as it was (at worst a torn tail, which the
+            # next open repairs): the cell counts as not run.
+            with contextlib.suppress(OSError):
+                self._fh.close()
+                os.truncate(self.cells_path, start)
+            self._fh = None
+            raise JournalError(
+                f"cannot append to {self.cells_path}: {exc}") from exc
 
     def close(self) -> None:
         if self._fh is not None:
@@ -167,13 +181,8 @@ class SweepJournal:
         for lineno, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
-            try:
-                entry = json.loads(line)
-                check = entry.pop("check")
-                ok = check == _line_digest(entry)
-            except (json.JSONDecodeError, KeyError, TypeError):
-                ok = False
-            if not ok:
+            entry = _entry(line)
+            if entry is None:
                 if lineno == len(lines):
                     break  # torn tail from a crash mid-append: drop it
                 raise JournalError(

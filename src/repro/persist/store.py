@@ -46,9 +46,14 @@ def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def text_digest(text: str) -> str:
+    """sha256 of a canonical JSON text."""
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def payload_digest(payload) -> str:
     """sha256 of the canonical JSON form of ``payload``."""
-    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+    return text_digest(canonical_json(payload))
 
 
 def _fsync_dir(path: Path) -> None:
@@ -68,16 +73,22 @@ def atomic_write(path: Path, data: str) -> None:
     """Write ``data`` to ``path`` via tmp-file + fsync + atomic rename.
 
     The parent directory is fsync'd after the rename, so the commit is
-    durable against power failure, not just process death.
+    durable against power failure, not just process death.  A disk
+    error leaves no tmp file and raises :class:`PersistError`.
     """
     path = Path(path)
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    _fsync_dir(path.parent)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+        _fsync_dir(path.parent)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise PersistError(f"cannot write {path}: {exc}") from exc
 
 
 class SnapshotStore:
@@ -118,11 +129,12 @@ class SnapshotStore:
     # -------------------------------------------------------------- objects
     def put(self, payload: Dict) -> str:
         """Store one record; returns its content digest."""
-        digest = payload_digest(payload)
+        text = canonical_json(payload)
+        digest = text_digest(text)
         path = self.objects / f"{digest}.json"
         if not path.exists():
             self.objects.mkdir(parents=True, exist_ok=True)
-            atomic_write(path, canonical_json(payload) + "\n")
+            atomic_write(path, text + "\n")
         return digest
 
     def get(self, digest: str) -> Dict:

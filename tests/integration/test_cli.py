@@ -1,5 +1,11 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import errno
+import os
+from pathlib import Path
+
+import pytest
+
 from repro.__main__ import main
 
 
@@ -153,6 +159,67 @@ def test_checkpoint_restore_cli_round_trip(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "state digest verified" in out
     assert "ran to t=" in out
+
+
+def test_p1_transcript_pinned(tmp_path, capsys):
+    """The EXPERIMENTS P1 transcript, value for value: a change that
+    moves a barrier or a digest must update the documented run too."""
+    store = str(tmp_path / "ckpt")
+    assert main(["checkpoint", "bag", "--store", store, "--at", "120",
+                 "--param", "ntasks=8", "--param", "fault_rate=0.25"]) == 0
+    out = capsys.readouterr().out
+    assert "checkpointed scenario 'bag' at t=120.000 (step 297)" in out
+    assert "  state: b5cc6fd830df" in out
+    assert main(["restore", store, "--until", "200"]) == 0
+    out = capsys.readouterr().out
+    assert "at t=120.000 (step 297); state digest verified" in out
+    assert ("ran to t=200.000 (step 527), state digest 0e91b9d1e88cbab7"
+            in out)
+
+
+@pytest.mark.parametrize("call,code", [
+    ("fsync", errno.ENOSPC), ("replace", errno.EACCES)])
+def test_checkpoint_disk_error_exits_1(tmp_path, capsys, monkeypatch,
+                                       call, code):
+    def fail(*args, **kwargs):
+        raise OSError(code, os.strerror(code))
+
+    monkeypatch.setattr(os, call, fail)
+    store = tmp_path / "ckpt"
+    assert main(["checkpoint", "bag", "--store", str(store),
+                 "--param", "ntasks=4"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {store}")
+    assert f"[Errno {code}]" in err
+    assert [p for p in store.rglob("*") if ".tmp." in p.name] == []
+
+
+def test_sweep_disk_error_exits_1(tmp_path, capsys, monkeypatch):
+    def fail(fd):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "fsync", fail)
+    run_dir = tmp_path / "run"
+    assert main(["sweep", "chaos", "--quick", "--run-dir",
+                 str(run_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {run_dir / 'spec.json'}")
+
+
+def test_restore_disk_error_exits_1(tmp_path, capsys, monkeypatch):
+    store = str(tmp_path / "ckpt")
+    assert main(["checkpoint", "bag", "--store", store,
+                 "--param", "ntasks=4"]) == 0
+
+    def fail(self, *args, **kwargs):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES),
+                              str(self))
+
+    monkeypatch.setattr(Path, "read_text", fail)
+    assert main(["restore", store]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [Errno {errno.EACCES}]")
+    assert store in err
 
 
 def test_checkpoint_usage_errors(tmp_path):

@@ -1,5 +1,6 @@
 """Replay-based checkpoint/restore: determinism proofs and guard rails."""
 
+import errno
 import os
 import subprocess
 import sys
@@ -208,6 +209,23 @@ def test_state_digests_pinned():
         "d066da3ee2b104a9aaf351933386a0c4513d7d3d0ba3f26c0a5bcf2c3830ac2c")
 
 
+def test_checkpoint_on_a_full_disk_is_a_named_error(tmp_path, monkeypatch):
+    """ENOSPC mid-checkpoint: a PersistError naming the file and the
+    errno, and no ``<name>.tmp.<pid>`` left in the store."""
+    session = launch("bag", seed=9, **BAG)
+    session.env.run(until=60.0)
+
+    def fail(fd):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "fsync", fail)
+    with pytest.raises(PersistError,
+                       match=rf"store\.json: \[Errno {errno.ENOSPC}\]"):
+        session.checkpoint(tmp_path / "s")
+    assert [p for p in (tmp_path / "s").rglob("*")
+            if ".tmp." in p.name] == []
+
+
 def test_older_checkpoint_format_refused_by_name(tmp_path):
     """Formats 1-6 either count steps this build replays to a different
     point or carry no ``schema``; each is refused up front, by name,
@@ -282,9 +300,10 @@ def test_component_without_snapshot_state_rejected():
 
 def test_no_second_state_walker_in_the_sources():
     """The fingerprint is the only definition of checkpointable state:
-    the static attribute manifest and its audit must not creep back."""
+    the static attribute manifest and its audit must not creep back,
+    nor a Python walk that copies the state before it is encoded."""
     gone = ("state-manifest", "manifest_digest", "audit_state",
-            "audit-state", "SIM11")
+            "audit-state", "SIM11", "def canonical(")
     hits = [f"{path.relative_to(SRC)}: {word}"
             for path in sorted((SRC / "repro").rglob("*.py"))
             for word in gone if word in path.read_text()]

@@ -1,10 +1,12 @@
 """The crash-safe sweep journal: durability, torn tails, spec identity."""
 
+import errno
 import json
+import os
 
 import pytest
 
-from repro.persist import JournalError, SweepJournal
+from repro.persist import JournalError, PersistError, SweepJournal
 
 
 SPEC = {"grid": "demo", "root_seed": 42, "quick": False,
@@ -138,3 +140,38 @@ def test_empty_and_missing_journals(tmp_path):
     journal = SweepJournal(tmp_path / "run")
     assert journal.completed() == {}
     assert journal.read_spec() is None
+
+
+@pytest.mark.parametrize("code", [errno.ENOSPC, errno.EACCES])
+def test_record_disk_error_is_named_and_not_recorded(tmp_path, monkeypatch,
+                                                     code):
+    """A cell whose line cannot be made durable raises a JournalError
+    naming the log and the errno, and the log is left as it was."""
+    with SweepJournal(tmp_path / "run") as journal:
+        journal.record("a", {"rows": [1]})
+        before = journal.cells_path.read_bytes()
+
+        def fail(fd):
+            raise OSError(code, os.strerror(code))
+
+        monkeypatch.setattr(os, "fsync", fail)
+        with pytest.raises(JournalError) as info:
+            journal.record("b", {"rows": [2]})
+        assert str(journal.cells_path) in str(info.value)
+        assert f"[Errno {code}]" in str(info.value)
+        assert journal.cells_path.read_bytes() == before
+        monkeypatch.undo()
+        journal.record("b", {"rows": [2]})     # the disk recovered
+    assert SweepJournal(tmp_path / "run").completed() == {
+        "a": {"rows": [1]}, "b": {"rows": [2]}}
+
+
+def test_spec_disk_error_is_a_persist_error(tmp_path, monkeypatch):
+    def fail(fd):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "fsync", fail)
+    with pytest.raises(PersistError,
+                       match=rf"spec\.json.*\[Errno {errno.ENOSPC}\]"):
+        SweepJournal(tmp_path / "run").write_spec(dict(SPEC))
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == []

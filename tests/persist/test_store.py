@@ -1,5 +1,6 @@
 """The content-addressed snapshot store: atomicity, integrity, refs."""
 
+import errno
 import json
 import os
 
@@ -7,8 +8,10 @@ import pytest
 
 from repro.persist import (
     STORE_FORMAT,
+    PersistError,
     SnapshotStore,
     StoreError,
+    canonical_json,
     payload_digest,
 )
 
@@ -123,3 +126,38 @@ def test_no_temp_files_left_behind(tmp_path):
     leftovers = [p for p in (tmp_path / "s").rglob("*")
                  if f".tmp.{os.getpid()}" in p.name]
     assert leftovers == []
+
+
+def test_put_writes_the_bytes_it_digests(tmp_path):
+    """One encoding serves both the content address and the file."""
+    store = SnapshotStore(tmp_path / "s")
+    payload = {"b": [1.5, -0.0], "a": {"z": None, "y": "\u00e9"}}
+    digest = store.put(payload)
+    text = (store.objects / f"{digest}.json").read_text()
+    assert text == canonical_json(payload) + "\n"
+    assert digest == payload_digest(payload)
+
+
+def failing(code):
+    """A stand-in for an ``os`` call that fails with errno ``code``."""
+    def fail(*args, **kwargs):
+        raise OSError(code, os.strerror(code))
+    return fail
+
+
+@pytest.mark.parametrize("call,code", [
+    ("fsync", errno.ENOSPC), ("replace", errno.EACCES)])
+def test_disk_error_is_named_and_leaves_no_tmp_file(tmp_path, monkeypatch,
+                                                    call, code):
+    """A failing disk ends in a PersistError naming the path and the
+    errno, and the write's tmp file is gone; the store is unchanged."""
+    store = SnapshotStore(tmp_path / "s")
+    before = sorted(p.name for p in (tmp_path / "s").rglob("*"))
+    monkeypatch.setattr(os, call, failing(code))
+    with pytest.raises(PersistError) as info:
+        store.put({"x": 1})
+    message = str(info.value)
+    assert str(store.objects) in message
+    assert f"[Errno {code}] {os.strerror(code)}" in message
+    assert isinstance(info.value.__cause__, OSError)
+    assert sorted(p.name for p in (tmp_path / "s").rglob("*")) == before
