@@ -17,11 +17,12 @@ from repro.yarn.config import YarnConfig
 
 # ---------------------------------------------------------------- batch RMS
 #: Production-flavoured batch system timings (idle queue): submission
-#: RTT, scheduler cycle, node prolog.  Together with the agent
-#: bootstrap these produce plain-RP pilot startup of ~50-60 s, matching
-#: the RADICAL-Pilot bars of Figure 5.
-CALIBRATED_RMS = RmsConfig(submit_latency=1.0, schedule_interval=5.0,
-                           prolog_seconds=8.0, epilog_seconds=2.0)
+#: RTT and node prolog; an idle queue starts the job the instant it
+#: arrives.  Together with the agent bootstrap these produce plain-RP
+#: pilot startup of ~50-60 s, matching the RADICAL-Pilot bars of
+#: Figure 5.
+CALIBRATED_RMS = RmsConfig(submit_latency=1.0, prolog_seconds=8.0,
+                           epilog_seconds=2.0)
 
 # -------------------------------------------------------------------- YARN
 #: "For each CU, resources have to be requested in two stages: first

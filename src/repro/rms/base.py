@@ -6,11 +6,14 @@ may jump ahead (this is how production SLURM behaves with backfill
 enabled and no reservations, and it keeps small pilot jobs flowing on a
 busy machine).
 
+The scheduler is event-driven: a scheduling pass runs only when the
+queue gains a job or a job releases its nodes (the only two moments a
+start can become possible), and kicks at one instant coalesce into one
+pass.  A world whose jobs have all ended schedules nothing further.
+
 Timing model per job (all configurable via :class:`RmsConfig`):
 
 * ``submit_latency`` — the qsub/sbatch round-trip.
-* ``schedule_interval`` — the scheduler's periodic cycle; jobs only
-  start on cycle boundaries.
 * ``prolog_seconds`` — per-job node health-check/prolog before the
   payload launches (a real and visible chunk of pilot startup time).
 * walltime enforcement — payloads still running at the limit are
@@ -32,13 +35,11 @@ from repro.sim.engine import Environment, Interrupt
 
 @dataclass(frozen=True)
 class RmsConfig:
-    """Tunable timing/behaviour knobs of a batch system."""
+    """Tunable timings of a batch system."""
 
     submit_latency: float = 1.0
-    schedule_interval: float = 5.0
     prolog_seconds: float = 8.0
     epilog_seconds: float = 2.0
-    backfill: bool = True
 
 
 class Allocation:
@@ -98,7 +99,7 @@ class BatchScheduler:
         """Submit a job; returns its handle immediately (state NEW).
 
         The job turns PENDING after the configured submit latency, then
-        competes for nodes in the next scheduling cycle.
+        competes for nodes in the scheduling pass its arrival kicks.
         """
         description.validate()
         if description.num_nodes > len(self.machine.nodes):
@@ -157,32 +158,26 @@ class BatchScheduler:
             self._kick.succeed()
 
     def _scheduler_loop(self):
+        # A start becomes possible only when the queue gains a job or
+        # a job releases its nodes; both kick, so no pass is needed
+        # between kicks.
         while True:
-            # Wake on either the periodic cycle or an explicit kick.
-            kick = self._kick
-            yield self.env.any_of([self.env.timeout(
-                self.config.schedule_interval), kick])
-            if kick.triggered:
-                self._kick = self.env.event()
+            yield self._kick
+            self._kick = self.env.event()
             self._run_cycle()
 
     def _run_cycle(self) -> None:
-        """One scheduling pass: FIFO head first, then backfill."""
-        started = True
-        while started:
-            started = False
-            for index, job in enumerate(list(self._queue)):
-                fits = job.description.num_nodes <= len(self._free_nodes)
-                if fits:
-                    self._queue.remove(job)
-                    self._dispatch(job)
-                    self._report_queue()
-                    started = True
-                    break
-                if index == 0 and not self.config.backfill:
-                    return  # strict FIFO: blocked head blocks everyone
-                if not self.config.backfill:
-                    return
+        """One scheduling pass: start, in queue order, every job that fits.
+
+        The head goes first; a later job that fits backfills past a
+        blocked head.  Starting a job only takes nodes, so a job that
+        did not fit earlier in the pass cannot fit later in it.
+        """
+        for job in list(self._queue):
+            if job.description.num_nodes <= len(self._free_nodes):
+                self._queue.remove(job)
+                self._dispatch(job)
+                self._report_queue()
 
     def _dispatch(self, job: BatchJob) -> None:
         take = job.description.num_nodes
@@ -191,7 +186,6 @@ class BatchScheduler:
         job.allocation = Allocation(nodes)
         job.env_vars = self.export_environment(job)
         job.env_vars.update(job.description.environment)
-        self._payload_procs[job.job_id] = None
         self.env.process(self._run(job), name=f"run-{job.job_id}")
 
     def _run(self, job: BatchJob):
@@ -247,6 +241,7 @@ class BatchScheduler:
             except Exception as exc:
                 outcome_state = JobState.FAILED
                 reason = repr(exc)
+        self._payload_procs.pop(job.job_id, None)
         yield self.env.timeout(self.config.epilog_seconds)
         self._release(job)
         job.advance(outcome_state, reason=reason)

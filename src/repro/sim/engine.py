@@ -537,8 +537,8 @@ class Environment:
         while self._steps < steps:
             if not self._queue:
                 raise SimulationError(
-                    f"event queue exhausted at step {self._steps} "
-                    f"before reaching replay barrier {steps}")
+                    f"replay barrier {steps} is unreachable: event "
+                    f"queue exhausted at step {self._steps}")
             self.step()
         if now is not None and now != self._now:
             if now < self._now or (self._queue and now > self.peek()):

@@ -14,8 +14,9 @@ import pytest
 from repro.analysis.sanitizer import InvariantViolation
 from repro.api import ComputeUnitDescription, TaskDescription
 from repro.cluster import Machine, stampede
-from repro.rms import JobDescription, RmsConfig, SlurmScheduler
+from repro.rms import JobDescription, SlurmScheduler
 from repro.sim import Environment
+from tests.conftest import FAST_RMS
 from tests.core.test_units import active_pilot
 from tests.raptor.test_overlay import overlay_on
 
@@ -60,9 +61,7 @@ def test_rms_reraises_invariant_violation():
     """rms._run_job: sanitizer findings crash, not FAILED jobs."""
     env = Environment()
     machine = Machine(env, stampede(num_nodes=2))
-    rms = SlurmScheduler(env, machine, RmsConfig(
-        submit_latency=0.2, schedule_interval=0.5,
-        prolog_seconds=0.5, epilog_seconds=0.2))
+    rms = SlurmScheduler(env, machine, FAST_RMS)
 
     def payload(env_, job_):
         yield env_.timeout(1.0)

@@ -24,14 +24,12 @@ from repro.api import (
     UnitManager,
 )
 from repro.hdfs import HdfsCluster
-from repro.rms import RmsConfig
 from repro.saga import Registry, Site
 from repro.sim import Environment, SeedSequenceRegistry
 from repro.spark import SparkConf, SparkStandaloneCluster
 from repro.yarn import YarnCluster
+from tests.conftest import FAST_RMS
 
-FAST_RMS = RmsConfig(submit_latency=0.2, schedule_interval=0.5,
-                     prolog_seconds=0.5, epilog_seconds=0.2)
 
 POINTS = generate_points(400, 6, dim=3, seed=9)
 K = 6

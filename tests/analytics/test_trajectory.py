@@ -18,9 +18,9 @@ from repro.api import (
     Session,
     UnitManager,
 )
-from repro.rms import RmsConfig
 from repro.saga import Registry, Site
 from repro.sim import Environment
+from tests.conftest import FAST_RMS
 
 
 def test_synthesize_shape_and_determinism():
@@ -56,9 +56,7 @@ def test_pilot_chunked_analysis_matches_serial():
     env = Environment()
     registry = Registry()
     registry.register(Site(env, stampede(num_nodes=2),
-                           rms_config=RmsConfig(
-                               submit_latency=0.2, schedule_interval=0.5,
-                               prolog_seconds=0.5, epilog_seconds=0.2)))
+                           rms_config=FAST_RMS))
     session = Session(env, registry)
     pmgr, umgr = PilotManager(session), UnitManager(session)
     pilot = pmgr.submit_pilot(ComputePilotDescription(

@@ -9,8 +9,8 @@ from repro.saga import Registry, Site
 from repro.sim import Environment
 
 #: Fast batch system for tests that don't measure startup times.
-FAST_RMS = RmsConfig(submit_latency=0.2, schedule_interval=0.5,
-                     prolog_seconds=0.5, epilog_seconds=0.2)
+FAST_RMS = RmsConfig(submit_latency=0.2, prolog_seconds=0.5,
+                     epilog_seconds=0.2)
 
 
 def make_stack():

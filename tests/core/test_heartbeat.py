@@ -11,13 +11,10 @@ from repro.api import (
     UnitManager,
 )
 from repro.cluster import stampede
-from repro.rms import RmsConfig
 from repro.saga import Registry, Site
 from repro.sim import Environment
 from tests.core.test_units import fast_agent
-
-FAST_RMS = RmsConfig(submit_latency=0.2, schedule_interval=0.5,
-                     prolog_seconds=0.5, epilog_seconds=0.2)
+from tests.conftest import FAST_RMS
 
 
 def make_stack(hb_timeout=300.0, hb_check=30.0):

@@ -10,22 +10,19 @@ from repro.hadoop_deploy import (
     register_plugin,
 )
 from repro.hadoop_deploy.plugins import make_plugin
-from repro.rms import RmsConfig
 from repro.saga import Registry, Site
 from repro.sim import Environment, SimulationError
 from repro.spark import SparkConf
 from repro.yarn import AppSpec, ApplicationState, YarnResource
-
-FAST = RmsConfig(submit_latency=0.2, schedule_interval=0.5,
-                 prolog_seconds=0.5, epilog_seconds=0.2)
+from tests.conftest import FAST_RMS
 
 
 @pytest.fixture()
 def testbed():
     env = Environment()
     registry = Registry()
-    registry.register(Site(env, stampede(num_nodes=3), rms_config=FAST))
-    registry.register(Site(env, wrangler(num_nodes=2), rms_config=FAST,
+    registry.register(Site(env, stampede(num_nodes=3), rms_config=FAST_RMS))
+    registry.register(Site(env, wrangler(num_nodes=2), rms_config=FAST_RMS,
                            hostname="wrangler"))
     return env, registry
 

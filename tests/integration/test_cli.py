@@ -168,12 +168,12 @@ def test_p1_transcript_pinned(tmp_path, capsys):
     assert main(["checkpoint", "bag", "--store", store, "--at", "120",
                  "--param", "ntasks=8", "--param", "fault_rate=0.25"]) == 0
     out = capsys.readouterr().out
-    assert "checkpointed scenario 'bag' at t=120.000 (step 297)" in out
-    assert "  state: b5cc6fd830df" in out
+    assert "checkpointed scenario 'bag' at t=120.000 (step 249)" in out
+    assert "  state: 05d7bba9d8ec" in out
     assert main(["restore", store, "--until", "200"]) == 0
     out = capsys.readouterr().out
-    assert "at t=120.000 (step 297); state digest verified" in out
-    assert ("ran to t=200.000 (step 527), state digest 0e91b9d1e88cbab7"
+    assert "at t=120.000 (step 249); state digest verified" in out
+    assert ("ran to t=200.000 (step 447), state digest 06edd67132f74207"
             in out)
 
 

@@ -8,7 +8,6 @@ import pytest
 from repro.analytics import generate_points, kmeans_reference
 from repro.cluster import stampede
 from repro.hadoop_deploy import SagaHadoop
-from repro.rms import RmsConfig
 from repro.saga import Registry, Site
 from repro.sim import Environment
 from repro.spark import (
@@ -17,16 +16,14 @@ from repro.spark import (
     SparkConf,
     create_dataframe,
 )
-
-FAST = RmsConfig(submit_latency=0.2, schedule_interval=0.5,
-                 prolog_seconds=0.5, epilog_seconds=0.2)
+from tests.conftest import FAST_RMS
 
 
 @pytest.fixture()
 def spark_on_hpc():
     env = Environment()
     registry = Registry()
-    registry.register(Site(env, stampede(num_nodes=2), rms_config=FAST))
+    registry.register(Site(env, stampede(num_nodes=2), rms_config=FAST_RMS))
     tool = SagaHadoop(env, registry, "slurm://stampede",
                       framework="spark", nodes=2)
     holder = {}

@@ -21,12 +21,9 @@ from repro.api import (
     UnitState,
 )
 from repro.hadoop_deploy import SagaHadoop
-from repro.rms import RmsConfig
 from repro.saga import Registry, Site
 from repro.sim import Environment
-
-FAST_RMS = RmsConfig(submit_latency=0.2, schedule_interval=0.5,
-                     prolog_seconds=0.5, epilog_seconds=0.2)
+from tests.conftest import FAST_RMS
 
 
 def fast_agent(**kw):

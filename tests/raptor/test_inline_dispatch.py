@@ -17,15 +17,10 @@ from repro.api import (PilotManager, RaptorConfig, Session, TaskDescription,
 from repro.cluster import stampede
 from repro.raptor import overlay as overlay_module
 from repro.raptor.master import RaptorMaster
-from repro.rms import RmsConfig
 from repro.saga import Registry, Site
 from repro.sim import Environment
+from tests.conftest import FAST_RMS
 from tests.core.test_units import active_pilot
-
-#: The batch scheduler wakes only when kicked and the agent polls every
-#: 50 s, so no periodic event falls inside a sub-second task stream.
-QUIET_RMS = RmsConfig(submit_latency=0.2, schedule_interval=1e4,
-                      prolog_seconds=0.5, epilog_seconds=0.2)
 
 
 class SpawnPerTaskMaster(RaptorMaster):
@@ -41,8 +36,10 @@ def _overlay(workers=2, cores_per_worker=2, nodes=2, **kw):
     env = Environment()
     registry = Registry()
     registry.register(Site(env, stampede(num_nodes=nodes),
-                           rms_config=QUIET_RMS))
+                           rms_config=FAST_RMS))
     session = Session(env, registry)
+    # The agent polls every 50 s, so no periodic event falls inside a
+    # sub-second task stream.
     pilot = active_pilot(env, PilotManager(session), UnitManager(session),
                          nodes=nodes, db_poll_interval=50.0)
     overlay = session.raptor(pilot, workers=workers,

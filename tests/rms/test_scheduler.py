@@ -1,5 +1,7 @@
 """Tests for the batch-scheduler engine and its dialects."""
 
+import math
+
 import pytest
 
 from repro.cluster import Machine, stampede
@@ -14,8 +16,8 @@ from repro.rms import (
 )
 from repro.sim import Environment, Interrupt
 
-FAST = RmsConfig(submit_latency=0.5, schedule_interval=1.0,
-                 prolog_seconds=2.0, epilog_seconds=0.5)
+FAST = RmsConfig(submit_latency=0.5, prolog_seconds=2.0,
+                 epilog_seconds=0.5)
 
 
 def make_env(num_nodes=4, config=FAST, cls=SlurmScheduler):
@@ -78,15 +80,17 @@ def test_backfill_lets_small_job_jump():
     assert blocked.state is JobState.PENDING
 
 
-def test_no_backfill_strict_fifo():
-    config = RmsConfig(submit_latency=0.5, schedule_interval=1.0,
-                       prolog_seconds=2.0, epilog_seconds=0.5, backfill=False)
-    env, machine, rms = make_env(num_nodes=3, config=config)
-    rms.submit(JobDescription(num_nodes=2, payload=sleep_payload(60)))
-    blocked = rms.submit(JobDescription(num_nodes=2, payload=sleep_payload(5)))
+def test_same_instant_releases_coalesce_into_one_pass():
+    """Both holders release before the kicked pass runs, so the 2-node
+    head starts; a pass per release would backfill the small job into
+    the first freed node instead."""
+    env, machine, rms = make_env(num_nodes=2)
+    for _ in range(2):
+        rms.submit(JobDescription(num_nodes=1, payload=sleep_payload(10)))
+    head = rms.submit(JobDescription(num_nodes=2, payload=sleep_payload(5)))
     small = rms.submit(JobDescription(num_nodes=1, payload=sleep_payload(5)))
-    env.run(until=30.0)
-    assert small.state is JobState.PENDING  # must wait behind blocked head
+    env.run(head.started)
+    assert small.state is JobState.PENDING
 
 
 def test_walltime_timeout():
@@ -169,6 +173,30 @@ def test_nodes_released_after_completion():
     job = rms.submit(JobDescription(num_nodes=2, payload=sleep_payload(5)))
     env.run(job.finished)
     assert rms.free_node_count == 2
+
+
+def test_idle_scheduler_dispatches_nothing():
+    """With an empty queue the scheduler waits for a kick, not a clock."""
+    env, machine, rms = make_env()
+    env.run(until=0)                      # the scheduler process starts
+    steps = env.steps
+    env.run(until=10_000)
+    assert env.steps == steps
+    assert env.peek() == math.inf
+
+
+def test_payload_processes_dropped_when_jobs_end():
+    env, machine, rms = make_env(num_nodes=2)
+    done = rms.submit(JobDescription(num_nodes=1, payload=sleep_payload(5)))
+    victim = rms.submit(JobDescription(num_nodes=1,
+                                       payload=sleep_payload(1000)))
+    env.run(victim.started)
+    assert set(rms._payload_procs) == {done.job_id, victim.job_id}
+    rms.cancel(victim.job_id)
+    env.run(env.all_of([done.finished, victim.finished]))
+    assert done.state is JobState.DONE
+    assert victim.state is JobState.CANCELED
+    assert rms._payload_procs == {}
 
 
 def test_oversized_job_rejected():

@@ -17,8 +17,8 @@ from repro.saga import (
 from repro.saga import job as saga_job
 from repro.sim import Environment
 
-FAST = RmsConfig(submit_latency=0.5, schedule_interval=1.0,
-                 prolog_seconds=1.0, epilog_seconds=0.5)
+FAST = RmsConfig(submit_latency=0.5, prolog_seconds=1.0,
+                 epilog_seconds=0.5)
 
 
 @pytest.fixture()
