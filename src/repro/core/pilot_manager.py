@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.core.agent.agent import Agent
 from repro.core.description import ComputePilotDescription
@@ -11,7 +11,7 @@ from repro.core.session import Session
 from repro.core.states import PilotState
 from repro.saga.job import Description as SagaDescription
 from repro.saga.job import Service
-from repro.sim.engine import Event
+from repro.sim.engine import Ticker
 
 
 class PilotManager:
@@ -30,13 +30,11 @@ class PilotManager:
         self.env = session.env
         self.uid = session.next_uid("pmgr")
         self.heartbeat_timeout = heartbeat_timeout
-        self.heartbeat_check_interval = heartbeat_check_interval
         self.pilots: Dict[str, ComputePilot] = {}
         self._services: Dict[str, Service] = {}
         self._watcher = self.env.process(self._watch_loop(),
                                          name=f"{self.uid}-watch")
-        self._hb_wake: Optional[Event] = None
-        self._hb_epoch = self.env.now
+        self._hb_ticker = Ticker(self.env, heartbeat_check_interval)
         self._hb_monitor = self.env.process(
             self._heartbeat_monitor(), name=f"{self.uid}-hb")
         #: pilot uid -> agent handle, kept so the checkpoint fingerprint
@@ -129,29 +127,15 @@ class PilotManager:
         that exited — the batch-job safety net covers that) is detected
         here and its pilot declared FAILED.
 
-        Event-driven: with no ACTIVE pilot the monitor parks on a wake
-        event (fired by :meth:`_sync` when a pilot goes ACTIVE) instead
-        of ticking forever — at high session counts the idle ticks used
-        to dominate the event heap, and an idle manager no longer keeps
-        the simulation alive.  While pilots are ACTIVE the checks run at
-        the same phase-aligned instants (``epoch + k*interval``) the
-        fixed-interval loop used, so detection times — and therefore
-        sweep digests — are unchanged.
+        Parks (:class:`~repro.sim.engine.Ticker`) while no pilot is
+        ACTIVE, so an idle manager keeps no event queued; while pilots
+        are ACTIVE the checks run every ``heartbeat_check_interval`` on
+        the grid that starts when the manager is created.
         """
         col = self.session.db.collection("pilots")
-        interval = self.heartbeat_check_interval
         while True:
-            while not any(p.state is PilotState.ACTIVE
-                          for p in self.pilots.values()):
-                self._hb_wake = Event(self.env)
-                yield self._hb_wake
-            # Resume ticking on the original grid: the next multiple of
-            # ``interval`` strictly after now (an exact-multiple resume
-            # would re-check an instant the old loop already covered
-            # with a fresh, never-stale heartbeat — a no-op either way).
-            k = int((self.env.now - self._hb_epoch) // interval) + 1
-            yield self.env.timeout(self._hb_epoch + k * interval
-                                   - self.env.now)
+            yield from self._hb_ticker.tick(lambda: any(
+                p.state is PilotState.ACTIVE for p in self.pilots.values()))
             for uid, pilot in self.pilots.items():
                 if pilot.state is not PilotState.ACTIVE:
                     continue
@@ -184,7 +168,7 @@ class PilotManager:
             for _, state_value in doc["history"][len(pilot.history):]:
                 pilot.advance(PilotState(state_value))
                 if pilot.state is PilotState.ACTIVE:
-                    self._wake_heartbeat_monitor()
+                    self._hb_ticker.wake()
             if doc.get("agent_info") and not pilot.agent_info:
                 pilot.agent_info = doc["agent_info"]
 
@@ -206,9 +190,3 @@ class PilotManager:
             pilots[uid] = entry
         return {"kind": "pilot_manager", "uid": self.uid,
                 "pilots": pilots}
-
-    def _wake_heartbeat_monitor(self) -> None:
-        """Un-park the heartbeat monitor (a pilot just went ACTIVE)."""
-        wake, self._hb_wake = self._hb_wake, None
-        if wake is not None and not wake.triggered:
-            wake.succeed()

@@ -42,12 +42,12 @@ from repro.persist.store import PersistError, SnapshotStore, text_digest
 from repro.sim.engine import SimulationError
 
 #: Snapshot payload format; bumped when the payload's keys change or an
-#: unchanged scenario's barrier coordinates move.  Formats 1, 2, 4, 5,
-#: 6 and 7 counted since-removed events as steps (5: the per-container
-#: child processes of a YARN-flavoured world; 6: one dispatch process
-#: per raptor task; 7: the batch scheduler's idle periodic cycle); 3
-#: carried no ``schema``.
-CHECKPOINT_FORMAT = 8
+#: unchanged scenario's barrier coordinates move.  Formats 1, 2 and 4-8
+#: counted since-removed events as steps (5: the per-container child
+#: processes of a YARN-flavoured world; 6: one dispatch process per
+#: raptor task; 7: the batch scheduler's idle periodic cycle; 8: one
+#: heartbeat timeout per NodeManager); 3 carried no ``schema``.
+CHECKPOINT_FORMAT = 9
 
 #: Where the checkpoint workflow is documented (error-message pointer).
 DOCS_POINTER = "README.md 'Crash-safe state & resume'"

@@ -89,7 +89,6 @@ class RaptorMaster:
         self._close_requested = Event(self.env)
         self._ready = Event(self.env)
         self._drained: Optional[Event] = None
-        self._idle_waiters: List[Event] = []
         self._worker_count_waiters: List[tuple] = []
         self._span = None
 
@@ -511,19 +510,6 @@ class RaptorMaster:
             return
         if self._drained is not None and not self._drained.triggered:
             self._drained.succeed()
-        waiters, self._idle_waiters = self._idle_waiters, []
-        for event in waiters:
-            if not event.triggered:
-                event.succeed()
-
-    def idle_event(self) -> Event:
-        """Fires when no task is pending, in transit or running."""
-        event = Event(self.env)
-        if not self._pending and not self._running and not self._in_transit:
-            event.succeed()
-        else:
-            self._idle_waiters.append(event)
-        return event
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<RaptorMaster {self.uid}: {len(self.workers)} workers, "

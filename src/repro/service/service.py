@@ -14,10 +14,10 @@ service's drain loop.  The moving parts:
 * **fair share** (:mod:`repro.service.fairshare`): each sim tick drains
   at most ``max_batch_per_tick`` requests via weighted deficit
   round-robin across the tenant queues;
-* **batched dispatch**: the drain loop parks on a wake event while
-  idle and ticks at phase-aligned instants while backlogged, so an
-  idle service costs zero events and a busy one submits work in
-  amortized batches instead of per-call;
+* **batched dispatch**: the drain loop's :class:`~repro.sim.Ticker`
+  parks while idle and ticks at phase-aligned instants while
+  backlogged, so an idle service costs zero events and a busy one
+  submits work in amortized batches instead of per-call;
 * **query surface**: a REST-style ``query("/tenants/<id>/sessions")``
   API modeled on the YARN RM endpoints, returning canonical JSON.
 
@@ -53,7 +53,7 @@ from repro.service.admission import (
     Ticket,
 )
 from repro.service.fairshare import WeightedDeficitRoundRobin
-from repro.sim.engine import Event
+from repro.sim.engine import Event, Ticker
 from repro.telemetry.metrics import MetricsRegistry
 
 #: Histogram bounds for enqueue->dispatch latency (seconds).
@@ -211,8 +211,7 @@ class PilotService:
         self._sessions: Dict[str, ServiceSession] = {}
         self._session_counters: Dict[str, int] = {}
         self._outstanding = 0         # queued + in-flight tickets
-        self._work: Optional[Event] = None
-        self._epoch = self.env.now
+        self._ticker = Ticker(self.env, self.config.tick_interval)
         self._quiesce_waiters: List[Event] = []
         self._submit_hist = self.metrics.histogram(
             "service.submit_latency", bounds=SUBMIT_LATENCY_BOUNDS)
@@ -300,31 +299,21 @@ class PilotService:
         sess.outstanding += 1
         self._outstanding += 1
         self._queues[sess.tenant].append(ticket)
-        self._wake()
+        self._ticker.wake()
         return ticket
-
-    def _wake(self) -> None:
-        wake, self._work = self._work, None
-        if wake is not None and not wake.triggered:
-            wake.succeed()
 
     # --------------------------------------------------------- drain loop
     def _drain_loop(self):
         """Batched dispatch: park while idle, tick while backlogged.
 
-        Ticks land on phase-aligned instants (``epoch + k * tick``) so
-        runs are deterministic regardless of when submissions arrive
-        between ticks.
+        Ticks land on the service's :class:`~repro.sim.engine.Ticker`
+        grid, so runs are deterministic regardless of when submissions
+        arrive between ticks, and each tick dispatches at most
+        ``max_batch_per_tick`` tickets.
         """
         cfg = self.config
-        env = self.env
         while True:
-            while not any(self._queues.values()):
-                self._work = Event(env)
-                yield self._work
-            k = int((env.now - self._epoch) // cfg.tick_interval) + 1
-            yield env.timeout(self._epoch + k * cfg.tick_interval
-                              - env.now)
+            yield from self._ticker.tick(lambda: any(self._queues.values()))
             batch = self._drr.drain(self._queues, cfg.max_batch_per_tick)
             for _tenant, ticket in batch:
                 self._dispatch(ticket)

@@ -17,6 +17,7 @@ The kernel is deliberately minimal but complete:
   bandwidth tokens).
 * :class:`Store` — FIFO object queue (message channels between daemons).
 * :class:`Interrupt` — cooperative cancellation of a blocked process.
+* :class:`Ticker` — park-while-idle, phase-aligned clock of a periodic loop.
 
 All timing in the reproduction is expressed in *simulated seconds*; real
 computation embedded in tasks executes eagerly while the clock advances
@@ -32,6 +33,7 @@ from repro.sim.engine import (
     Interrupt,
     Process,
     SimulationError,
+    Ticker,
     Timeout,
 )
 from repro.sim.resources import Level, Resource, Store
@@ -50,5 +52,6 @@ __all__ = [
     "SeedSequenceRegistry",
     "SimulationError",
     "Store",
+    "Ticker",
     "Timeout",
 ]

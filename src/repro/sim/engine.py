@@ -407,6 +407,41 @@ class AllOf(Condition):
             self.succeed(self._collect())
 
 
+class Ticker:
+    """The clock of a periodic loop that parks while it has no work.
+
+    ``yield from ticker.tick(busy)`` parks while ``busy()`` is false
+    (until :meth:`wake`), then sleeps to the first instant of the grid
+    ``epoch + k * interval`` (``epoch``: the creation instant) strictly
+    after now.  ``k`` strictly advances, so an instant that rounding
+    puts just below its grid point is never ticked twice.
+    """
+
+    __slots__ = ("env", "interval", "epoch", "_k", "_wake")
+
+    def __init__(self, env: "Environment", interval: float):
+        self.env, self.interval, self.epoch = env, interval, env.now
+        self._k = 0
+        self._wake: Optional[Event] = None
+
+    def wake(self) -> None:
+        """Un-park the loop (work just arrived); a no-op if not parked."""
+        if self._wake is not None:
+            self._wake.succeed()
+            self._wake = None
+
+    def tick(self, busy: Callable[[], bool]) -> Generator:
+        env = self.env
+        while not busy():
+            self._wake = Event(env)
+            yield self._wake
+        k = max(self._k, int((env.now - self.epoch) // self.interval)) + 1
+        while self.epoch + k * self.interval <= env.now:
+            k += 1
+        self._k = k
+        yield env.timeout(self.epoch + k * self.interval - env.now)
+
+
 class Environment:
     """The simulation environment: clock + event queue + process spawner.
 

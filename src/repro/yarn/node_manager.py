@@ -75,9 +75,6 @@ class NodeManager:
             self._rm._nm_liveness_changed(self)
 
     # ----------------------------------------------------------- capacity
-    def can_fit(self, resource: YarnResource) -> bool:
-        return self.alive and resource.fits_in(self.available)
-
     def reserve(self, container: Container) -> None:
         """Book capacity for an allocated container."""
         if not container.resource.fits_in(self.available):

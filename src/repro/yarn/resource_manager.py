@@ -201,7 +201,9 @@ class ResourceManager:
         self._app_counter = itertools.count(1)
         self._container_counter = itertools.count(1)
         self.running = False
-        self._heartbeat_procs: List[object] = []
+        # [nm, missed beats] pairs by the instant the NM started
+        # heartbeating: one tick process drives each group.
+        self._beat_groups: Dict[float, List[list]] = {}
         #: Nodes declared LOST after missing ``nm_liveness_heartbeats``
         #: consecutive heartbeats; cleared again if the node comes back.
         self.lost_nodes: set = set()
@@ -274,27 +276,32 @@ class ResourceManager:
             self._agg_used_vc += vcores
 
     def _start_heartbeat(self, nm: NodeManager) -> None:
-        self._heartbeat_procs.append(self.env.process(
-            self._heartbeat_loop(nm), name=f"hb-{nm.name}"))
+        group = self._beat_groups.setdefault(self.env.now, [])
+        if not group:
+            self.env.process(self._heartbeat_loop(group), name="rm-heartbeat")
+        group.append([nm, 0])
 
-    def _heartbeat_loop(self, nm: NodeManager):
-        """Heartbeat-driven scheduling *and* liveness detection for one
-        NM: a node silent for ``nm_liveness_heartbeats`` consecutive
-        beats is declared lost and its containers reclaimed — the RM
-        half of the paper's heartbeat-timeout failure handling."""
-        missed = 0
+    def _heartbeat_loop(self, group: List[list]):
+        """Heartbeat-driven scheduling *and* liveness detection for the
+        NMs that started heartbeating at one instant, in registration
+        order: one tick per ``nm_heartbeat`` for the whole group.  A
+        node silent for ``nm_liveness_heartbeats`` consecutive beats is
+        declared lost and its containers reclaimed — the RM half of the
+        paper's heartbeat-timeout failure handling."""
         while self.running:
             yield self.env.timeout(self.config.nm_heartbeat)
-            if nm.alive:
-                if missed:
-                    self.lost_nodes.discard(nm.name)
-                missed = 0
-                self._schedule_on(nm)
-            else:
-                missed += 1
-                if (missed >= self.config.nm_liveness_heartbeats
-                        and nm.name not in self.lost_nodes):
-                    self._handle_node_loss(nm)
+            for beat in group:
+                nm, missed = beat
+                if nm.alive:
+                    if missed:
+                        self.lost_nodes.discard(nm.name)
+                        beat[1] = 0
+                    self._schedule_on(nm)
+                else:
+                    beat[1] = missed = missed + 1
+                    if (missed >= self.config.nm_liveness_heartbeats
+                            and nm.name not in self.lost_nodes):
+                        self._handle_node_loss(nm)
 
     def _handle_node_loss(self, nm: NodeManager) -> None:
         """Declare ``nm`` LOST: kill its containers so their apps see

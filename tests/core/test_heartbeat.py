@@ -115,3 +115,24 @@ def test_units_on_hung_pilot_stay_unclaimed():
     umgr.cancel_units(units)
     env.run(umgr.wait_units(units))
     assert units[0].state.value == "Canceled"
+
+
+def test_manager_created_off_grid_keeps_checking_past_20000_s():
+    """Checks run on ``47.5888027222004 + k * 30``.  Computing the next
+    ``k`` from ``now`` alone re-checked t = 16397.5888027222 (k = 545)
+    forever: simulated time froze there, busy."""
+    env = Environment()
+    registry = Registry()
+    registry.register(Site(env, stampede(num_nodes=2), rms_config=FAST_RMS))
+    session = Session(env, registry)
+    env.run(until=47.5888027222004)
+    pmgr = PilotManager(session)
+    pilot = pmgr.submit_pilot(ComputePilotDescription(
+        resource="slurm://stampede", nodes=1, runtime=24 * 60,
+        agent_config=fast_agent(db_poll_interval=1.0)))
+    env.run(pilot.wait(PilotState.ACTIVE))
+    budget = env.steps + 200_000
+    while env.now < 20_000.0:
+        assert env.steps < budget, f"simulated time froze at {env.now!r}"
+        env.step()
+    assert pilot.state is PilotState.ACTIVE

@@ -4,9 +4,9 @@ Count-based guards (they repeat exactly; no timing): a node's failure
 event holds one callback per parked service plus the node's own
 holder-set subscriber, however much work is in flight; the holder set
 is exactly the in-flight :meth:`Node.hold` phases; the number of live
-kernel objects after a run does not depend on how many tasks ran; a
-node crash interrupts exactly the holders, in entry order; and a fork
-unit costs a pinned number of engine steps.
+kernel objects after a run does not depend on how many tasks ran; and a
+node crash interrupts exactly the holders, in entry order.  What a unit
+costs in engine steps is pinned in ``tests/integration/test_event_ledger.py``.
 """
 
 import gc
@@ -116,37 +116,6 @@ def test_fork_live_objects_independent_of_unit_count():
     small = _live(small_env, *_kinds(small_env))
     big_env, _, _ = _fork_units(2000)
     assert _live(big_env, *_kinds(big_env)) == small
-
-
-#: ``steps(2N) - steps(N)`` for N = 200 on the commit before per-state
-#: events became on-demand (measured there with this exact scenario).
-#: Polling events scale with the makespan, so the *difference* is what
-#: is pinned: each unit stopped dispatching its 6 unobserved per-state
-#: events then, its unobserved final event since (``wait_units`` waits
-#: on the logical unit's event, not the handle's), and the ``AnyOf``
-#: that raced its compute phase against node death since
-#: (:meth:`Node.hold`).
-PARENT_STEPS_DELTA_200 = 3300
-
-#: Part of that delta was no unit's cost: both sites' batch schedulers
-#: ticked an idle 0.5 s cycle (a Timeout and its AnyOf) through the
-#: 4.8 s of extra makespan.  The schedulers now run only when kicked.
-PARENT_IDLE_CYCLE_STEPS_200 = 38
-
-
-def _fork_steps(n):
-    env, session, pmgr, umgr, pilot = _world()
-    before = env.steps
-    units = umgr.submit_units(
-        [ComputeUnitDescription(cores=1, cpu_seconds=0.5)] * n)
-    env.run(umgr.wait_units(units))
-    return env.steps - before
-
-
-def test_fork_unit_costs_eight_fewer_steps_than_parent():
-    n = 200
-    assert _fork_steps(2 * n) - _fork_steps(n) \
-        == PARENT_STEPS_DELTA_200 - PARENT_IDLE_CYCLE_STEPS_200 - 8 * n
 
 
 # ----------------------------------------------------------------- raptor

@@ -1,11 +1,12 @@
-"""A world whose pilots have ended drains its event queue.
+"""Idle costs the same at any scale, and nothing once pilots end.
 
 Once the last pilot is final, nothing is left to schedule but the
 teardown the pilot already started (agent and cluster shutdown, the
 batch job's epilog and its walltime timer).  That tail is a fixed
 number of events: it does not grow with the simulated time that
 remains until the batch job's walltime would have expired, and
-``env.run()`` returns.
+``env.run()`` returns.  While a pilot is ACTIVE and idle, it pays the
+same events per simulated second whatever its size.
 """
 
 import math
@@ -15,6 +16,7 @@ import pytest
 from repro.api import ComputeUnitDescription, TaskDescription
 from repro.experiments.calibration import agent_config
 from repro.experiments.harness import Testbed
+from tests.integration.test_event_ledger import idle_events
 
 #: Upper bound on the events a world dispatches after its last pilot
 #: is final (measured: 9 fork, 13 Mode I YARN, 11 raptor).
@@ -63,3 +65,10 @@ def _tail(flavor, runtime):
 def test_world_quiesces_after_its_pilots_end(flavor):
     hour, day = _tail(flavor, runtime=60), _tail(flavor, runtime=24 * 60)
     assert hour == day <= TAIL_BUDGET
+
+
+def test_idle_mode1_pilot_costs_the_same_at_any_size():
+    """One RM tick drives every NodeManager that shares a heartbeat
+    phase, so an idle Mode I pilot pays no event per node (one per node
+    per second was 4.0 events/s at 2 nodes and 18.0 at 16)."""
+    assert idle_events("yarn", 16) == idle_events("yarn", 2)

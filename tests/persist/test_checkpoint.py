@@ -228,16 +228,16 @@ def test_checkpoint_on_a_full_disk_is_a_named_error(tmp_path, monkeypatch):
 
 
 def test_older_checkpoint_format_refused_by_name(tmp_path):
-    """Formats 1-7 either count steps this build replays to a different
+    """Formats 1-8 either count steps this build replays to a different
     point or carry no ``schema``; each is refused up front, by name,
     not as a digest diff."""
-    assert CHECKPOINT_FORMAT == 8
+    assert CHECKPOINT_FORMAT == 9
     store = _checkpointed_bag(tmp_path)
-    for older in (1, 2, 3, 4, 5, 6, 7):
+    for older in (1, 2, 3, 4, 5, 6, 7, 8):
         _rewrite(store, format=older)
         with pytest.raises(PersistError,
                            match=rf"checkpoint format {older} unsupported; "
-                                 r"this build reads format 8") as info:
+                                 r"this build reads format 9") as info:
             restore(tmp_path / "s")
         assert not isinstance(info.value, (RestoreMismatch, SchemaDrift))
 

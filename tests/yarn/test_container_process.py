@@ -2,8 +2,9 @@
 
 The NodeManager's launch process runs the payload inline, and the AM
 program runs inline in the AM container's payload.  These tests pin
-what that buys and what it must not change: an exact per-unit engine
-step count; a differential against the two-process layering
+what that must not change (its per-unit engine step count is a row of
+``tests/integration/test_event_ledger.py``): a differential against
+the two-process layering
 (:class:`ChildProcessNodeManager`) on fault-free programs; kills that
 land on a payload inside :meth:`Node.hold` or on one that swallows its
 Interrupt; and AM programs that die with their container instead of
@@ -135,23 +136,6 @@ def _mode1(n, nodes=2, horizon=None, **agent_kw):
     assert done.processed
     assert all(u.state is UnitState.DONE for u in units)
     return env.steps - before, units, pmgr.agents[pilot.uid].lrm.yarn
-
-
-#: ``steps(2N) - steps(N)`` per unit with the two-process layering: 7
-#: processes per unit (``unit``, ``accept``, ``am-main``, 2x ``launch``,
-#: 2x ``container``), each an ``Initialize`` plus an end event, and a
-#: separate completion event per container.
-PARENT_STEPS_PER_UNIT = 27
-
-
-def test_mode1_unit_costs_ten_fewer_steps_than_two_process_containers():
-    """Counted to a fixed horizon, so the periodic events (heartbeats,
-    polls) cancel; N units fit the pilot at once, so no AM polls longer
-    while its ask queues.  What is left is the per-unit path."""
-    n, horizon = 4, 120.0
-    small, *_ = _mode1(n, horizon=horizon)
-    big, *_ = _mode1(2 * n, horizon=horizon)
-    assert big - small == (PARENT_STEPS_PER_UNIT - 10) * n
 
 
 def test_launch_processes_are_pruned_when_their_container_ends():
