@@ -68,11 +68,8 @@ def _figure5(args: argparse.Namespace):
 
 def _figure6(args: argparse.Namespace):
     from repro.experiments import run_figure6
-    from repro.experiments.figure6 import figure6_grid
     from repro.experiments.tables import figure6_report
-    scenarios, task_counts = figure6_grid(args.quick)
-    return figure6_report(run_figure6(scenarios=scenarios,
-                                      task_counts=task_counts))
+    return figure6_report(run_figure6(quick=args.quick))
 
 
 def _ablations(args: argparse.Namespace):

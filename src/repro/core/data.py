@@ -30,7 +30,7 @@ from repro.core.unit import ComputeUnit
 from repro.core.unit_manager import UnitManager
 from repro.saga.filesystem import copy_file
 from repro.saga.url import Url
-from repro.sim.engine import Event, SimulationError
+from repro.sim.engine import SimulationError
 
 
 # ------------------------------------------------------------- descriptions
@@ -109,7 +109,6 @@ class DataUnit:
         self.uid = uid
         self.description = description
         self.replicas: List[PilotData] = []
-        self._available = Event(env)
 
     @property
     def state(self) -> str:
@@ -119,9 +118,6 @@ class DataUnit:
     def nbytes(self) -> float:
         return self.description.nbytes
 
-    def wait_available(self) -> Event:
-        return self._available
-
     def located_on(self, hostname: str) -> Optional[PilotData]:
         for pd in self.replicas:
             if pd.site.hostname == hostname:
@@ -130,8 +126,6 @@ class DataUnit:
 
     def _add_replica(self, pd: PilotData) -> None:
         self.replicas.append(pd)
-        if not self._available.triggered:
-            self._available.succeed(self)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<DataUnit {self.uid} ({self.state})>"

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.core.agent.agent import Agent
 from repro.core.description import ComputePilotDescription
@@ -107,11 +107,6 @@ class PilotManager:
         """Request pilot cancellation (served at the agent's next poll)."""
         self.session.db.collection("pilots").set(
             uid, {"cancel_requested": True})
-
-    def wait_pilot(self, pilot: ComputePilot,
-                   state: Optional[PilotState] = None):
-        """Event for ``pilot`` reaching ``state`` (default: any final)."""
-        return pilot.wait(state)
 
     def last_heartbeat(self, uid: str):
         """Timestamp of the pilot agent's last heartbeat (None = never)."""

@@ -23,6 +23,7 @@ from typing import List
 from repro.api import ComputeUnitDescription
 from repro.experiments.calibration import CALIBRATED_YARN, agent_config
 from repro.experiments.harness import Testbed, experiment_machine
+from repro.experiments.sweeps import SweepCell, make_cell
 from repro.cluster.machine import Machine
 from repro.sim import Environment
 from repro.spark.cluster import SparkStandaloneCluster
@@ -170,3 +171,15 @@ def run_am_reuse(machine: str = "stampede", samples: int = 4,
             startups.append(units[0].startup_time)
         rows.append(AmReuseRow(label, sum(startups) / len(startups)))
     return rows
+
+
+# ------------------------------------------------------------ sweep grid
+RUNNERS = {"integration-level": run_integration_level,
+           "spark-deploy-mode": run_spark_deploy_mode,
+           "am-reuse": run_am_reuse}
+
+
+def cells(root_seed: int = 42, quick: bool = False) -> List[SweepCell]:
+    """One parameter-free cell per ablation (``quick`` changes
+    nothing)."""
+    return [make_cell("ablations", kind, root_seed) for kind in RUNNERS]

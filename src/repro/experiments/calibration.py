@@ -7,7 +7,6 @@ to these targets; EXPERIMENTS.md records the comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.analytics.kmeans import KMeansCost

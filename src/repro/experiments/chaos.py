@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional
+from typing import List
+
+from repro.experiments.sweeps import SweepCell, make_cell
 
 #: Fault rates swept by the bag scenario (fraction of units poisoned).
 FAULT_RATES = (0.0, 0.25, 0.5)
-
-_FLAVOR_LRM = {"RP": "fork", "RP-YARN": "yarn"}
 
 
 @dataclass
@@ -73,30 +73,16 @@ class HdfsHealRow:
 def run_chaos_bag(flavor: str = "RP", fault_rate: float = 0.0,
                   ntasks: int = 16, nodes: int = 2,
                   seed: int = 42) -> ChaosBagRow:
-    """A bag of tasks with ``fault_rate`` of them poisoned once each."""
-    from repro.api import (ComputeUnitDescription, RestartPolicy,
-                           UnitManager)
-    from repro.experiments.calibration import agent_config
-    from repro.experiments.harness import Testbed
+    """A bag of tasks with ``fault_rate`` of them poisoned once each:
+    the checkpointable ``bag`` scenario, drained and measured."""
+    from repro.persist.scenarios import bag
 
-    testbed = Testbed("stampede", num_nodes=nodes, seed=seed)
-    policy = RestartPolicy(max_restarts=3, backoff=0.5,
-                           backoff_factor=2.0, backoff_cap=8.0)
-    umgr = UnitManager(testbed.session, restart_policy=policy)
-    testbed.umgr = umgr
-    testbed.start_pilot(
-        nodes=nodes, agent_config=agent_config(_FLAVOR_LRM[flavor]))
-    units = umgr.submit_units([
-        ComputeUnitDescription(cores=1, cpu_seconds=30.0, memory_mb=1024,
-                               name=f"chaos-{i}")
-        for i in range(ntasks)])
-    npoison = round(fault_rate * ntasks)
-    for i in range(npoison):
-        # evenly spread over the bag, deterministically
-        testbed.session.faults.unit_error(
-            units[(i * ntasks) // npoison].uid, times=1)
-    t0 = testbed.env.now
-    testbed.env.run(umgr.wait_units(units))
+    session = bag(seed, flavor=flavor, fault_rate=fault_rate,
+                  ntasks=ntasks, nodes=nodes)
+    env, umgr = session.env, session.handles["umgr"]
+    units = session.handles["units"]
+    t0 = env.now
+    env.run(umgr.wait_units(units))
     finals = [umgr.final_unit(u) for u in units]
     done = sum(1 for u in finals if u.state.value == "Done")
     restarts = sum(umgr._restarts_used.values())
@@ -105,8 +91,8 @@ def run_chaos_bag(flavor: str = "RP", fault_rate: float = 0.0,
         if f.state.value == "Done" and f.uid != u.uid)
     return ChaosBagRow(
         flavor=flavor, fault_rate=fault_rate, units=ntasks,
-        poisoned=npoison, restarts=restarts, recovered=recovered,
-        done=done, makespan=testbed.env.now - t0)
+        poisoned=round(fault_rate * ntasks), restarts=restarts,
+        recovered=recovered, done=done, makespan=env.now - t0)
 
 
 def run_nm_loss(machine: str = "stampede", ntasks: int = 12,
@@ -196,15 +182,17 @@ def run_hdfs_heal(nodes: int = 4, replication: int = 2, files: int = 4,
         mttr=mttr_hist.max if mttr_hist.count else -1.0)
 
 
-def run_chaos_cell(kind: str, seed: int,
-                   flavor: str = "RP",
-                   fault_rate: Optional[float] = None):
-    """Dispatch one chaos cell (used by the sweep runner)."""
-    if kind == "bag":
-        return run_chaos_bag(flavor=flavor, fault_rate=fault_rate or 0.0,
-                             seed=seed)
-    if kind == "nm-loss":
-        return run_nm_loss(seed=seed)
-    if kind == "hdfs-heal":
-        return run_hdfs_heal(seed=seed)
-    raise ValueError(f"unknown chaos cell kind {kind!r}")
+# ------------------------------------------------------------ sweep grid
+RUNNERS = {"bag": run_chaos_bag, "nm-loss": run_nm_loss,
+           "hdfs-heal": run_hdfs_heal}
+
+
+def cells(root_seed: int = 42, quick: bool = False) -> List[SweepCell]:
+    """Bag chaos at each fault rate (the first two with ``quick``), NM
+    loss and HDFS healing."""
+    rates = FAULT_RATES[:2] if quick else FAULT_RATES
+    return [
+        make_cell("chaos", "bag", root_seed, fault_rate=rate, flavor="RP")
+        for rate in rates
+    ] + [make_cell("chaos", "nm-loss", root_seed, machine="stampede"),
+         make_cell("chaos", "hdfs-heal", root_seed, replication=2)]

@@ -17,11 +17,12 @@ Paper anchors:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List
 
 from repro.api import ComputeUnitDescription
 from repro.experiments.calibration import agent_config
 from repro.experiments.harness import Testbed
+from repro.experiments.sweeps import SweepCell, make_cell
 
 
 @dataclass
@@ -46,20 +47,21 @@ PILOT_CASES = [
 ]
 
 
-def run_figure5_pilot_startup(num_nodes: int = 1,
-                              seed: int = 42) -> List[StartupRow]:
+def pilot_startup(machine: str, flavor: str, lrm: str, provision: bool,
+                  seed: int = 42) -> StartupRow:
+    """One bar of the main panel: a one-node pilot, submit -> ACTIVE."""
+    testbed = Testbed(machine, num_nodes=1, seed=seed,
+                      provision_hadoop=provision)
+    pilot, t_submit, t_active = testbed.start_pilot(
+        nodes=1, agent_config=agent_config(lrm))
+    return StartupRow(machine=machine, flavor=flavor,
+                      pilot_startup=t_active - t_submit,
+                      lrm_setup=pilot.agent_info["lrm_setup_seconds"])
+
+
+def run_figure5_pilot_startup(seed: int = 42) -> List[StartupRow]:
     """Measure every bar of Figure 5's main panel."""
-    rows = []
-    for machine, flavor, lrm, provision in PILOT_CASES:
-        testbed = Testbed(machine, num_nodes=max(num_nodes, 1), seed=seed,
-                          provision_hadoop=provision)
-        pilot, t_submit, t_active = testbed.start_pilot(
-            nodes=num_nodes, agent_config=agent_config(lrm))
-        rows.append(StartupRow(
-            machine=machine, flavor=flavor,
-            pilot_startup=t_active - t_submit,
-            lrm_setup=pilot.agent_info["lrm_setup_seconds"]))
-    return rows
+    return [pilot_startup(*case, seed=seed) for case in PILOT_CASES]
 
 
 @dataclass
@@ -79,25 +81,44 @@ UNIT_CASES = [
 ]
 
 
-def run_figure5_unit_startup(samples: int = 3,
-                             seed: int = 42) -> List[UnitStartupRow]:
-    """Measure the inset: CU startup on a warm pilot, averaged over
-    ``samples`` sequential submissions."""
-    rows = []
-    for machine, flavor, lrm in UNIT_CASES:
-        testbed = Testbed(machine, num_nodes=1, seed=seed)
-        testbed.start_pilot(nodes=1, agent_config=agent_config(lrm))
-        startups = []
-        for _ in range(samples):
-            units = testbed.umgr.submit_units(ComputeUnitDescription(
-                executable="/bin/sleep", arguments=("1",),
-                cores=1, cpu_seconds=1.0, memory_mb=1024))
-            testbed.env.run(testbed.umgr.wait_units(units))
-            if units[0].state.value != "Done":
-                raise RuntimeError(
-                    f"unit failed on {machine}/{flavor}: {units[0].stderr}")
-            startups.append(units[0].startup_time)
-        rows.append(UnitStartupRow(
-            machine=machine, flavor=flavor,
-            unit_startup=sum(startups) / len(startups)))
-    return rows
+def unit_startup(machine: str, flavor: str, lrm: str,
+                 seed: int = 42) -> UnitStartupRow:
+    """One bar of the inset: CU startup on a warm pilot, averaged over
+    three sequential submissions."""
+    testbed = Testbed(machine, num_nodes=1, seed=seed)
+    testbed.start_pilot(nodes=1, agent_config=agent_config(lrm))
+    startups = []
+    for _ in range(3):
+        units = testbed.umgr.submit_units(ComputeUnitDescription(
+            executable="/bin/sleep", arguments=("1",),
+            cores=1, cpu_seconds=1.0, memory_mb=1024))
+        testbed.env.run(testbed.umgr.wait_units(units))
+        if units[0].state.value != "Done":
+            raise RuntimeError(
+                f"unit failed on {machine}/{flavor}: {units[0].stderr}")
+        startups.append(units[0].startup_time)
+    return UnitStartupRow(machine=machine, flavor=flavor,
+                          unit_startup=sum(startups) / len(startups))
+
+
+def run_figure5_unit_startup(seed: int = 42) -> List[UnitStartupRow]:
+    """Measure every bar of Figure 5's inset."""
+    return [unit_startup(*case, seed=seed) for case in UNIT_CASES]
+
+
+# ------------------------------------------------------------ sweep grid
+def cells(root_seed: int = 42, quick: bool = False) -> List[SweepCell]:
+    """Both Figure 5 panels: one cell per bar (``quick`` changes
+    nothing)."""
+    return [
+        make_cell("figure5", "pilot-startup", root_seed, machine=machine,
+                  flavor=flavor, lrm=lrm, provision=provision)
+        for machine, flavor, lrm, provision in PILOT_CASES
+    ] + [
+        make_cell("figure5", "unit-startup", root_seed, machine=machine,
+                  flavor=flavor, lrm=lrm)
+        for machine, flavor, lrm in UNIT_CASES
+    ]
+
+
+RUNNERS = {"pilot-startup": pilot_startup, "unit-startup": unit_startup}

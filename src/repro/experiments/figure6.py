@@ -17,7 +17,7 @@ benchmark run re-validates numerical correctness alongside timing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from repro.experiments.calibration import (
     agent_config,
 )
 from repro.experiments.harness import Testbed
+from repro.experiments.sweeps import SweepCell, make_cell
 
 
 @dataclass
@@ -115,28 +116,30 @@ def run_figure6_cell(machine: str, flavor: str, points: int,
                      centroids_ok=ok)
 
 
-def figure6_grid(quick: bool = False):
-    """``(scenarios, task_counts)`` of the full 36-cell grid, or of the
-    reduced 16-cell one (smallest and largest scenario, 8 and 32 tasks)."""
+def cells(root_seed: int = 42, quick: bool = False) -> List[SweepCell]:
+    """The Figure 6 K-Means grid: 36 cells, or 16 with ``quick`` (the
+    smallest and largest scenario at 8 and 32 tasks)."""
+    scenarios, task_counts = SCENARIOS, sorted(TASK_CONFIGS)
     if quick:
-        return [SCENARIOS[0], SCENARIOS[-1]], [8, 32]
-    return SCENARIOS, sorted(TASK_CONFIGS)
+        scenarios, task_counts = [SCENARIOS[0], SCENARIOS[-1]], [8, 32]
+    return [
+        make_cell("figure6", "kmeans", root_seed, machine=machine,
+                  points=points, clusters=clusters, ntasks=ntasks,
+                  flavor=flavor)
+        for machine in ("stampede", "wrangler")
+        for points, clusters in scenarios
+        for ntasks in task_counts
+        for flavor in ("RP", "RP-YARN")
+    ]
 
 
-def run_figure6(machines: Optional[List[str]] = None,
-                flavors: Optional[List[str]] = None,
-                scenarios=None, task_counts=None,
-                seed: int = 42) -> List[KMeansRow]:
-    """The full Figure 6 grid (36 cells by default)."""
-    rows = []
-    for machine in machines or ["stampede", "wrangler"]:
-        for points, clusters in scenarios or SCENARIOS:
-            for ntasks in task_counts or sorted(TASK_CONFIGS):
-                for flavor in flavors or ["RP", "RP-YARN"]:
-                    rows.append(run_figure6_cell(
-                        machine, flavor, points, clusters, ntasks,
-                        seed=seed))
-    return rows
+RUNNERS = {"kmeans": run_figure6_cell}
+
+
+def run_figure6(quick: bool = False, seed: int = 42) -> List[KMeansRow]:
+    """The Figure 6 grid at ``seed`` (36 cells; 16 with ``quick``)."""
+    return [run_figure6_cell(seed=seed, **dict(cell.params))
+            for cell in cells(quick=quick)]
 
 
 # ------------------------------------------------------- derived metrics

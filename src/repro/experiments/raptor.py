@@ -29,6 +29,8 @@ import json
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro.experiments.sweeps import SweepCell, make_cell
+
 #: Task counts swept by the full throughput grid (the 1e4-1e6 range the
 #: many-task literature targets) and by the CI-sized ``--quick`` grid.
 THROUGHPUT_NTASKS = (10_000, 100_000, 1_000_000)
@@ -226,3 +228,21 @@ def run_raptor_faults(ntasks: int = 400, machine: str = "stampede",
         tasks_failed=stats["tasks_failed"],
         all_completed=all(f.result().ok for f in futures),
         makespan=makespan)
+
+
+# ------------------------------------------------------------ sweep grid
+RUNNERS = {"throughput": run_raptor_throughput,
+           "equivalence": run_raptor_equivalence,
+           "faults": run_raptor_faults}
+
+
+def cells(root_seed: int = 42, quick: bool = False) -> List[SweepCell]:
+    """The throughput curve plus one equivalence and one fault cell."""
+    counts = QUICK_NTASKS if quick else THROUGHPUT_NTASKS
+    return [
+        make_cell("raptor", "throughput", root_seed, machine="stampede",
+                  ntasks=ntasks)
+        for ntasks in counts
+    ] + [make_cell("raptor", "equivalence", root_seed, ntasks=64),
+         make_cell("raptor", "faults", root_seed,
+                   ntasks=100 if quick else 400)]

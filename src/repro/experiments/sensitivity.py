@@ -12,7 +12,7 @@ use on this machine?" answer the paper's discussion asks for.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -28,8 +28,13 @@ from repro.experiments.calibration import (
     agent_config,
 )
 from repro.experiments.figure6 import _expected_for, _points_for
+from repro.experiments.sweeps import SweepCell, make_cell
 from repro.saga import Registry, Site
 from repro.sim import Environment
+
+
+#: Job-visible Lustre shares swept, MB/s.
+BANDWIDTHS_MB = (10, 30, 100, 300)
 
 
 @dataclass
@@ -43,8 +48,15 @@ class SensitivityRow:
         return (self.rp_runtime - self.yarn_runtime) / self.rp_runtime
 
 
-def _run_cell(lustre_bw: float, flavor: str, points: int,
-              clusters: int, ntasks: int, nodes: int) -> float:
+def run_lustre_bw_cell(bw_mb: float, flavor: str, seed: int = 42,
+                       points: int = 1_000_000, clusters: int = 50,
+                       ntasks: int = 32, nodes: int = 3) -> Dict[str, Any]:
+    """K-Means time-to-completion of one runtime at one Lustre share.
+
+    The session keeps its default seed, so ``seed`` does not reach the
+    world: every seed gives the same row.
+    """
+    lustre_bw = bw_mb * 1e6
     spec = stampede(num_nodes=nodes)
     spec = replace(spec, shared_fs=StorageSpec(
         name="lustre-sweep", aggregate_bw=lustre_bw,
@@ -73,23 +85,17 @@ def _run_cell(lustre_bw: float, flavor: str, points: int,
             f"points={points} clusters={clusters} ntasks={ntasks}: "
             f"centroids diverge from the NumPy reference")
     setup = pilot.agent_info["lrm_setup_seconds"]
-    return span + (setup if flavor == "RP-YARN" else 0.0)
+    runtime = span + (setup if flavor == "RP-YARN" else 0.0)
+    return {"lustre_bw": lustre_bw, "flavor": flavor, "runtime": runtime}
 
 
-def sweep_lustre_bandwidth(
-        bandwidths_mb: Optional[List[float]] = None,
-        points: int = 1_000_000, clusters: int = 50,
-        ntasks: int = 32, nodes: int = 3) -> List[SensitivityRow]:
+def sweep_lustre_bandwidth() -> List[SensitivityRow]:
     """Run the sweep; returns one row per bandwidth point."""
-    rows = []
-    for bw_mb in bandwidths_mb or [10, 30, 100, 300]:
-        bw = bw_mb * 1e6
-        rows.append(SensitivityRow(
-            lustre_bw=bw,
-            rp_runtime=_run_cell(bw, "RP", points, clusters, ntasks, nodes),
-            yarn_runtime=_run_cell(bw, "RP-YARN", points, clusters,
-                                   ntasks, nodes)))
-    return rows
+    return [SensitivityRow(
+        lustre_bw=bw_mb * 1e6,
+        rp_runtime=run_lustre_bw_cell(bw_mb, "RP")["runtime"],
+        yarn_runtime=run_lustre_bw_cell(bw_mb, "RP-YARN")["runtime"])
+        for bw_mb in BANDWIDTHS_MB]
 
 
 def crossover_bandwidth(rows: List[SensitivityRow]) -> Optional[float]:
@@ -98,3 +104,17 @@ def crossover_bandwidth(rows: List[SensitivityRow]) -> Optional[float]:
         if row.yarn_advantage <= 0:
             return row.lustre_bw
     return None
+
+
+# ------------------------------------------------------------ sweep grid
+def cells(root_seed: int = 42, quick: bool = False) -> List[SweepCell]:
+    """One cell per (bandwidth, flavor) (``quick`` changes nothing)."""
+    return [
+        make_cell("sensitivity", "lustre-bw", root_seed, bw_mb=bw_mb,
+                  flavor=flavor)
+        for bw_mb in BANDWIDTHS_MB
+        for flavor in ("RP", "RP-YARN")
+    ]
+
+
+RUNNERS = {"lustre-bw": run_lustre_bw_cell}

@@ -19,8 +19,9 @@ Four cell kinds, all seed-deterministic rows over
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, List
 
+from repro.experiments.sweeps import SweepCell, make_cell
 from repro.service import (
     LoadSpec,
     PilotService,
@@ -69,6 +70,8 @@ def run_service_fairshare(seed: int = 42, heavy_weight: float = 4.0,
     from repro.experiments.calibration import agent_config
     from repro.experiments.harness import Testbed
 
+    # The grid cell holds int 4; the row (and so the digest) records 4.0.
+    heavy_weight = float(heavy_weight)
     testbed = Testbed("stampede", num_nodes=3, seed=seed)
     env = testbed.env
     service = PilotService(testbed.session, ServiceConfig(
@@ -118,3 +121,23 @@ def run_service_sharded(seed: int = 42, shards: int = 2,
     sharded = run_sharded(spec, shards=shards, jobs=1)
     return {"kind": "sharded", "shards": shards,
             "digest": sharded.digest(), **sharded.aggregate()["totals"]}
+
+
+# ------------------------------------------------------------ sweep grid
+RUNNERS = {"load": run_service_load, "fairshare": run_service_fairshare,
+           "admission": run_service_admission,
+           "sharded": run_service_sharded}
+
+
+def cells(root_seed: int = 42, quick: bool = False) -> List[SweepCell]:
+    """Load (twice in the full grid), fairness, admission, sharding."""
+    load = [make_cell("service", "load", root_seed, tenants=4,
+                      sessions_per_tenant=8)]
+    if not quick:
+        load.append(make_cell("service", "load", root_seed, tenants=8,
+                              sessions_per_tenant=32))
+    return load + [
+        make_cell("service", "fairshare", root_seed, heavy_weight=4),
+        make_cell("service", "admission", root_seed, max_pending=8),
+        make_cell("service", "sharded", root_seed, shards=2, tenants=6),
+    ]

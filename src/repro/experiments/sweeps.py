@@ -1,8 +1,10 @@
 """Declarative experiment sweeps with a process-pool runner.
 
 The paper's evaluation is a grid of *independent* simulated cells —
-machine x flavor x scenario x task-count x seed.  This module expresses
-each figure's grid as a flat cell list and fans the cells out over a
+machine x flavor x scenario x task-count x seed.  Each grid in
+:data:`GRIDS` is its own experiment module, which lists the grid as
+flat cells and holds one function per cell kind (:func:`grid_module`);
+this module fans the cells out over a
 ``concurrent.futures.ProcessPoolExecutor``:
 
 * every cell carries a deterministic seed derived from the root seed
@@ -22,12 +24,15 @@ Used by ``python -m repro sweep`` and the determinism regression tests.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import asdict, dataclass, field, is_dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import (asdict, dataclass, field, is_dataclass,
+                         replace)
+from types import ModuleType
+from typing import Any, Dict, List, Optional, Tuple
 
 GRIDS = ("figure5", "figure6", "ablations", "sensitivity", "chaos",
          "raptor", "service")
@@ -66,124 +71,27 @@ def cell_seed(root_seed: int, key: str) -> int:
     return int.from_bytes(digest[:4], "big")
 
 
-def _cell(grid: str, kind: str, root_seed: int,
-          **params: Any) -> SweepCell:
-    ordered = tuple(sorted(params.items()))
-    inner = ",".join(f"{k}={v}" for k, v in ordered)
-    key = f"{grid}/{kind}({inner})"
-    return SweepCell(grid=grid, kind=kind, params=ordered,
-                     seed=cell_seed(root_seed, key))
+def make_cell(grid: str, kind: str, root_seed: int,
+              **params: Any) -> SweepCell:
+    """A cell of ``grid`` with its seed derived from its identity."""
+    cell = SweepCell(grid=grid, kind=kind,
+                     params=tuple(sorted(params.items())), seed=0)
+    return replace(cell, seed=cell_seed(root_seed, cell.key))
 
 
-# ------------------------------------------------------------ grid builders
-def figure5_cells(root_seed: int = 42) -> List[SweepCell]:
-    """Both Figure 5 panels: one cell per bar."""
-    from repro.experiments.figure5 import PILOT_CASES, UNIT_CASES
-    cells = [
-        _cell("figure5", "pilot-startup", root_seed, machine=machine,
-              flavor=flavor, lrm=lrm, provision=provision)
-        for machine, flavor, lrm, provision in PILOT_CASES
-    ]
-    cells += [
-        _cell("figure5", "unit-startup", root_seed, machine=machine,
-              flavor=flavor, lrm=lrm)
-        for machine, flavor, lrm in UNIT_CASES
-    ]
-    return cells
+def grid_module(grid: str) -> ModuleType:
+    """The experiment module that owns ``grid``.
 
-
-def figure6_cells(root_seed: int = 42,
-                  quick: bool = False) -> List[SweepCell]:
-    """The Figure 6 K-Means grid (36 cells; 16 with ``quick``)."""
-    from repro.experiments.figure6 import figure6_grid
-    scenarios, task_counts = figure6_grid(quick)
-    return [
-        _cell("figure6", "kmeans", root_seed, machine=machine,
-              points=points, clusters=clusters, ntasks=ntasks,
-              flavor=flavor)
-        for machine in ("stampede", "wrangler")
-        for points, clusters in scenarios
-        for ntasks in task_counts
-        for flavor in ("RP", "RP-YARN")
-    ]
-
-
-def ablations_cells(root_seed: int = 42) -> List[SweepCell]:
-    return [_cell("ablations", kind, root_seed)
-            for kind in ("integration-level", "spark-deploy-mode",
-                         "am-reuse")]
-
-
-def sensitivity_cells(root_seed: int = 42,
-                      bandwidths_mb: Optional[Sequence[float]] = None
-                      ) -> List[SweepCell]:
-    """Lustre-bandwidth sweep: one cell per (bandwidth, flavor)."""
-    return [
-        _cell("sensitivity", "lustre-bw", root_seed, bw_mb=bw_mb,
-              flavor=flavor)
-        for bw_mb in (bandwidths_mb or [10, 30, 100, 300])
-        for flavor in ("RP", "RP-YARN")
-    ]
-
-
-def chaos_cells(root_seed: int = 42,
-                quick: bool = False) -> List[SweepCell]:
-    """The fault-injection grid: bag chaos, NM loss, HDFS healing."""
-    from repro.experiments.chaos import FAULT_RATES
-    rates = FAULT_RATES[:2] if quick else FAULT_RATES
-    cells = [
-        _cell("chaos", "bag", root_seed, fault_rate=rate, flavor="RP")
-        for rate in rates
-    ]
-    cells.append(_cell("chaos", "nm-loss", root_seed, machine="stampede"))
-    cells.append(_cell("chaos", "hdfs-heal", root_seed, replication=2))
-    return cells
-
-
-def raptor_cells(root_seed: int = 42,
-                 quick: bool = False) -> List[SweepCell]:
-    """The task-overlay grid: throughput curve + equivalence + faults."""
-    from repro.experiments.raptor import QUICK_NTASKS, THROUGHPUT_NTASKS
-    counts = QUICK_NTASKS if quick else THROUGHPUT_NTASKS
-    cells = [
-        _cell("raptor", "throughput", root_seed, machine="stampede",
-              ntasks=ntasks)
-        for ntasks in counts
-    ]
-    cells.append(_cell("raptor", "equivalence", root_seed, ntasks=64))
-    cells.append(_cell("raptor", "faults", root_seed,
-                       ntasks=100 if quick else 400))
-    return cells
-
-
-def service_cells(root_seed: int = 42,
-                  quick: bool = False) -> List[SweepCell]:
-    """The multi-tenant service grid: load, fairness, admission,
-    sharding."""
-    cells = [
-        _cell("service", "load", root_seed, tenants=4,
-              sessions_per_tenant=8),
-        _cell("service", "fairshare", root_seed, heavy_weight=4),
-        _cell("service", "admission", root_seed, max_pending=8),
-        _cell("service", "sharded", root_seed, shards=2, tenants=6),
-    ]
-    if not quick:
-        cells.insert(1, _cell("service", "load", root_seed, tenants=8,
-                              sessions_per_tenant=32))
-    return cells
-
-
-#: Grid name -> builder(root_seed, quick).  ``GRIDS`` (the public list
-#: the CLI exposes) is asserted against this registry in the tests.
-_GRID_BUILDERS = {
-    "figure5": lambda root_seed, quick: figure5_cells(root_seed),
-    "figure6": figure6_cells,
-    "ablations": lambda root_seed, quick: ablations_cells(root_seed),
-    "sensitivity": lambda root_seed, quick: sensitivity_cells(root_seed),
-    "chaos": chaos_cells,
-    "raptor": raptor_cells,
-    "service": service_cells,
-}
+    A grid is its module, ``repro.experiments.<grid>``: it exposes
+    ``cells(root_seed, quick)``, the declarative cell list, and
+    ``RUNNERS``, one function per cell kind, each called as
+    ``fn(seed=cell.seed, **cell.params)`` and returning a row or a list
+    of rows.  Only names in :data:`GRIDS` are imported, and only when
+    asked for.
+    """
+    if grid not in GRIDS:
+        raise ValueError(f"unknown sweep grid {grid!r}; known: {GRIDS}")
+    return importlib.import_module(f"repro.experiments.{grid}")
 
 
 def build_cells(grid: str, root_seed: int = 42,
@@ -193,10 +101,7 @@ def build_cells(grid: str, root_seed: int = 42,
     Guarantees cell-key uniqueness: two cells with the same key would
     share a seed and silently shadow each other in keyed aggregates.
     """
-    builder = _GRID_BUILDERS.get(grid)
-    if builder is None:
-        raise ValueError(f"unknown sweep grid {grid!r}; known: {GRIDS}")
-    cells = builder(root_seed, quick)
+    cells = grid_module(grid).cells(root_seed, quick)
     seen: Dict[str, SweepCell] = {}
     for cell in cells:
         if cell.key in seen:
@@ -206,7 +111,7 @@ def build_cells(grid: str, root_seed: int = 42,
     return cells
 
 
-# ------------------------------------------------------------ cell runners
+# ------------------------------------------------------------ cell runner
 def _jsonify(value: Any) -> Any:
     """Dataclasses / numpy scalars -> plain JSON-serializable values."""
     if is_dataclass(value) and not isinstance(value, type):
@@ -221,143 +126,19 @@ def _jsonify(value: Any) -> Any:
     return value
 
 
-def _run_figure5_cell(cell: SweepCell) -> List[Dict[str, Any]]:
-    from repro.api import ComputeUnitDescription
-    from repro.experiments.calibration import agent_config
-    from repro.experiments.figure5 import StartupRow, UnitStartupRow
-    from repro.experiments.harness import Testbed
-
-    params = dict(cell.params)
-    if cell.kind == "pilot-startup":
-        testbed = Testbed(params["machine"], num_nodes=1, seed=cell.seed,
-                          provision_hadoop=params["provision"])
-        pilot, t_submit, t_active = testbed.start_pilot(
-            nodes=1, agent_config=agent_config(params["lrm"]))
-        return [_jsonify(StartupRow(
-            machine=params["machine"], flavor=params["flavor"],
-            pilot_startup=t_active - t_submit,
-            lrm_setup=pilot.agent_info["lrm_setup_seconds"]))]
-    if cell.kind == "unit-startup":
-        samples = params.get("samples", 3)
-        testbed = Testbed(params["machine"], num_nodes=1, seed=cell.seed)
-        testbed.start_pilot(
-            nodes=1, agent_config=agent_config(params["lrm"]))
-        startups = []
-        for _ in range(samples):
-            units = testbed.umgr.submit_units(ComputeUnitDescription(
-                executable="/bin/sleep", arguments=("1",),
-                cores=1, cpu_seconds=1.0, memory_mb=1024))
-            testbed.env.run(testbed.umgr.wait_units(units))
-            if units[0].state.value != "Done":
-                raise RuntimeError(
-                    f"unit failed on {cell.key}: {units[0].stderr}")
-            startups.append(units[0].startup_time)
-        return [_jsonify(UnitStartupRow(
-            machine=params["machine"], flavor=params["flavor"],
-            unit_startup=sum(startups) / len(startups)))]
-    raise ValueError(f"unknown figure5 cell kind {cell.kind!r}")
-
-
-def _run_figure6_cell(cell: SweepCell) -> List[Dict[str, Any]]:
-    from repro.experiments.figure6 import run_figure6_cell
-    params = dict(cell.params)
-    row = run_figure6_cell(
-        params["machine"], params["flavor"], params["points"],
-        params["clusters"], params["ntasks"], seed=cell.seed)
-    return [_jsonify(row)]
-
-
-def _run_ablations_cell(cell: SweepCell) -> List[Dict[str, Any]]:
-    from repro.experiments import ablations
-    runner = {
-        "integration-level": ablations.run_integration_level,
-        "spark-deploy-mode": ablations.run_spark_deploy_mode,
-        "am-reuse": ablations.run_am_reuse,
-    }[cell.kind]
-    rows = runner(seed=cell.seed)
-    return [_jsonify(r) for r in rows]
-
-
-def _run_sensitivity_cell(cell: SweepCell) -> List[Dict[str, Any]]:
-    from repro.experiments import sensitivity
-    params = dict(cell.params)
-    points, clusters, ntasks, nodes = 1_000_000, 50, 32, 3
-    bw = params["bw_mb"] * 1e6
-    runtime = sensitivity._run_cell(bw, params["flavor"], points, clusters,
-                                    ntasks, nodes)
-    return [{"lustre_bw": bw, "flavor": params["flavor"],
-             "runtime": runtime}]
-
-
-def _run_chaos_cell(cell: SweepCell) -> List[Dict[str, Any]]:
-    from repro.experiments.chaos import run_chaos_cell
-    params = dict(cell.params)
-    row = run_chaos_cell(cell.kind, seed=cell.seed,
-                         flavor=params.get("flavor", "RP"),
-                         fault_rate=params.get("fault_rate"))
-    return [_jsonify(row)]
-
-
-def _run_raptor_cell(cell: SweepCell) -> List[Dict[str, Any]]:
-    from repro.experiments import raptor
-    params = dict(cell.params)
-    if cell.kind == "throughput":
-        row = raptor.run_raptor_throughput(
-            params["ntasks"], machine=params["machine"], seed=cell.seed)
-    elif cell.kind == "equivalence":
-        row = raptor.run_raptor_equivalence(
-            params["ntasks"], seed=cell.seed)
-    elif cell.kind == "faults":
-        row = raptor.run_raptor_faults(params["ntasks"], seed=cell.seed)
-    else:
-        raise ValueError(f"unknown raptor cell kind {cell.kind!r}")
-    return [_jsonify(row)]
-
-
-def _run_service_cell(cell: SweepCell) -> List[Dict[str, Any]]:
-    from repro.experiments import service as service_exp
-    params = dict(cell.params)
-    if cell.kind == "load":
-        row = service_exp.run_service_load(
-            seed=cell.seed, tenants=params["tenants"],
-            sessions_per_tenant=params["sessions_per_tenant"])
-    elif cell.kind == "fairshare":
-        row = service_exp.run_service_fairshare(
-            seed=cell.seed, heavy_weight=float(params["heavy_weight"]))
-    elif cell.kind == "admission":
-        row = service_exp.run_service_admission(
-            seed=cell.seed, max_pending=params["max_pending"])
-    elif cell.kind == "sharded":
-        row = service_exp.run_service_sharded(
-            seed=cell.seed, shards=params["shards"],
-            tenants=params["tenants"])
-    else:
-        raise ValueError(f"unknown service cell kind {cell.kind!r}")
-    return [_jsonify(row)]
-
-
-_CELL_RUNNERS = {
-    "figure5": _run_figure5_cell,
-    "figure6": _run_figure6_cell,
-    "ablations": _run_ablations_cell,
-    "sensitivity": _run_sensitivity_cell,
-    "chaos": _run_chaos_cell,
-    "raptor": _run_raptor_cell,
-    "service": _run_service_cell,
-}
-
-
 def run_cell(cell: SweepCell) -> Dict[str, Any]:
     """Execute one cell (in this process) and capture its wall time.
 
     Top-level and picklable by name, so it doubles as the process-pool
     work function.
     """
+    runner = grid_module(cell.grid).RUNNERS[cell.kind]
     # Host-side wall time of the runner, reported but never fed back
     # into the simulation — results stay seed-deterministic.
     t0 = time.perf_counter()  # simlint: disable=SIM001
-    rows = _CELL_RUNNERS[cell.grid](cell)
+    out = runner(seed=cell.seed, **dict(cell.params))
     wall = time.perf_counter() - t0  # simlint: disable=SIM001
+    rows = _jsonify(out if isinstance(out, list) else [out])
     return {"key": cell.key, "seed": cell.seed, "rows": rows,
             "wall_seconds": wall, "pid": os.getpid()}
 
@@ -537,9 +318,7 @@ class Sweep:
     def __init__(self, grid: str, root_seed: int = 42,
                  quick: bool = False, jobs: Optional[int] = None,
                  max_cells: Optional[int] = None):
-        if grid not in _GRID_BUILDERS:
-            raise ValueError(
-                f"unknown sweep grid {grid!r}; known: {GRIDS}")
+        grid_module(grid)  # an unknown grid fails here, not at run()
         self.grid = grid
         self.root_seed = root_seed
         self.quick = quick

@@ -6,10 +6,11 @@ workload* — that is the whole point: the caller advances simulated time
 in slices, checkpointing at the quiescent barriers in between, and a
 restore replays the same recipe in a fresh process.
 
-These built-ins mirror the experiment harness so checkpoints cover the
-full stack the paper exercises: pilot + agent + scheduler state, an
-in-flight bag of units under a restart policy, armed faults, and a
-raptor master/worker overlay with a task stream.
+The built-ins cover the full stack the paper exercises: pilot + agent +
+scheduler state, an in-flight bag of units under a restart policy,
+armed faults, and a raptor master/worker overlay with a task stream.
+``bag`` is the chaos grid's bag cell's own world:
+:func:`repro.experiments.chaos.run_chaos_bag` drains and measures it.
 """
 
 from __future__ import annotations
@@ -22,16 +23,15 @@ def bag(seed: int, flavor: str = "RP", fault_rate: float = 0.25,
         ntasks: int = 8, nodes: int = 2):
     """An in-flight bag of tasks with a poisoned fraction.
 
-    The chaos-grid bag cell, stopped right after submission: the pilot
-    is ACTIVE, ``ntasks`` units are queued/executing, ``fault_rate`` of
-    them carry one transient executor error each, and the restart
-    policy that will absorb those errors is armed.  Nothing has
+    The chaos-grid bag cell's world, stopped right after submission:
+    the pilot is ACTIVE, ``ntasks`` units are queued/executing,
+    ``fault_rate`` of them carry one transient executor error each, and
+    the restart policy that will absorb those errors is armed.  Nothing has
     drained — the returned session is mid-workload by construction.
     """
     from repro.api import (ComputeUnitDescription, RestartPolicy,
                            UnitManager)
     from repro.experiments.calibration import agent_config
-    from repro.experiments.chaos import _FLAVOR_LRM
     from repro.experiments.harness import Testbed
 
     testbed = Testbed("stampede", num_nodes=nodes, seed=seed)
@@ -39,14 +39,15 @@ def bag(seed: int, flavor: str = "RP", fault_rate: float = 0.25,
                            backoff_factor=2.0, backoff_cap=8.0)
     umgr = UnitManager(testbed.session, restart_policy=policy)
     testbed.umgr = umgr
-    testbed.start_pilot(
-        nodes=nodes, agent_config=agent_config(_FLAVOR_LRM[flavor]))
+    lrm = "yarn" if flavor == "RP-YARN" else "fork"
+    testbed.start_pilot(nodes=nodes, agent_config=agent_config(lrm))
     units = umgr.submit_units([
         ComputeUnitDescription(cores=1, cpu_seconds=30.0, memory_mb=1024,
                                name=f"bag-{i}")
         for i in range(ntasks)])
     npoison = round(fault_rate * ntasks)
     for i in range(npoison):
+        # evenly spread over the bag, deterministically
         testbed.session.faults.unit_error(
             units[(i * ntasks) // npoison].uid, times=1)
     session = testbed.session

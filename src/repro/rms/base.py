@@ -91,9 +91,6 @@ class BatchScheduler:
     def queue_depth(self) -> int:
         return len(self._queue)
 
-    def get_job(self, job_id: str) -> BatchJob:
-        return self.jobs[job_id]
-
     # ---------------------------------------------------------- submission
     def submit(self, description: JobDescription) -> BatchJob:
         """Submit a job; returns its handle immediately (state NEW).

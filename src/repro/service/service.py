@@ -33,11 +33,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Sequence
 
-from repro.core.description import (
-    ComputePilotDescription,
-    ComputeUnitDescription,
-    Description,
-)
+from repro.core.description import ComputeUnitDescription, Description
 from repro.core.states import PilotState, UnitState
 from repro.core.unit_manager import UnitManager
 from repro.pilot_api.service import (

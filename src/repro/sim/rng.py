@@ -60,10 +60,6 @@ class RngStream:
         """The underlying bit generator's state (JSON-serializable)."""
         return self._gen.bit_generator.state
 
-    def set_state(self, state: dict) -> None:
-        """Restore a state previously captured by :meth:`state_dict`."""
-        self._gen.bit_generator.state = state
-
 
 class SeedSequenceRegistry:
     """Derives independent :class:`RngStream` objects from one root seed.
@@ -95,8 +91,3 @@ class SeedSequenceRegistry:
                 "streams": {name: stream.state_dict()
                             for name, stream in
                             sorted(self._streams.items())}}
-
-    def restore_state(self, state: dict) -> None:
-        """Re-materialize streams at the positions in ``state``."""
-        for name, gen_state in state.get("streams", {}).items():
-            self.stream(name).set_state(gen_state)

@@ -9,7 +9,7 @@ real Python records.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 
 class RDD:
@@ -203,10 +203,6 @@ class RDD:
     def compute_partition(self, index: int, task_ctx):
         """Produce partition ``index``.  Simulation generator."""
         raise NotImplementedError
-
-    def estimated_record_cpu(self) -> float:
-        """Reference-CPU seconds per record for tasks over this RDD."""
-        return self.ctx.conf.cpu_seconds_per_record
 
 
 class ParallelCollectionRDD(RDD):

@@ -10,7 +10,7 @@ therefore to the same simulated stages, shuffles and I/O).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.spark.rdd import RDD
 
@@ -109,9 +109,6 @@ class DataFrame:
         """Total sort by one column."""
         return DataFrame(self._rdd.sort_by(
             lambda row: row[key], ascending=ascending))
-
-    def to_rdd(self) -> RDD:
-        return self._rdd
 
     # ----------------------------------------------------------- actions
     def collect(self):

@@ -66,8 +66,10 @@ def test_shared_arrays_are_read_only(fresh_memo):
 
 
 def test_sensitivity_cell_validates_its_centroids(fresh_memo, monkeypatch):
-    assert sensitivity._run_cell(100e6, "RP", POINTS, CLUSTERS, NTASKS,
-                                 nodes=1) > 0.0
+    row = sensitivity.run_lustre_bw_cell(100, "RP", points=POINTS,
+                                         clusters=CLUSTERS, ntasks=NTASKS,
+                                         nodes=1)
+    assert row["runtime"] > 0.0
     assert len(fresh_memo) == 1      # the reference is memoised unpatched
 
     def drifting(centroids, sums, counts):
@@ -75,8 +77,9 @@ def test_sensitivity_cell_validates_its_centroids(fresh_memo, monkeypatch):
 
     monkeypatch.setattr(kmeans, "_update", drifting)
     with pytest.raises(RuntimeError) as err:
-        sensitivity._run_cell(100e6, "RP-YARN", POINTS, CLUSTERS, NTASKS,
-                              nodes=1)
+        sensitivity.run_lustre_bw_cell(100, "RP-YARN", points=POINTS,
+                                       clusters=CLUSTERS, ntasks=NTASKS,
+                                       nodes=1)
     message = str(err.value)
     assert "diverge" in message
     for parameter in ("lustre_bw=1e+08", "flavor=RP-YARN",

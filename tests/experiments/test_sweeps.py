@@ -1,18 +1,20 @@
 """Sweep runner: grids, seeding, and jobs=N vs jobs=1 determinism."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from repro.experiments import figure5, figure6, sensitivity
 from repro.experiments.sweeps import (
+    GRIDS,
     SweepCell,
     build_cells,
     cell_seed,
-    figure5_cells,
-    figure6_cells,
+    grid_module,
     run_cell,
     run_sweep,
-    sensitivity_cells,
 )
 
 
@@ -26,8 +28,8 @@ def test_cell_seed_is_stable_and_hash_independent():
 
 
 def test_cell_seed_depends_on_identity_not_position():
-    full = figure6_cells(42)
-    quick = figure6_cells(42, quick=True)
+    full = figure6.cells(42)
+    quick = figure6.cells(42, quick=True)
     full_by_key = {c.key: c.seed for c in full}
     # every quick cell exists in the full grid with the same seed, even
     # though its list position differs
@@ -36,11 +38,11 @@ def test_cell_seed_depends_on_identity_not_position():
 
 
 def test_grid_shapes():
-    assert len(figure5_cells()) == 9
-    assert len(figure6_cells()) == 36
-    assert len(figure6_cells(quick=True)) == 16
+    assert len(figure5.cells()) == 9
+    assert len(figure6.cells()) == 36
+    assert len(figure6.cells(quick=True)) == 16
     assert len(build_cells("ablations")) == 3
-    assert len(sensitivity_cells()) == 8
+    assert len(sensitivity.cells()) == 8
     assert len(build_cells("chaos")) == 5
     assert len(build_cells("raptor")) == 5
     assert len(build_cells("raptor", quick=True)) == 4
@@ -51,10 +53,24 @@ def test_grid_shapes():
 
 
 def test_grids_tuple_matches_builder_registry():
-    """The CLI-facing GRIDS list and the builder registry never drift."""
-    from repro.experiments.sweeps import _CELL_RUNNERS, _GRID_BUILDERS, GRIDS
-    assert set(GRIDS) == set(_GRID_BUILDERS)
-    assert set(GRIDS) == set(_CELL_RUNNERS)
+    """Each GRIDS name resolves to its experiment module, whose builder
+    emits only cell kinds its RUNNERS map can run, each kind at least
+    once; no second registry of grids or cell runners comes back."""
+    for grid in GRIDS:
+        module = grid_module(grid)
+        assert module.__name__ == f"repro.experiments.{grid}"
+        for quick in (False, True):
+            cells = module.cells(42, quick)
+            assert {c.grid for c in cells} == {grid}
+            assert {c.kind for c in cells} == set(module.RUNNERS), grid
+    src = Path(__file__).resolve().parents[2] / "src"
+    banned = re.compile(
+        r"_GRID_BUILDERS|_CELL_RUNNERS|\b_run_\w+_cell\b|run_chaos_cell")
+    offenders = [f"{path.relative_to(src)}:{n}"
+                 for path in sorted(src.rglob("*.py"))
+                 for n, line in enumerate(path.read_text().splitlines(), 1)
+                 if banned.search(line)]
+    assert offenders == []
 
 
 #: One pinned (key, seed) pair per grid: seed derivation shifting —
@@ -92,17 +108,17 @@ def test_build_cells_rejects_duplicate_keys(monkeypatch):
     from repro.experiments import sweeps
 
     def dup_builder(root_seed, quick=False):
-        cell = sweeps._cell("ablations", "integration-level", root_seed)
+        cell = sweeps.make_cell("ablations", "integration-level", root_seed)
         return [cell, cell]
 
-    monkeypatch.setitem(sweeps._GRID_BUILDERS, "ablations", dup_builder)
+    monkeypatch.setattr(grid_module("ablations"), "cells", dup_builder)
     with pytest.raises(ValueError, match="duplicate sweep cell key"):
         build_cells("ablations")
 
 
 def test_cells_are_picklable_and_keyed():
     import pickle
-    cell = figure5_cells()[0]
+    cell = figure5.cells()[0]
     clone = pickle.loads(pickle.dumps(cell))
     assert clone == cell and clone.key == cell.key
     assert cell.key.startswith("figure5/pilot-startup(")
@@ -112,7 +128,7 @@ def test_cells_are_picklable_and_keyed():
 # ------------------------------------------------------------ determinism
 def test_run_cell_is_hermetic():
     """The same cell run twice in one process gives identical rows."""
-    cell = next(c for c in figure5_cells(42) if c.kind == "unit-startup")
+    cell = next(c for c in figure5.cells(42) if c.kind == "unit-startup")
     first = run_cell(cell)
     second = run_cell(cell)
     assert first["rows"] == second["rows"]
@@ -148,7 +164,7 @@ def test_sweep_rejects_bad_jobs():
 
 
 def test_explicit_cell_subset_runs_only_those_cells():
-    cells = [c for c in figure5_cells(42) if c.kind == "unit-startup"][:1]
+    cells = [c for c in figure5.cells(42) if c.kind == "unit-startup"][:1]
     run = run_sweep("figure5", root_seed=42, jobs=1, cells=cells)
     assert len(run.results) == 1
     assert run.results[0]["key"] == cells[0].key

@@ -1,17 +1,13 @@
 """Chaos sweep: grid shape, determinism, and scenario invariants."""
 
 from repro.api import UnitManager
+from repro.experiments import chaos
 from repro.experiments.chaos import run_chaos_bag, run_nm_loss
-from repro.experiments.sweeps import (
-    build_cells,
-    chaos_cells,
-    run_cell,
-    run_sweep,
-)
+from repro.experiments.sweeps import build_cells, run_cell, run_sweep
 
 
 def _cell(kind, **params):
-    matches = [c for c in chaos_cells(42)
+    matches = [c for c in chaos.cells(42)
                if c.kind == kind
                and all(dict(c.params).get(k) == v
                        for k, v in params.items())]
@@ -20,10 +16,10 @@ def _cell(kind, **params):
 
 
 def test_chaos_grid_shape():
-    assert len(chaos_cells(42)) == 5
-    assert len(chaos_cells(42, quick=True)) == 4
-    assert build_cells("chaos", 42) == chaos_cells(42)
-    kinds = {c.kind for c in chaos_cells(42)}
+    assert len(chaos.cells(42)) == 5
+    assert len(chaos.cells(42, quick=True)) == 4
+    assert build_cells("chaos", 42) == chaos.cells(42)
+    kinds = {c.kind for c in chaos.cells(42)}
     assert kinds == {"bag", "nm-loss", "hdfs-heal"}
 
 
