@@ -51,11 +51,7 @@ class SensitivityRow:
 def run_lustre_bw_cell(bw_mb: float, flavor: str, seed: int = 42,
                        points: int = 1_000_000, clusters: int = 50,
                        ntasks: int = 32, nodes: int = 3) -> Dict[str, Any]:
-    """K-Means time-to-completion of one runtime at one Lustre share.
-
-    The session keeps its default seed, so ``seed`` does not reach the
-    world: every seed gives the same row.
-    """
+    """K-Means time-to-completion of one runtime at one Lustre share."""
     lustre_bw = bw_mb * 1e6
     spec = stampede(num_nodes=nodes)
     spec = replace(spec, shared_fs=StorageSpec(
@@ -65,7 +61,7 @@ def run_lustre_bw_cell(bw_mb: float, flavor: str, seed: int = 42,
     env = Environment()
     registry = Registry()
     site = registry.register(Site(env, spec, rms_config=CALIBRATED_RMS))
-    session = Session(env, registry)
+    session = Session(env, registry, seed=seed)
     pmgr, umgr = PilotManager(session), UnitManager(session)
     lrm = "yarn" if flavor == "RP-YARN" else "fork"
     pilot = pmgr.submit_pilot(ComputePilotDescription(

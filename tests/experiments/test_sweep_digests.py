@@ -37,7 +37,7 @@ SUBSET_DIGESTS = {
         "2cc035e9258005e6f0727f8719cf074f63e5673f678359b46ae8594db57b6e65"),
     "sensitivity": (
         {"bw_mb": 10},
-        "644f52c76e3418d56f26e8b3223782dbe3a20ea6d80345578b40080642141635"),
+        "c468f6135bd30a3d4556b03a8693f946334cb243aa3a87c19ecf604095879901"),
 }
 
 
