@@ -12,8 +12,6 @@ Usage::
     python -m repro sweep --list         # list the registered grids
     python -m repro sweep chaos --run-dir runs/c1       # crash-safe
     python -m repro sweep chaos --run-dir runs/c1 --resume
-    python -m repro lint [--check]       # determinism linter (simlint)
-    python -m repro lint --flow [--check]   # + cross-module taint (SIM10x)
     python -m repro checkpoint bag --store ckpt --at 120
     python -m repro restore ckpt [--until T]
 
@@ -37,16 +35,6 @@ finished cell is journaled durably, so a killed run resumed with
 ``--resume`` re-runs only the unfinished cells and produces a
 byte-identical aggregate digest; ``--max-cells N`` bounds one
 invocation for incremental runs.
-
-``lint`` runs simlint, the determinism linter, over the simulation
-sources (wall-clock calls, unseeded RNG, salted ``hash()``, module
-globals, unordered iteration, swallowed exceptions) — see
-:mod:`repro.analysis.simlint`.  ``--check`` makes new-vs-baseline
-findings a non-zero exit for CI.  ``--flow`` adds the import-graph-
-aware SIM10x taint pass (:mod:`repro.analysis.simflow`): wall-clock /
-global-RNG / salted-hash / process-environment values tracked across
-assignments, returns and module boundaries until they reach an
-event-schedule, digest, aggregate-row or telemetry sink.
 
 ``checkpoint`` launches a registered scenario (``checkpoint --list``
 names them), optionally advances the clock with ``--at T``, and writes

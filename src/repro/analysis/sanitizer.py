@@ -1,8 +1,7 @@
 """SimSanitizer: runtime invariant checking for the simulation stack.
 
-simlint (:mod:`repro.analysis.simlint`) checks determinism hazards *by
-construction*; this module checks the stack's accounting invariants
-*in motion*, as one composable mechanism:
+This module checks the stack's accounting invariants *in motion*, as
+one composable mechanism:
 
 * each invariant is a checker method on :class:`SimSanitizer`
   (scheduler core-accounting, pipe byte conservation, YARN

@@ -17,7 +17,7 @@ This is the textbook adaptive-sampling / Markov-state-model workflow
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List
 
 import numpy as np
 

@@ -15,7 +15,7 @@ clusters) distance matrix; partial sums are ``np.bincount`` reductions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 

@@ -186,16 +186,6 @@ def _run_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_lint(args: argparse.Namespace) -> int:
-    from repro.analysis.simlint import lint_command
-    return lint_command(
-        paths=args.paths, output=args.format, check=args.check,
-        baseline_path=args.baseline,
-        update_baseline=args.update_baseline,
-        list_rules=args.list_rules,
-        flow=args.flow)
-
-
 def _parse_param(item: str) -> Tuple[str, Any]:
     """``K=V`` with JSON-ish value coercion (int, float, bool, str)."""
     if "=" not in item:
@@ -313,30 +303,6 @@ COMMANDS: Tuple[Command, ...] = (
                      "(incremental runs)"),
         ),
         exit_codes=((0, "success"), (1, "journal mismatch or disk error"),
-                    (2, "usage error"))),
-    Command(
-        name="lint", runner=_run_lint,
-        help="run simlint, the determinism linter, over the sources",
-        args=(
-            arg("paths", nargs="*", default=["src/repro"],
-                help="files or directories to lint (default: src/repro)"),
-            arg("--format", default="text", choices=["text", "json"],
-                dest="format", help="finding output format"),
-            arg("--check", action="store_true",
-                help="exit 1 when findings differ from the baseline "
-                     "(CI mode)"),
-            arg("--baseline", default="simlint-baseline.json",
-                metavar="FILE",
-                help="baseline file of accepted findings"),
-            arg("--update-baseline", action="store_true",
-                help="rewrite the baseline from this run's findings"),
-            arg("--list-rules", action="store_true",
-                help="list the registered rules and exit"),
-            arg("--flow", action="store_true",
-                help="also run the cross-module SIM10x taint pass "
-                     "(import-graph-aware)"),
-        ),
-        exit_codes=((0, "clean"), (1, "new findings in --check mode"),
                     (2, "usage error"))),
     Command(
         name="trace", runner=_run_trace,

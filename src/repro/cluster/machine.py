@@ -20,8 +20,8 @@ harness can sweep them (ablations, sensitivity runs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from dataclasses import dataclass, replace
+from typing import List
 
 from repro.cluster.network import Interconnect
 from repro.cluster.node import Node

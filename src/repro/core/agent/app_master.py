@@ -16,10 +16,9 @@ ablation A3.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Optional
+from typing import Callable
 
-from repro.sim.engine import Environment, Event, SimulationError
-from repro.sim.resources import Store
+from repro.sim.engine import Environment, Event
 from repro.yarn.cluster import YarnCluster
 from repro.yarn.records import AppSpec, ApplicationState, YarnResource
 

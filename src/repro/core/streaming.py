@@ -24,9 +24,9 @@ Both move *real* Python records, so downstream results are checkable.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List
 
-from repro.sim.engine import Environment, Event, SimulationError
+from repro.sim.engine import Environment, SimulationError
 from repro.sim.resources import Store
 
 #: Sentinel closing a stream.

@@ -135,9 +135,9 @@ def run_cell(cell: SweepCell) -> Dict[str, Any]:
     runner = grid_module(cell.grid).RUNNERS[cell.kind]
     # Host-side wall time of the runner, reported but never fed back
     # into the simulation — results stay seed-deterministic.
-    t0 = time.perf_counter()  # simlint: disable=SIM001
+    t0 = time.perf_counter()
     out = runner(seed=cell.seed, **dict(cell.params))
-    wall = time.perf_counter() - t0  # simlint: disable=SIM001
+    wall = time.perf_counter() - t0
     rows = _jsonify(out if isinstance(out, list) else [out])
     return {"key": cell.key, "seed": cell.seed, "rows": rows,
             "wall_seconds": wall, "pid": os.getpid()}
@@ -268,7 +268,7 @@ def run_sweep(grid: str, root_seed: int = 42, jobs: Optional[int] = None,
     if max_cells is not None:
         pending = pending[:max_cells]
     # Host-side sweep wall time (progress reporting only, not results).
-    t0 = time.perf_counter()  # simlint: disable=SIM001
+    t0 = time.perf_counter()
     fresh: Dict[str, Dict[str, Any]] = {}
     try:
         if jobs == 1 or len(pending) <= 1:
@@ -293,7 +293,7 @@ def run_sweep(grid: str, root_seed: int = 42, jobs: Optional[int] = None,
     finally:
         if journal is not None:
             journal.close()
-    wall = time.perf_counter() - t0  # simlint: disable=SIM001
+    wall = time.perf_counter() - t0
     merged = {**done, **fresh}
     results = [merged[cell.key] for cell in cells if cell.key in merged]
     return SweepRun(grid=grid, root_seed=root_seed, jobs=jobs,

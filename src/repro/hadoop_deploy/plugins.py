@@ -7,7 +7,7 @@ frameworks register via :func:`register_plugin`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Type
+from typing import Dict, List, Optional, Type
 
 from repro.cluster.node import Node
 from repro.core.agent.lrm import render_hadoop_configs

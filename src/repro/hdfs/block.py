@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any
 
 #: Default HDFS block size (dfs.blocksize), 128 MB as in Hadoop 2.x.
 DEFAULT_BLOCK_SIZE = 128 * 1024 ** 2

@@ -12,7 +12,7 @@ interconnect.  Each restart of the worker CU (e.g. under a
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Set
+from typing import TYPE_CHECKING, Set
 
 from repro.cluster.node import Node, NodeDied
 from repro.sim.engine import Environment, Event

@@ -19,7 +19,7 @@ code-reuse pattern §V describes).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.sim.engine import Environment
 from repro.yarn.records import ApplicationReport, AppSpec
 from repro.yarn.resource_manager import AppRecord, ResourceManager

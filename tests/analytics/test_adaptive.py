@@ -1,7 +1,6 @@
 """Tests for the adaptive-sampling workload."""
 
 import numpy as np
-import pytest
 
 from repro.analytics import (
     coverage,

@@ -4,8 +4,6 @@ PYTEST_DONT_REWRITE — assertion rewriting of this module trips a
 CPython 3.11 ``ast`` recursion-guard bug; plain asserts work fine.
 """
 
-from collections import Counter
-
 import pytest
 
 from repro.analytics.genomics import (

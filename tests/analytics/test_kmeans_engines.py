@@ -5,7 +5,6 @@ CPython 3.11 ``ast`` recursion-guard bug; plain asserts work fine.
 """
 
 import numpy as np
-import pytest
 
 from repro.analytics import (
     generate_points,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import Machine, stampede
+from repro.cluster import stampede
 from repro.core.agent.lrm import (
     LRM_TYPES,
     make_lrm,

@@ -5,8 +5,6 @@ CPython 3.11 ``ast`` recursion-guard bug (SystemError: AST constructor
 recursion depth mismatch); plain asserts work fine.
 """
 
-import pytest
-
 from repro.api import (
     AgentConfig,
     ComputePilotDescription,

@@ -41,6 +41,17 @@ SUBSET_DIGESTS = {
 }
 
 
+def pinned_cells(grid):
+    """The cells behind ``grid``'s pinned digest, in declaration order:
+    the whole quick grid, or the slow grid's two-cell subset."""
+    cells = build_cells(grid, root_seed=42, quick=True)
+    if grid in SUBSET_DIGESTS:
+        where = SUBSET_DIGESTS[grid][0]
+        cells = [cell for cell in cells
+                 if all(cell.param(k) == v for k, v in where.items())]
+    return cells
+
+
 @pytest.mark.parametrize("grid", sorted(QUICK_DIGESTS))
 def test_quick_grid_digest_pinned(grid):
     run = run_sweep(grid, root_seed=42, jobs=1, quick=True)
@@ -50,10 +61,8 @@ def test_quick_grid_digest_pinned(grid):
 
 @pytest.mark.parametrize("grid", sorted(SUBSET_DIGESTS))
 def test_slow_grid_subset_digest_pinned(grid):
-    where, digest = SUBSET_DIGESTS[grid]
-    cells = [cell for cell in build_cells(grid, root_seed=42, quick=True)
-             if all(cell.param(k) == v for k, v in where.items())]
+    cells = pinned_cells(grid)
     assert sorted(cell.param("flavor") for cell in cells) == \
         ["RP", "RP-YARN"]
     run = run_sweep(grid, root_seed=42, jobs=1, cells=cells)
-    assert run.digest() == digest
+    assert run.digest() == SUBSET_DIGESTS[grid][1]

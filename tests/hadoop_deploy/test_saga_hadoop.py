@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import Machine, stampede, wrangler
+from repro.cluster import stampede, wrangler
 from repro.hadoop_deploy import (
     FrameworkPlugin,
     SagaHadoop,

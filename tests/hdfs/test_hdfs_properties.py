@@ -1,6 +1,5 @@
 """Property-based tests of HDFS invariants."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -5,7 +5,6 @@ so failures surface as test failures rather than user-facing bitrot.
 """
 
 import importlib.util
-import sys
 from pathlib import Path
 
 import pytest

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.mapreduce import MapReduceJob, MRJobSpec
+from repro.mapreduce import MapReduceJob
 from tests.mapreduce.test_mapreduce import (
     EXPECTED,
     WORDS,

@@ -268,9 +268,9 @@ def test_rejected_scenario_parameter_is_a_persist_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: scenario 'bag'")
 
 
-def test_persist_round_trip_does_not_import_the_linter(tmp_path):
+def test_persist_round_trip_imports_only_the_sanitizer(tmp_path):
     """Layering: checkpoint -> restore in a fresh interpreter loads the
-    sanitizer (the stack needs it) and none of the AST tooling."""
+    sanitizer (the stack needs it) and nothing else of repro.analysis."""
     code = (
         "import sys\n"
         "from repro.persist import launch, restore\n"

@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.sim import (
-    AllOf,
-    Environment,
-    Event,
-    Interrupt,
-    Resource,
-    SimulationError,
-)
+from repro.sim import Environment, Interrupt, Resource, SimulationError
 
 
 def test_all_of_fails_if_any_constituent_fails():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster import Machine, stampede
 from repro.sim import Environment, SimulationError
-from repro.spark import SparkMaster, SparkStandaloneCluster, SparkWorker
+from repro.spark import SparkStandaloneCluster
 
 
 def make_cluster(num_nodes=2):

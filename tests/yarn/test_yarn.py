@@ -8,7 +8,6 @@ from repro.yarn import (
     AppSpec,
     ApplicationState,
     CapacityPolicy,
-    ContainerRequest,
     ContainerState,
     YarnCluster,
     YarnConfig,
