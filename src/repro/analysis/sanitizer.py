@@ -197,9 +197,8 @@ class SimSanitizer:
     def check_resource_manager(self, rm) -> None:
         """YARN RM state tallies: incremental running/pending counters,
         the active-app index, the runnable index with its
-        pending-request count and per-queue usage, per-app usage vs
-        live containers, and per-NM used capacity vs its container
-        set."""
+        pending-request count, per-app usage vs live containers, and
+        per-NM used capacity vs its container set."""
         running = pending = 0
         for app in rm.apps.values():
             state = app.state.name
@@ -231,16 +230,6 @@ class SimSanitizer:
             self.fail("yarn-rm",
                       f"pending-request count {rm._pending_requests} != "
                       f"scan {backlog}")
-        queue_used = dict.fromkeys(rm._queue_used_mb, 0)
-        for app in rm._active_apps.values():
-            queue_used[app.queue] = (queue_used.get(app.queue, 0)
-                                     + app.usage.memory_mb)
-        for queue, scanned in sorted(queue_used.items()):
-            if rm._queue_used_mb.get(queue, 0) != scanned:
-                self.fail("yarn-rm",
-                          f"per-queue usage tally for {queue!r} "
-                          f"{rm._queue_used_mb.get(queue, 0)} MB != "
-                          f"active-app scan {scanned} MB")
         for app in rm.apps.values():
             mem = sum(c.resource.memory_mb
                       for c in app.live_containers.values())

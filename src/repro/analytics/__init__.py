@@ -1,15 +1,13 @@
 """Application workloads: K-Means (paper §IV-B) and MD trajectory analysis.
 
 K-Means is the paper's evaluation workload.  It is implemented here
-three ways, all computing *real* NumPy results validated against a
+two ways, both computing *real* NumPy results validated against a
 vectorized reference implementation:
 
 * :func:`run_kmeans_pilot` — the paper's decomposition: per iteration,
   N map Compute-Units (partial sums over point chunks) and one reduce
   Compute-Unit (centroid update), submitted through the Unit-Manager to
   a plain (Lustre-bound) or YARN (local-disk) pilot;
-* :func:`run_kmeans_mapreduce` — the same dataflow on the MapReduce
-  engine over HDFS;
 * :func:`run_kmeans_spark` — Spark RDD version with cached points
   (the memory-centric variant).
 
@@ -31,21 +29,13 @@ from repro.analytics.genomics import (
     generate_reads,
 )
 from repro.analytics.graphs import (
-    count_triangles_local,
-    count_triangles_pilot,
     count_triangles_reference,
     count_triangles_spark,
     generate_graph,
 )
-from repro.analytics.repex import (
-    RepexResult,
-    exchange_probability,
-    run_replica_exchange,
-)
 from repro.analytics.kmeans import (
     KMeansCost,
     kmeans_reference,
-    run_kmeans_mapreduce,
     run_kmeans_pilot,
     run_kmeans_spark,
 )
@@ -60,24 +50,18 @@ __all__ = [
     "KMeansCost",
     "count_kmers_mapreduce",
     "count_kmers_reference",
-    "count_triangles_local",
-    "count_triangles_pilot",
     "count_triangles_reference",
     "count_triangles_spark",
     "coverage",
     "generate_graph",
     "generate_points",
     "generate_reads",
-    "RepexResult",
-    "exchange_probability",
     "pick_seeds",
     "run_adaptive_sampling",
-    "run_replica_exchange",
     "simulate_walker",
     "kmeans_reference",
     "radius_of_gyration",
     "rmsd_to_reference",
-    "run_kmeans_mapreduce",
     "run_kmeans_pilot",
     "run_kmeans_spark",
     "run_trajectory_analysis",

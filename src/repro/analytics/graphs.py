@@ -4,8 +4,8 @@ The paper's introduction names network science among the domains that
 "need to couple traditional computing with Hadoop/Spark based
 analysis", citing Arifuzzaman et al.'s space-efficient parallel
 triangle counting.  We implement the canonical distributed algorithm —
-degree-ordered edge orientation + wedge join — as a Spark RDD pipeline
-and as plain Compute-Units, validated against networkx.
+degree-ordered edge orientation + wedge join — as a Spark RDD pipeline,
+validated against networkx.
 
 Algorithm (the "node-iterator++" / edge-orientation scheme the cited
 paper builds on):
@@ -70,28 +70,6 @@ def _orient(edges: Sequence[Edge]) -> List[Edge]:
     return [(u, v) if rank[u] < rank[v] else (v, u) for u, v in edges]
 
 
-def count_triangles_local(edges: Sequence[Edge]) -> int:
-    """Single-process implementation of the same algorithm."""
-    rank = _ranks(edges)
-    oriented = _orient(edges)
-    adjacency: Dict[int, Set[int]] = {}
-    for u, v in oriented:
-        adjacency.setdefault(u, set()).add(v)
-    triangles = 0
-    for _u, outs in adjacency.items():
-        # pairs ordered by RANK: the closing edge, if present, goes
-        # from the rank-lower to the rank-higher target
-        outs_list = sorted(outs, key=rank.__getitem__)
-        for i, b in enumerate(outs_list):
-            closing = adjacency.get(b)
-            if not closing:
-                continue
-            for c in outs_list[i + 1:]:
-                if c in closing:
-                    triangles += 1
-    return triangles
-
-
 def count_triangles_spark(ctx, edges: Sequence[Edge],
                           num_partitions: int = 4):
     """Distributed triangle count over RDDs.  Generator -> int."""
@@ -113,48 +91,3 @@ def count_triangles_spark(ctx, edges: Sequence[Edge],
     matched = wedge_rdd.join(closing_rdd, num_partitions)
     count = yield from matched.count()
     return count
-
-
-def count_triangles_pilot(umgr, edges: Sequence[Edge], ntasks: int = 4,
-                          cpu_per_edge: float = 1e-3):
-    """Triangle counting as Compute-Units.  Generator -> int.
-
-    Partition oriented edges by source-vertex hash; each unit counts
-    the triangles whose wedge source falls in its partition, using the
-    full closing-edge set (broadcast-style input).
-    """
-    from repro.core.description import ComputeUnitDescription
-
-    rank = _ranks(edges)
-    oriented = _orient(edges)
-    closing: Dict[int, Set[int]] = {}
-    for u, v in oriented:
-        closing.setdefault(u, set()).add(v)
-
-    def count_partition(partition_index, _nt=ntasks,
-                        _closing=closing, _rank=rank):
-        count = 0
-        for u, outs in _closing.items():
-            if u % _nt != partition_index:
-                continue
-            outs_list = sorted(outs, key=_rank.__getitem__)
-            for i, b in enumerate(outs_list):
-                closers = _closing.get(b)
-                if not closers:
-                    continue
-                for c in outs_list[i + 1:]:
-                    if c in closers:
-                        count += 1
-        return count
-
-    units = umgr.submit_units([ComputeUnitDescription(
-        executable="triangles", name=f"tri-{p}", cores=1,
-        cpu_seconds=cpu_per_edge * len(oriented),
-        input_bytes=16.0 * len(oriented),
-        function=count_partition, args=(p,))
-        for p in range(ntasks)])
-    yield umgr.wait_units(units)
-    failed = [u for u in units if u.state.value != "Done"]
-    if failed:
-        raise RuntimeError(f"{len(failed)} triangle units failed")
-    return sum(u.result for u in units)

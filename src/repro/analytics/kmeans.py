@@ -199,67 +199,6 @@ def run_kmeans_pilot(umgr, points: np.ndarray, k: int, ntasks: int,
     return centroids, all_units
 
 
-# ----------------------------------------------------- MapReduce variant
-def run_kmeans_mapreduce(env, hdfs, yarn, points: np.ndarray, k: int,
-                         iterations: int = 2, num_blocks: int = 4,
-                         initial: Optional[np.ndarray] = None,
-                         cost: Optional[KMeansCost] = None):
-    """K-Means as iterated MapReduce jobs over HDFS.  Generator.
-
-    Each iteration is one MR job: mappers emit per-chunk partial sums
-    keyed by cluster id fragment (a single reducer merges), with the
-    chunk payloads stored as HDFS block payloads.  Returns centroids.
-    """
-    from repro.mapreduce import MapReduceJob, MRJobSpec
-
-    cost = cost or KMeansCost()
-    dim = points.shape[1]
-    chunks = np.array_split(points, num_blocks)
-    nbytes = cost.bytes_per_point_in * len(points)
-    client = hdfs.client(hdfs.master_node.name)
-    if not client.exists("/kmeans/points"):
-        # one block per chunk, each block's payload being a single
-        # "record" (the whole chunk) — so each map task sees one chunk
-        yield env.process(client.put(
-            "/kmeans/points", nbytes,
-            payload_slices=[[chunk] for chunk in chunks],
-            block_size=max(1.0, nbytes / num_blocks)))
-
-    centroids = np.array(points[:k], dtype=np.float64) if initial is None \
-        else np.array(initial, dtype=np.float64)
-
-    for it in range(iterations):
-        frozen = centroids.copy()
-
-        def mapper(chunk, _c=frozen):
-            sums, counts = _partial_sums(np.asarray(chunk), _c)
-            return [("partial", (sums, counts))]
-
-        def reducer(key, values, _c=frozen):
-            sums = np.sum([v[0] for v in values], axis=0)
-            counts = np.sum([v[1] for v in values], axis=0)
-            return [_update(_c, sums, counts)]
-
-        spec = MRJobSpec(
-            name=f"kmeans-it{it}",
-            input_path="/kmeans/points",
-            output_path=f"/kmeans/out-{it}",
-            mapper=mapper, reducer=reducer, num_reducers=1,
-            map_cpu_per_record=0.0,
-            bytes_per_pair=cost.bytes_per_point_shuffle
-            * max(1, len(points) // num_blocks))
-        job = MapReduceJob(env, spec, hdfs)
-        # NOTE: the mapper receives whole chunks as records (one record
-        # per block payload), so per-record CPU is charged via
-        # map_cpu_per_record at chunk granularity.
-        spec.map_cpu_per_record = cost.cpu_per_pcd * (
-            len(points) / num_blocks) * k * dim
-        output = yield env.process(job.run_on_yarn(yarn))
-        centroids = output[0][0]
-
-    return centroids
-
-
 # --------------------------------------------------------- Spark variant
 def run_kmeans_spark(ctx, points: np.ndarray, k: int,
                      iterations: int = 2, num_partitions: int = 4,

@@ -35,12 +35,7 @@ from repro.core.pilot_manager import PilotManager
 from repro.core.session import Session
 from repro.core.states import PilotState, UnitState
 from repro.core.unit import ComputeUnit
-from repro.core.unit_manager import (
-    BackfillScheduler,
-    PredictiveScheduler,
-    RoundRobinScheduler,
-    UnitManager,
-)
+from repro.core.unit_manager import UnitManager
 from repro.faults import (
     FAULT_KINDS,
     FaultInjector,
@@ -55,7 +50,6 @@ from repro.raptor import (
     TaskFuture,
     TaskResult,
 )
-from repro.core.states import ServiceState
 from repro.experiments.sweeps import Sweep, SweepRun
 from repro.persist import (
     CheckpointInfo,
@@ -86,7 +80,6 @@ from repro.sim.engine import Environment, SimulationError
 
 __all__ = [
     "AgentConfig",
-    "BackfillScheduler",
     "CheckpointInfo",
     "ComputeDataService",
     "ComputePilot",
@@ -110,17 +103,14 @@ __all__ = [
     "PilotManager",
     "PilotService",
     "PilotState",
-    "PredictiveScheduler",
     "RaptorConfig",
     "RaptorOverlay",
     "Registry",
     "RestartPolicy",
     "RestoreMismatch",
-    "RoundRobinScheduler",
     "SchemaDrift",
     "ServiceConfig",
     "ServiceSession",
-    "ServiceState",
     "Session",
     "SimulationError",
     "Site",

@@ -46,10 +46,6 @@ class MachineSpec:
     download_bw: float              # bytes/s from the outside world
     has_dedicated_hadoop: bool = False
 
-    def with_nodes(self, num_nodes: int) -> "MachineSpec":
-        """A copy of this spec with a different node count."""
-        return replace(self, num_nodes=num_nodes)
-
 
 class Machine:
     """Instantiated cluster hardware bound to a simulation environment."""
@@ -80,10 +76,6 @@ class Machine:
     def name(self) -> str:
         return self.spec.name
 
-    @property
-    def total_cores(self) -> int:
-        return self.spec.num_nodes * self.spec.cores_per_node
-
     def node_by_name(self, name: str) -> Node:
         """Look up a node; raises on unknown names.
 
@@ -99,10 +91,6 @@ class Machine:
     def download_seconds(self, nbytes: float) -> float:
         """Time to fetch ``nbytes`` from the outside world (Hadoop tarball)."""
         return nbytes / self.spec.download_bw
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (f"<Machine {self.name}: {self.spec.num_nodes} nodes x "
-                f"{self.spec.cores_per_node} cores>")
 
 
 def stampede(num_nodes: int = 4) -> MachineSpec:

@@ -105,11 +105,6 @@ class SharedBandwidthPipe:
         self._shadow_synced = True
 
     # -- public API --------------------------------------------------------
-    @property
-    def active_streams(self) -> int:
-        """Number of transfers currently in flight."""
-        return len(self._heap)
-
     def current_rate(self) -> float:
         """Per-stream rate (bytes/s) given current concurrency."""
         n = len(self._heap)
@@ -184,18 +179,6 @@ class SharedBandwidthPipe:
         self.aggregate_bw = float(aggregate_bw)
         self.per_stream_bw = float(per_stream_bw) if per_stream_bw else None
         self._reschedule()
-
-    def estimate_duration(self, nbytes: float, streams: int = 1) -> float:
-        """Closed-form duration estimate at a fixed concurrency level.
-
-        Benchmarks use this for sanity checks; the event-driven path is
-        authoritative.
-        """
-        n = max(1, streams)
-        rate = self.aggregate_bw / n
-        if self.per_stream_bw is not None:
-            rate = min(rate, self.per_stream_bw)
-        return self.latency + nbytes / rate
 
     # -- internals -----------------------------------------------------------
     def _single_stream_rate(self) -> float:
@@ -316,17 +299,6 @@ class StorageVolume:
         self.used += nbytes
         self.write_bytes += nbytes
         return self.pipe.transfer(nbytes)
-
-    def write_many(self, sizes: Iterable[float]) -> Event:
-        """Write a batch of chunks as one coalesced stream."""
-        sizes = list(sizes)
-        total = sum(sizes)
-        if total > self.free:
-            raise SimulationError(
-                f"storage {self.name!r} full: need {total}, free {self.free}")
-        self.used += total
-        self.write_bytes += total
-        return self.pipe.transfer_many(sizes)
 
     def delete(self, nbytes: float) -> None:
         """Return ``nbytes`` of capacity (metadata-only, instantaneous)."""

@@ -59,9 +59,6 @@ class ServiceContext:
         self.node = node
         self.cores = cores
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<ServiceContext {self.node.name} x{self.cores}>"
-
 
 def _run_payload(unit_desc: ComputeUnitDescription):
     """Execute the unit's real Python function (eagerly)."""

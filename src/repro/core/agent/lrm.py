@@ -66,10 +66,6 @@ class LocalResourceManager:
         self.setup_seconds: float = 0.0
 
     @property
-    def cores_per_node(self) -> int:
-        return self.nodes[0].num_cores if self.nodes else 0
-
-    @property
     def total_cores(self) -> int:
         return sum(n.num_cores for n in self.nodes)
 

@@ -37,10 +37,6 @@ class SlotAllocation:
         self._cores = cores
 
     @property
-    def nodes(self) -> List[Node]:
-        return [node for node, _ in self.assignments]
-
-    @property
     def total_cores(self) -> int:
         if self._cores is not None:
             return self._cores

@@ -26,7 +26,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.description import ComputeUnitDescription, Description
 from repro.core.pilot import ComputePilot
 from repro.core.session import Session
-from repro.core.unit import ComputeUnit
 from repro.core.unit_manager import UnitManager
 from repro.saga.filesystem import copy_file
 from repro.saga.url import Url
@@ -91,14 +90,8 @@ class PilotData:
                 f"free {self.free:.0f}")
         self.used += nbytes
 
-    def _release(self, nbytes: float) -> None:
-        self.used = max(0.0, self.used - nbytes)
-
     def path_for(self, du_uid: str, filename: str) -> str:
         return f"/pilot-data/{self.uid}/{du_uid}/{filename}"
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<PilotData {self.uid} on {self.site.hostname}>"
 
 
 class DataUnit:
@@ -109,10 +102,6 @@ class DataUnit:
         self.uid = uid
         self.description = description
         self.replicas: List[PilotData] = []
-
-    @property
-    def state(self) -> str:
-        return "Available" if self.replicas else "New"
 
     @property
     def nbytes(self) -> float:
@@ -126,9 +115,6 @@ class DataUnit:
 
     def _add_replica(self, pd: PilotData) -> None:
         self.replicas.append(pd)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<DataUnit {self.uid} ({self.state})>"
 
 
 # ------------------------------------------------------------------ service
@@ -202,16 +188,6 @@ class ComputeDataService:
         du._add_replica(target)
         return du
 
-    def delete_data_unit(self, du: DataUnit) -> None:
-        for pd in du.replicas:
-            for filename, _ in du.description.files:
-                path = pd.path_for(du.uid, filename)
-                if pd.site.scratch.exists(path):
-                    pd.site.scratch.delete(path)
-            pd._release(du.nbytes)
-        du.replicas.clear()
-        self.data_units.pop(du.uid, None)
-
     # ------------------------------------------------------------- compute
     def submit_compute_unit(self, description: ComputeUnitDescription,
                             input_data: Sequence[DataUnit] = ()):
@@ -242,14 +218,7 @@ class ComputeDataService:
                 staging.append((local.path_for(du.uid, filename), nbytes))
 
         description.input_staging = tuple(staging)
-        # pin the unit to the chosen pilot via a one-shot scheduler
-        original = self.umgr.scheduler
-        self.umgr.scheduler = _PinnedScheduler(target_pilot)
-        try:
-            units = self.umgr.submit_units(description)
-        finally:
-            self.umgr.scheduler = original
-        return units[0]
+        return self.umgr._submit_unit(description, target_pilot)
 
     def _pick_pilot(self, pilots: List[ComputePilot],
                     input_data: Sequence[DataUnit]) -> ComputePilot:
@@ -266,12 +235,3 @@ class ComputeDataService:
                 return pd
         return None
 
-
-class _PinnedScheduler:
-    """One-shot UM scheduler: everything goes to a fixed pilot."""
-
-    def __init__(self, pilot: ComputePilot):
-        self.pilot = pilot
-
-    def assign(self, unit: ComputeUnit, pilots) -> ComputePilot:
-        return self.pilot

@@ -39,25 +39,10 @@ class Description:
         self._check()
         return self
 
-    def _check(self) -> None:  # pragma: no cover - overridden
-        """Field checks; override in subclasses."""
-
     @staticmethod
     def _require(condition: bool, message: str) -> None:
         if not condition:
             raise DescriptionError(message)
-
-    @classmethod
-    def from_dict(cls, mapping: Dict[str, Any]) -> "Description":
-        """Build and validate a description from a keyword mapping."""
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(mapping) - known)
-        if unknown:
-            raise DescriptionError(
-                f"unknown {cls.__name__} fields: {', '.join(unknown)}")
-        instance = cls(**mapping)
-        instance.validate()
-        return instance
 
     def replace(self, **changes: Any) -> "Description":
         """Clone with ``changes`` applied; the clone is validated."""

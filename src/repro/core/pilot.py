@@ -31,6 +31,3 @@ class ComputePilot(StateHandle):
         self._final_event: Optional[Event] = None
         #: populated once ACTIVE: agent-side metrics for the benchmarks
         self.agent_info: Dict[str, float] = {}
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<ComputePilot {self.uid} {self.state.value}>"

@@ -108,11 +108,6 @@ class PilotManager:
         self.session.db.collection("pilots").set(
             uid, {"cancel_requested": True})
 
-    def last_heartbeat(self, uid: str):
-        """Timestamp of the pilot agent's last heartbeat (None = never)."""
-        return self.session.db.collection("pilots").get(uid).get(
-            "heartbeat")
-
     # ------------------------------------------------- heartbeat monitor
     def _heartbeat_monitor(self):
         """Fail ACTIVE pilots whose agent stopped heartbeating.

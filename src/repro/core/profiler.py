@@ -6,9 +6,7 @@ These helpers turn the handles' histories into the durations and
 series the evaluation plots:
 
 * per-unit phase durations (scheduling delay, staging, execution);
-* pilot startup decomposition;
-* concurrency over time (how many units were EXECUTING at t);
-* core utilization of a pilot by a set of units.
+* concurrency over time (how many units were EXECUTING at t).
 
 All functions are duck-typed over "anything with ``history`` /
 ``timestamp()``": client-side handles, or the live views a
@@ -19,10 +17,9 @@ to finish.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.core.pilot import ComputePilot
-from repro.core.states import PilotState, UnitState
+from repro.core.states import UnitState
 from repro.core.unit import ComputeUnit
 
 #: The unit phases reported by :func:`unit_phases`, as (label, from, to).
@@ -65,24 +62,6 @@ def phase_means(units: Iterable[ComputeUnit]
             for label, _, _ in UNIT_PHASES}
 
 
-def pilot_startup_breakdown(pilot: ComputePilot) -> Dict[str, float]:
-    """Submission-to-active decomposition of one pilot."""
-    stamps = {state: pilot.timestamp(state) for state in PilotState}
-    out: Dict[str, float] = {}
-
-    def span(label, a, b):
-        if stamps.get(a) is not None and stamps.get(b) is not None:
-            out[label] = stamps[b] - stamps[a]
-
-    span("submit_to_launch", PilotState.NEW, PilotState.LAUNCHING)
-    span("queue_wait", PilotState.LAUNCHING, PilotState.PENDING_ACTIVE)
-    span("agent_bootstrap", PilotState.PENDING_ACTIVE, PilotState.ACTIVE)
-    span("total", PilotState.NEW, PilotState.ACTIVE)
-    if pilot.agent_info:
-        out["lrm_setup"] = pilot.agent_info.get("lrm_setup_seconds", 0.0)
-    return out
-
-
 def concurrency_series(units: Iterable[ComputeUnit],
                        state: UnitState = UnitState.EXECUTING
                        ) -> List[Tuple[float, int]]:
@@ -117,35 +96,3 @@ def peak_concurrency(units: Iterable[ComputeUnit],
     series = concurrency_series(units, state)
     return max((count for _, count in series), default=0)
 
-
-def core_utilization(units: Sequence[ComputeUnit],
-                     pilot: ComputePilot,
-                     start: Optional[float] = None,
-                     end: Optional[float] = None) -> float:
-    """Busy core-seconds / available core-seconds over [start, end].
-
-    Defaults: from the pilot going ACTIVE to the last unit leaving
-    EXECUTING.
-    """
-    cores = pilot.agent_info.get("cores", 0)
-    if not cores or not units:
-        return 0.0
-    if start is None:
-        start = pilot.timestamp(PilotState.ACTIVE) or 0.0
-    exec_spans = []
-    for unit in units:
-        t0 = unit.timestamp(UnitState.EXECUTING)
-        t1 = unit.timestamp(UnitState.AGENT_STAGING_OUTPUT)
-        if t0 is not None and t1 is not None:
-            exec_spans.append((t0, t1, unit.description.cores))
-    if not exec_spans:
-        return 0.0
-    if end is None:
-        end = max(t1 for _, t1, _ in exec_spans)
-    window = end - start
-    if window <= 0:
-        return 0.0
-    busy = sum((min(t1, end) - max(t0, start)) * c
-               for t0, t1, c in exec_spans
-               if min(t1, end) > max(t0, start))
-    return busy / (cores * window)

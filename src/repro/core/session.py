@@ -80,16 +80,15 @@ class Session:
             self._pilot_manager = PilotManager(self)
         return self._pilot_manager
 
-    def unit_manager(self, scheduler=None, restart_policy=None):
+    def unit_manager(self, restart_policy=None):
         """The session's UnitManager (created on first use).
 
-        With arguments a *fresh* manager is returned; the no-arg call
-        returns the session-scoped singleton.
+        With a ``restart_policy`` a *fresh* manager is returned; the
+        no-arg call returns the session-scoped singleton.
         """
         from repro.core.unit_manager import UnitManager
-        if scheduler is not None or restart_policy is not None:
-            return UnitManager(self, scheduler=scheduler,
-                               restart_policy=restart_policy)
+        if restart_policy is not None:
+            return UnitManager(self, restart_policy=restart_policy)
         if self._unit_manager is None:
             self._unit_manager = UnitManager(self)
         return self._unit_manager
@@ -186,6 +185,3 @@ class Session:
 
     def close(self) -> None:
         self.closed = True
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<Session {self.uid}>"

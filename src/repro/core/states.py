@@ -78,54 +78,6 @@ UNIT_TRANSITIONS = {
 }
 
 
-class ServiceState:
-    """Coarse Pilot-API state strings (the BigJob vocabulary).
-
-    The first-generation Pilot-API exposed six string states; both the
-    :mod:`repro.pilot_api` facade and the :mod:`repro.service` query
-    surface report them.
-    """
-
-    UNKNOWN = "Unknown"
-    NEW = "New"
-    RUNNING = "Running"
-    DONE = "Done"
-    CANCELED = "Canceled"
-    FAILED = "Failed"
-
-    FINAL = (DONE, CANCELED, FAILED)
-
-    @classmethod
-    def is_final(cls, state: str) -> bool:
-        return state in cls.FINAL
-
-
-#: Fine-grained pilot state -> coarse Pilot-API string.
-COARSE_PILOT_STATES = {
-    PilotState.NEW: ServiceState.NEW,
-    PilotState.PENDING_LAUNCH: ServiceState.NEW,
-    PilotState.LAUNCHING: ServiceState.NEW,
-    PilotState.PENDING_ACTIVE: ServiceState.NEW,
-    PilotState.ACTIVE: ServiceState.RUNNING,
-    PilotState.DONE: ServiceState.DONE,
-    PilotState.CANCELED: ServiceState.CANCELED,
-    PilotState.FAILED: ServiceState.FAILED,
-}
-
-#: Fine-grained unit state -> coarse Pilot-API string.
-COARSE_UNIT_STATES = {
-    UnitState.NEW: ServiceState.NEW,
-    UnitState.UMGR_SCHEDULING: ServiceState.NEW,
-    UnitState.AGENT_STAGING_INPUT: ServiceState.NEW,
-    UnitState.AGENT_SCHEDULING: ServiceState.NEW,
-    UnitState.EXECUTING: ServiceState.RUNNING,
-    UnitState.AGENT_STAGING_OUTPUT: ServiceState.RUNNING,
-    UnitState.DONE: ServiceState.DONE,
-    UnitState.CANCELED: ServiceState.CANCELED,
-    UnitState.FAILED: ServiceState.FAILED,
-}
-
-
 def check_transition(table, current, new) -> None:
     """Raise ``ValueError`` unless ``current -> new`` is in ``table``."""
     if new not in table.get(current, ()):

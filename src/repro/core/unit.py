@@ -37,6 +37,3 @@ class ComputeUnit(StateHandle):
         if t_exec is None or t_new is None:
             return None
         return t_exec - t_new
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<ComputeUnit {self.uid} {self.state.value}>"

@@ -13,101 +13,12 @@ from repro.core.unit import ComputeUnit
 from repro.sim.engine import Event
 
 
-class RoundRobinScheduler:
-    """Default UM scheduler: deal units over pilots in turn."""
-
-    def __init__(self):
-        self._rr = itertools.count()
-
-    def assign(self, unit: ComputeUnit,
-               pilots: List[ComputePilot]) -> ComputePilot:
-        usable = [p for p in pilots if not p.state.is_final]
-        if not usable:
-            raise RuntimeError("no usable pilots attached")
-        return usable[next(self._rr) % len(usable)]
-
-
-class BackfillScheduler:
-    """Prefer ACTIVE pilots with the most idle capacity (simple greedy)."""
-
-    def __init__(self):
-        self._load: Dict[str, int] = {}
-
-    def assign(self, unit: ComputeUnit,
-               pilots: List[ComputePilot]) -> ComputePilot:
-        usable = [p for p in pilots if not p.state.is_final]
-        if not usable:
-            raise RuntimeError("no usable pilots attached")
-        active = [p for p in usable if p.state is PilotState.ACTIVE]
-        pool = active or usable
-        chosen = min(pool, key=lambda p: self._load.get(p.uid, 0))
-        self._load[chosen.uid] = self._load.get(chosen.uid, 0) \
-            + unit.description.cores
-        return chosen
-
-
-class PredictiveScheduler:
-    """Completion-time-predicting scheduler (paper §V future work).
-
-    Learns per-pilot unit service times with an exponentially-weighted
-    moving average of observed executions, estimates each pilot's
-    earliest completion time for the new unit as::
-
-        ETA(pilot) = queued_core_seconds(pilot) / total_cores(pilot)
-                     + predicted_duration(pilot, unit)
-
-    and assigns the unit to the pilot with the smallest ETA.  With no
-    history it falls back to capacity-proportional load balancing.
-    ``observe`` is fed by the Unit-Manager as units finish.
-    """
-
-    def __init__(self, alpha: float = 0.3):
-        if not 0 < alpha <= 1:
-            raise ValueError("alpha must be in (0, 1]")
-        self.alpha = alpha
-        self._ewma: Dict[str, float] = {}          # pilot -> seconds/core-task
-        self._queued_core_seconds: Dict[str, float] = {}
-
-    # ------------------------------------------------------------ learning
-    def observe(self, pilot_uid: str, duration: float, cores: int) -> None:
-        """Record one finished unit's execution time."""
-        per_core = duration  # duration already reflects the unit's cores
-        previous = self._ewma.get(pilot_uid)
-        self._ewma[pilot_uid] = per_core if previous is None else (
-            self.alpha * per_core + (1 - self.alpha) * previous)
-        backlog = self._queued_core_seconds.get(pilot_uid, 0.0)
-        self._queued_core_seconds[pilot_uid] = max(
-            0.0, backlog - duration * cores)
-
-    def predicted_duration(self, pilot: ComputePilot) -> float:
-        return self._ewma.get(pilot.uid, 60.0)
-
-    # ----------------------------------------------------------- assigning
-    def assign(self, unit: ComputeUnit,
-               pilots: List[ComputePilot]) -> ComputePilot:
-        usable = [p for p in pilots if not p.state.is_final]
-        if not usable:
-            raise RuntimeError("no usable pilots attached")
-
-        def eta(pilot: ComputePilot) -> float:
-            cores = pilot.agent_info.get("cores") or (
-                pilot.description.nodes * 16)
-            backlog = self._queued_core_seconds.get(pilot.uid, 0.0)
-            service = self.predicted_duration(pilot)
-            return backlog / max(1, cores) + service
-
-        chosen = min(usable, key=eta)
-        self._queued_core_seconds[chosen.uid] = (
-            self._queued_core_seconds.get(chosen.uid, 0.0)
-            + self.predicted_duration(chosen) * unit.description.cores)
-        return chosen
-
-
 class UnitManager:
     """Client-side unit lifecycle (paper Figure 3, steps U.1-U.2).
 
-    Units are written to the shared DB assigned to a pilot; the agent
-    picks them up at its next poll.  A watcher replays agent-side state
+    Units are dealt over the usable pilots in turn and written to the
+    shared DB assigned to their pilot; the agent picks them up at its
+    next poll.  A watcher replays agent-side state
     changes onto the handles.
 
     With a :class:`~repro.faults.spec.RestartPolicy` the manager also
@@ -119,12 +30,11 @@ class UnitManager:
     work item truly finishes, not merely until its first attempt dies.
     """
 
-    def __init__(self, session: Session, scheduler=None,
-                 restart_policy=None):
+    def __init__(self, session: Session, restart_policy=None):
         self.session = session
         self.env = session.env
         self.uid = session.next_uid("umgr")
-        self.scheduler = scheduler or RoundRobinScheduler()
+        self._rr = itertools.count()
         self.restart_policy = restart_policy
         if restart_policy is not None:
             restart_policy.validate()
@@ -193,18 +103,29 @@ class UnitManager:
             descriptions = [descriptions]
         if not self.pilots:
             raise RuntimeError("add_pilots() before submit_units()")
-        handles = []
-        for desc in descriptions:
-            desc.validate()
-            uid = self.session.next_uid("unit", width=6)
-            unit = ComputeUnit(self.env, uid, desc)
-            pilot = self.scheduler.assign(unit, self.pilots)
-            unit.pilot_uid = pilot.uid
-            self._roots[uid] = uid
-            self._logical[uid] = Event(self.env)
-            self._insert_unit(unit, pilot)
-            handles.append(unit)
-        return handles
+        return [self._submit_unit(desc) for desc in descriptions]
+
+    def _deal(self, pilots: List[ComputePilot]) -> ComputePilot:
+        """The next of ``pilots`` not yet final, in round-robin turn."""
+        usable = [p for p in pilots if not p.state.is_final]
+        if not usable:
+            raise RuntimeError("no usable pilots attached")
+        return usable[next(self._rr) % len(usable)]
+
+    def _submit_unit(self, desc: ComputeUnitDescription,
+                     pilot: Optional[ComputePilot] = None) -> ComputeUnit:
+        """Validate and queue one unit on ``pilot`` (default: the next
+        in turn); its handle."""
+        desc.validate()
+        uid = self.session.next_uid("unit", width=6)
+        unit = ComputeUnit(self.env, uid, desc)
+        if pilot is None:
+            pilot = self._deal(self.pilots)
+        unit.pilot_uid = pilot.uid
+        self._roots[uid] = uid
+        self._logical[uid] = Event(self.env)
+        self._insert_unit(unit, pilot)
+        return unit
 
     def _insert_unit(self, unit: ComputeUnit, pilot: ComputePilot) -> None:
         """Queue one unit in the shared DB, assigned to ``pilot``."""
@@ -311,7 +232,6 @@ class UnitManager:
                 unit.result = doc.get("result")
                 unit.exit_code = doc.get("exit_code")
                 unit.stderr = doc.get("stderr", "")
-                self._feed_scheduler(unit)
                 self._handle_final(unit)
         for uid in settled:
             del self._live[uid]
@@ -376,9 +296,9 @@ class UnitManager:
             spared = [p for p in usable if p.uid not in failed]
             if spared:
                 candidates = spared
+        pilot = self._deal(candidates)
         new_uid = self.session.next_uid("unit", width=6)
         new_unit = ComputeUnit(self.env, new_uid, unit.description)
-        pilot = self.scheduler.assign(new_unit, candidates)
         new_unit.pilot_uid = pilot.uid
         self._roots[new_uid] = root
         faults = self.env.faults
@@ -389,15 +309,3 @@ class UnitManager:
         if tel is not None:
             tel.emit("unit", "restarted", uid=new_uid,
                      restart_of=unit.uid, root=root, pilot=pilot.uid)
-
-    def _feed_scheduler(self, unit: ComputeUnit) -> None:
-        """Report an execution observation to learning schedulers."""
-        observe = getattr(self.scheduler, "observe", None)
-        if observe is None or unit.pilot_uid is None:
-            return
-        t_exec = unit.timestamp(UnitState.EXECUTING)
-        t_done = unit.timestamp(UnitState.AGENT_STAGING_OUTPUT) \
-            or unit.timestamp(UnitState.DONE)
-        if t_exec is not None and t_done is not None:
-            observe(unit.pilot_uid, t_done - t_exec,
-                    unit.description.cores)

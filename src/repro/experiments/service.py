@@ -78,7 +78,6 @@ def run_service_fairshare(seed: int = 42, heavy_weight: float = 4.0,
         tick_interval=0.5, max_batch_per_tick=8, drr_quantum=1.0))
     pilot, _, _ = testbed.start_pilot(
         nodes=2, agent_config=agent_config("fork"))
-    service.add_pilots(pilot)
     overlay = testbed.session.raptor(
         pilot, workers=16, config=RaptorConfig(retain_results=False))
     env.run(overlay.ready())

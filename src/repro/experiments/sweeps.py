@@ -352,7 +352,3 @@ class Sweep:
         sweep = cls(grid=spec["grid"], root_seed=spec["root_seed"],
                     quick=spec["quick"], jobs=jobs, max_cells=max_cells)
         return sweep.run(run_dir=run_dir, resume=True)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (f"<Sweep {self.grid} root_seed={self.root_seed} "
-                f"quick={self.quick}>")

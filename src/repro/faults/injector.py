@@ -47,10 +47,6 @@ class FaultInjector:
         env.faults = injector
         return injector
 
-    @staticmethod
-    def uninstall(env: Environment) -> None:
-        env.faults = None
-
     # -- target registration ------------------------------------------------
     def register_machine(self, machine) -> None:
         if machine not in self.machines:

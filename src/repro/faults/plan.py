@@ -92,9 +92,3 @@ class FaultPlan:
         """Poison unit ``target`` with ``times`` transient exec errors."""
         return self.add(FaultSpec(kind="unit_error", target=target,
                                   times=times))
-
-    def __len__(self) -> int:
-        return len(self.specs)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<FaultPlan {len(self.specs)} specs>"

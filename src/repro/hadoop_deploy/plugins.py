@@ -1,8 +1,7 @@
 """Framework plugins: the extensibility point of SAGA-Hadoop.
 
 A plugin encapsulates "download, configure and start" for one
-framework (paper §III-A): YARN (+HDFS) and Spark are provided; new
-frameworks register via :func:`register_plugin`.
+framework (paper §III-A): YARN (+HDFS) and Spark.
 """
 
 from __future__ import annotations
@@ -20,7 +19,11 @@ from repro.yarn.config import YarnConfig
 
 
 class FrameworkPlugin:
-    """Base plugin: download + configure + start + stop one framework."""
+    """Base plugin: download + configure + start one framework.
+
+    Subclasses provide ``render_configs(nodes)``, the
+    ``start_daemons(nodes)`` generator and ``stop()``.
+    """
 
     name = "abstract"
     dist_bytes: float = 250 * 1024 ** 2
@@ -38,16 +41,6 @@ class FrameworkPlugin:
         self.rendered_configs = self.render_configs(nodes)
         yield self.env.timeout(self.configure_seconds)
         yield from self.start_daemons(nodes)
-
-    def render_configs(self, nodes: List[Node]) -> Dict[str, str]:
-        return {}
-
-    def start_daemons(self, nodes: List[Node]):
-        raise NotImplementedError
-        yield  # pragma: no cover
-
-    def stop(self) -> None:
-        raise NotImplementedError
 
 
 class YarnPlugin(FrameworkPlugin):
@@ -113,11 +106,6 @@ _PLUGINS: Dict[str, Type[FrameworkPlugin]] = {
     "yarn": YarnPlugin,
     "spark": SparkPlugin,
 }
-
-
-def register_plugin(name: str, cls: Type[FrameworkPlugin]) -> None:
-    """Add a new framework plugin (e.g. Flink)."""
-    _PLUGINS[name] = cls
 
 
 def make_plugin(name: str, env: Environment, site: Site) -> FrameworkPlugin:

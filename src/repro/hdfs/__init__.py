@@ -18,7 +18,7 @@ points) alongside their simulated byte size, so MapReduce jobs compute
 real results while I/O time is modeled.
 """
 
-from repro.hdfs.block import Block, BlockReplica
+from repro.hdfs.block import Block
 from repro.hdfs.cluster import HdfsCluster
 from repro.hdfs.datanode import DataNode
 from repro.hdfs.filesystem import HdfsClient
@@ -26,7 +26,6 @@ from repro.hdfs.namenode import FileMeta, NameNode
 
 __all__ = [
     "Block",
-    "BlockReplica",
     "DataNode",
     "FileMeta",
     "HdfsClient",

@@ -22,14 +22,3 @@ class Block:
     index: int          # position within the file
     nbytes: float
     payload: Any = field(default=None, compare=False, hash=False)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<Block {self.block_id} {self.path}#{self.index}>"
-
-
-@dataclass(frozen=True)
-class BlockReplica:
-    """A copy of a block pinned to a DataNode (by node name)."""
-
-    block: Block
-    node_name: str

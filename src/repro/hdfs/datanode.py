@@ -140,13 +140,6 @@ class DataNode:
         """Which tier holds this replica (None if absent)."""
         return self.block_storage.get(block_id)
 
-    def drop(self, block_id: int) -> None:
-        """Delete a replica (metadata + capacity)."""
-        block = self.blocks.pop(block_id, None)
-        if block is not None:
-            storage_type = self.block_storage.pop(block.block_id, DISK)
-            self.volume(storage_type).delete(block.nbytes)
-
     def holds(self, block_id: int) -> bool:
         return block_id in self.blocks
 
@@ -171,6 +164,3 @@ class DataNode:
         self.blocks.clear()
         self.running = False
         self.failed_at = self.env.now
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<DataNode {self.name} blocks={len(self.blocks)}>"

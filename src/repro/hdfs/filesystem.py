@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Any, List, Optional, Sequence
 
 from repro.cluster.network import Interconnect
-from repro.hdfs.block import Block, BlockReplica
+from repro.hdfs.block import Block
 from repro.hdfs.namenode import NameNode
 from repro.sim.engine import Environment, SimulationError
 
@@ -123,12 +123,6 @@ class HdfsClient:
     # ---------------------------------------------------------- metadata
     def exists(self, path: str) -> bool:
         return self.namenode.exists(path)
-
-    def block_locations(self, path: str) -> List[BlockReplica]:
-        return self.namenode.block_locations(path)
-
-    def delete(self, path: str) -> None:
-        self.namenode.delete_file(path)
 
     def is_block_local(self, block: Block, node_name: str) -> bool:
         """Whether ``node_name`` holds a live replica of ``block``."""

@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.hdfs.block import Block, BlockReplica
+from repro.hdfs.block import Block
 from repro.hdfs.datanode import ARCHIVE, DISK, RAM_DISK, DataNode
 from repro.sim.engine import Environment, SimulationError
 from repro.sim.rng import RngStream
@@ -94,9 +94,6 @@ class NameNode:
 
     def list_files(self, prefix: str = "/") -> List[str]:
         return sorted(p for p in self.files if p.startswith(prefix))
-
-    def total_bytes(self) -> float:
-        return sum(meta.nbytes for meta in self.files.values())
 
     # ----------------------------------------------------- storage policy
     def set_storage_policy(self, prefix: str, policy: str) -> None:
@@ -194,30 +191,6 @@ class NameNode:
         if tel is not None:
             tel.emit("hdfs", "file_committed", path=path,
                      nbytes=self.files[path].nbytes, blocks=len(blocks))
-
-    def block_locations(self, path: str) -> List[BlockReplica]:
-        """All replicas of all blocks of a file (locality info)."""
-        meta = self.file_meta(path)
-        out: List[BlockReplica] = []
-        for block in meta.blocks:
-            for node_name in self.block_map.get(block.block_id, ()):
-                out.append(BlockReplica(block=block, node_name=node_name))
-        return out
-
-    def delete_file(self, path: str) -> None:
-        meta = self.file_meta(path)
-        for block in meta.blocks:
-            for node_name in self.block_map.pop(block.block_id, ()):
-                dn = self.datanodes.get(node_name)
-                if dn is not None:
-                    dn.drop(block.block_id)
-        del self.files[path]
-        tel = self.env.telemetry
-        if tel is not None:
-            tel.emit("hdfs", "file_deleted", path=path)
-        sanitizer = self.env.sanitizer
-        if sanitizer is not None:
-            sanitizer.check_namenode(self)
 
     # --------------------------------------------------------- replication
     def under_replicated(self) -> List[Block]:

@@ -178,9 +178,6 @@ class SnapshotStore:
             return {}
         return dict(json.loads(self._refs_path.read_text()))
 
-    def ref(self, name: str) -> Optional[str]:
-        return self.refs().get(name)
-
     @contextlib.contextmanager
     def _refs_lock(self):
         """Exclusive advisory lock serializing refs.json updates.

@@ -112,10 +112,6 @@ class RaptorMaster:
                 "closed": self.closed, "failed": self.failed}
 
     # ------------------------------------------------------------- readiness
-    @property
-    def ready(self) -> bool:
-        return self.node is not None and not self.closed
-
     def ready_event(self) -> Event:
         """Fires once the master service is placed (or terminally dead)."""
         return self._ready
@@ -510,8 +506,3 @@ class RaptorMaster:
             return
         if self._drained is not None and not self._drained.triggered:
             self._drained.succeed()
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (f"<RaptorMaster {self.uid}: {len(self.workers)} workers, "
-                f"{len(self._pending)} pending, "
-                f"{len(self._running)} running>")

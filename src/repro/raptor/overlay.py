@@ -178,11 +178,6 @@ class RaptorOverlay:
         return self.env.all_of(waits)
 
     # ------------------------------------------------------------- inspect
-    @property
-    def results(self):
-        """Result envelopes in completion order (``retain_results``)."""
-        return self.master.results
-
     def stats(self) -> dict:
         """The overlay counters, one canonical dict."""
         master = self.master
@@ -195,7 +190,3 @@ class RaptorOverlay:
             "tasks_failed": master.tasks_failed,
             "tasks_retried": master.tasks_retried,
         }
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (f"<RaptorOverlay {self.uid}: {self.num_workers} workers, "
-                f"{self._settled()}/{self._next_tid - 1} settled>")

@@ -121,10 +121,6 @@ class TaskResult:
         """Submission-to-result latency (the overlay's Figure 5 inset)."""
         return self.finished_at - self.submitted_at
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "ok" if self.ok else f"failed({self.error})"
-        return f"<TaskResult task.{self.tid} {state}>"
-
 
 class TaskFuture:
     """Client-side completion handle for one submitted task."""
@@ -136,10 +132,6 @@ class TaskFuture:
         self.tid = tid
         self.description = description
         self._event = Event(env)
-
-    @property
-    def done(self) -> bool:
-        return self._event.triggered
 
     def wait(self) -> Event:
         """Event firing with the :class:`TaskResult` envelope."""
@@ -154,7 +146,3 @@ class TaskFuture:
     def _resolve(self, envelope: TaskResult) -> None:
         if not self._event.triggered:
             self._event.succeed(envelope)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        state = "done" if self.done else "pending"
-        return f"<TaskFuture task.{self.tid} {state}>"

@@ -96,12 +96,6 @@ class RaptorWorker:
     def mark_lost(self) -> None:
         self.lost = True
 
-    def __repr__(self) -> str:  # pragma: no cover
-        state = "lost" if self.lost else (
-            "alive" if self.node.alive else "node-down")
-        return (f"<RaptorWorker {self.uid} on {self.node.name} "
-                f"{self.free_cores}/{self.cores} free, {state}>")
-
 
 def worker_service(overlay, ctx):
     """The service generator a worker Compute-Unit runs.

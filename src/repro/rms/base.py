@@ -59,9 +59,6 @@ class Allocation:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def __iter__(self):
-        return iter(self.nodes)
-
 
 class BatchScheduler:
     """Base class for SLURM/Torque/SGE frontends."""
@@ -81,15 +78,6 @@ class BatchScheduler:
         self._payload_procs: Dict[str, object] = {}
         self._kick = env.event()
         env.process(self._scheduler_loop(), name=f"{self.kind}-sched")
-
-    # ------------------------------------------------------------- queries
-    @property
-    def free_node_count(self) -> int:
-        return len(self._free_nodes)
-
-    @property
-    def queue_depth(self) -> int:
-        return len(self._queue)
 
     # ---------------------------------------------------------- submission
     def submit(self, description: JobDescription) -> BatchJob:

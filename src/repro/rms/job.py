@@ -84,11 +84,6 @@ class BatchJob:
         self.finished = env.event()      # fires on any final state
         self._history = [(env.now, JobState.NEW)]
 
-    @property
-    def history(self):
-        """(time, state) pairs in transition order."""
-        return tuple(self._history)
-
     def advance(self, new_state: JobState, reason: Optional[str] = None) -> None:
         """Move to ``new_state``, asserting the transition is legal."""
         legal = LEGAL_TRANSITIONS.get(self.state, set())
@@ -115,13 +110,3 @@ class BatchJob:
                     f"job {self.job_id} reached {new_state.value} "
                     "without starting"))
             self.finished.succeed(self)
-
-    @property
-    def queue_wait(self) -> Optional[float]:
-        """Seconds spent pending, once running."""
-        if self.submit_time is None or self.start_time is None:
-            return None
-        return self.start_time - self.submit_time
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<BatchJob {self.job_id} {self.state.value}>"

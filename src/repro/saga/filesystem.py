@@ -9,7 +9,7 @@ tarball staging of Mode I.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from typing import Dict, Optional
 
 from repro.cluster.storage import StorageVolume
 from repro.sim.engine import Environment, Event
@@ -34,10 +34,6 @@ class FileCatalog:
         except KeyError:
             raise FileNotFoundError(f"{self.name}:{path}") from None
 
-    def list(self, prefix: str = "") -> Iterator[str]:
-        """Paths under ``prefix``, sorted."""
-        return iter(sorted(p for p in self._files if p.startswith(prefix)))
-
     def create(self, path: str, nbytes: float) -> Event:
         """Write a new file; completion event after the volume write."""
         if path in self._files:
@@ -45,11 +41,6 @@ class FileCatalog:
         event = self.volume.write(nbytes)
         self._files[path] = nbytes
         return event
-
-    def touch(self, path: str, nbytes: float) -> None:
-        """Register a file without charging I/O (pre-existing data)."""
-        self.volume.used += nbytes
-        self._files[path] = nbytes
 
     def read(self, path: str) -> Event:
         """Read the whole file; completion under volume fair-sharing."""
@@ -59,9 +50,6 @@ class FileCatalog:
         nbytes = self.size(path)
         self.volume.delete(nbytes)
         del self._files[path]
-
-    def __len__(self) -> int:
-        return len(self._files)
 
 
 def copy_file(env: Environment, src: FileCatalog, src_path: str,

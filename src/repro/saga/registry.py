@@ -29,9 +29,6 @@ class Site:
                                    name=f"{spec.name}-scratch")
         self.hostname = hostname or spec.name
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<Site {self.hostname} ({self.rms_kind})>"
-
 
 class Registry:
     """Maps hostnames to :class:`Site` objects."""
@@ -50,12 +47,6 @@ class Registry:
             raise KeyError(
                 f"no registered site {hostname!r}; known: "
                 f"{sorted(self._sites)}") from None
-
-    def clear(self) -> None:
-        self._sites.clear()
-
-    def __contains__(self, hostname: str) -> bool:
-        return hostname in self._sites
 
 
 _DEFAULT = Registry()

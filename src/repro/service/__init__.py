@@ -10,7 +10,6 @@ sharding across a process pool for scale beyond one instance.
 Quickstart::
 
     service = PilotService(session)
-    service.add_pilots(pilot)
     service.attach_overlay(session.raptor(pilot, workers=16))
     service.register_tenant("alice", TenantQuota(max_pending=512))
     sess = service.open_session("alice")

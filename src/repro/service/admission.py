@@ -140,9 +140,6 @@ class Ticket:
             "finishedTime": self.finished_at,
         }
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Ticket {self.uid} {self.kind} {self.state}>"
-
 
 class TenantAccount:
     """Admission bookkeeping for one registered tenant."""

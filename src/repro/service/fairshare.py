@@ -44,10 +44,6 @@ class WeightedDeficitRoundRobin:
         self._weights[tenant] = float(weight)
         self._deficits[tenant] = 0.0
 
-    @property
-    def tenants(self) -> List[str]:
-        return list(self._weights)
-
     def drain(self, queues: Dict[str, Deque[Any]],
               budget: int) -> List[Tuple[str, Any]]:
         """Dispatch up to ``budget`` requests fairly; returns

@@ -2,7 +2,7 @@
 
 The multi-tenant service layer over the RADICAL-Pilot core: tenants
 open lightweight :class:`ServiceSession` handles against one service
-instance and submit pilots, units and raptor tasks *asynchronously* —
+instance and submit raptor function tasks *asynchronously* —
 every submission returns a :class:`~repro.service.admission.Ticket`
 immediately and the work is dispatched later, in batches, by the
 service's drain loop.  The moving parts:
@@ -33,13 +33,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Sequence
 
-from repro.core.description import ComputeUnitDescription, Description
-from repro.core.states import PilotState, UnitState
-from repro.core.unit_manager import UnitManager
-from repro.pilot_api.service import (
-    _pilot_description_from_dict,
-    _unit_description_from_dict,
-)
+from repro.core.description import Description
 from repro.service.admission import (
     REJECTED,
     THROTTLED,
@@ -115,32 +109,13 @@ class ServiceSession:
         return self.state == "Rejected"
 
     # ------------------------------------------------------------ submission
-    def submit_units(self, descriptions) -> Ticket:
-        """Queue compute units (dicts or ComputeUnitDescriptions) for
-        batched submission; returns the ticket immediately."""
-        if isinstance(descriptions, (dict, ComputeUnitDescription)):
-            descriptions = [descriptions]
-        descs = [d if isinstance(d, ComputeUnitDescription)
-                 else _unit_description_from_dict(d)
-                 for d in descriptions]
-        return self.service._submit(self, "units", descs, len(descs))
-
     def submit_raptor(self, tasks: Sequence[Any]) -> Ticket:
         """Queue raptor function tasks for the service's overlay."""
         if self.service._overlay is None:
             raise RuntimeError(
                 f"service {self.service.uid} has no raptor overlay "
                 f"attached; call attach_overlay() first")
-        tasks = list(tasks)
-        return self.service._submit(self, "raptor", tasks, len(tasks))
-
-    def submit_pilot(self, description) -> Ticket:
-        """Queue a pilot request; the ticket settles once the pilot is
-        ACTIVE (Done) or final without activating (Failed)."""
-        if isinstance(description, dict):
-            description = _pilot_description_from_dict(description)
-        description.validate()
-        return self.service._submit(self, "pilot", description, 1)
+        return self.service._submit(self, list(tasks))
 
     # ------------------------------------------------------------- lifecycle
     def close(self) -> None:
@@ -179,17 +154,14 @@ class ServiceSession:
             "ticketsByState": by_state,
         }
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<ServiceSession {self.sid} {self.state}>"
-
 
 class PilotService:
     """The long-lived multi-tenant service (one per simulated process).
 
     Built over a caller-provided :class:`~repro.core.session.Session`;
-    pilots are shared capacity (``add_pilots``), a raptor overlay can
-    be attached for function-task requests, and tenant work flows
-    through admission -> fair-share -> batched dispatch.
+    a raptor overlay is attached for the function-task requests, and
+    tenant work flows through admission -> fair-share -> batched
+    dispatch.
     """
 
     def __init__(self, session, config: Optional[ServiceConfig] = None):
@@ -198,8 +170,6 @@ class PilotService:
         self.config = (config or ServiceConfig()).validate()
         self.uid = session.next_uid("service")
         self.metrics = MetricsRegistry(self.env)
-        self._umgr = UnitManager(session)
-        self._pmgr = None             # lazy: only pilot tickets need it
         self._overlay = None
         self._accounts: Dict[str, TenantAccount] = {}
         self._drr = WeightedDeficitRoundRobin(self.config.drr_quantum)
@@ -219,10 +189,6 @@ class PilotService:
                                       name=f"{self.uid}-drain")
 
     # ------------------------------------------------------------- capacity
-    def add_pilots(self, pilots) -> None:
-        """Add shared pilot capacity for unit-kind requests."""
-        self._umgr.add_pilots(pilots)
-
     def attach_overlay(self, overlay) -> None:
         """Attach a raptor overlay serving raptor-kind requests."""
         self._overlay = overlay
@@ -273,14 +239,13 @@ class PilotService:
         return sess
 
     # ------------------------------------------------------------ submission
-    def _submit(self, sess: ServiceSession, kind: str, payload: Any,
-                size: int) -> Ticket:
+    def _submit(self, sess: ServiceSession, tasks: List[Any]) -> Ticket:
         if sess.state not in ("Open",):
             raise RuntimeError(
                 f"session {sess.sid} is {sess.state}; cannot submit")
         account = self._accounts[sess.tenant]
         ticket = Ticket(self.env, self.session.next_uid("ticket", width=6),
-                        sess.tenant, sess.sid, kind, size, payload)
+                        sess.tenant, sess.sid, "raptor", len(tasks), tasks)
         sess.tickets.append(ticket)
         decision = account.admit()
         if decision == REJECTED:
@@ -321,47 +286,16 @@ class PilotService:
         ticket.submitted_at = now
         ticket.state = RequestState.SUBMITTED
         self._submit_hist.observe(now - ticket.enqueued_at)
-        if ticket.kind == "units":
-            units = self._umgr.submit_units(ticket.payload)
-            self._umgr.wait_units(units).callbacks.append(
-                lambda _e, t=ticket, us=units: self._settle_units(t, us))
-        elif ticket.kind == "raptor":
-            futures = self._overlay.submit_tasks(ticket.payload,
-                                                 futures=True)
-            self.env.all_of([f.wait() for f in futures]).callbacks.append(
-                lambda _e, t=ticket, fs=futures: self._settle_raptor(t, fs))
-        elif ticket.kind == "pilot":
-            pilot = self._pilot_manager().submit_pilot(ticket.payload)
-            self.add_pilots(pilot)
-            self.env.any_of([pilot.wait(PilotState.ACTIVE),
-                             pilot.wait()]).callbacks.append(
-                lambda _e, t=ticket, p=pilot: self._settle_pilot(t, p))
-        else:  # pragma: no cover - _submit gates the kinds
-            raise ValueError(f"unknown ticket kind {ticket.kind!r}")
-
-    def _pilot_manager(self):
-        if self._pmgr is None:
-            from repro.core.pilot_manager import PilotManager
-            self._pmgr = PilotManager(self.session)
-        return self._pmgr
+        futures = self._overlay.submit_tasks(ticket.payload, futures=True)
+        self.env.all_of([f.wait() for f in futures]).callbacks.append(
+            lambda _e, t=ticket, fs=futures: self._settle_raptor(t, fs))
 
     # ------------------------------------------------------------ settlement
-    def _settle_units(self, ticket: Ticket, units) -> None:
-        failed = sum(1 for u in units if u.state is not UnitState.DONE)
-        self._settle(ticket, ok=failed == 0,
-                     detail="" if failed == 0
-                     else f"{failed}/{len(units)} units not Done")
-
     def _settle_raptor(self, ticket: Ticket, futures) -> None:
         failed = sum(1 for f in futures if not f.result().ok)
         self._settle(ticket, ok=failed == 0,
                      detail="" if failed == 0
                      else f"{failed}/{len(futures)} tasks failed")
-
-    def _settle_pilot(self, ticket: Ticket, pilot) -> None:
-        ok = pilot.state is PilotState.ACTIVE
-        self._settle(ticket, ok=ok,
-                     detail="" if ok else f"pilot {pilot.state.value}")
 
     def _settle(self, ticket: Ticket, ok: bool, detail: str) -> None:
         now = self.env.now
@@ -409,18 +343,6 @@ class PilotService:
         """High-water mark of concurrently open sessions."""
         peak = self._open_gauge.max()
         return 0 if peak is None else int(peak)
-
-    def snapshot_state(self) -> dict:
-        """Checkpoint fingerprint: tenants, tickets and latency metrics.
-
-        Built from the same canonical counters the ``/metrics`` query
-        surface serves, so the persisted view and the live query
-        surface can never disagree.
-        """
-        return {"kind": "pilot_service", "uid": self.uid,
-                "outstanding": self._outstanding,
-                "metrics": self._metrics_snapshot(),
-                "tenants": sorted(self._accounts)}
 
     # ---------------------------------------------------------- query surface
     #: The registered endpoint shapes (YARN-RM style).
@@ -506,8 +428,3 @@ class PilotService:
                 "total": len(self._sessions),
             },
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<PilotService {self.uid}: "
-                f"{len(self._accounts)} tenants, "
-                f"{self._outstanding} outstanding>")

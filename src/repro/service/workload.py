@@ -123,7 +123,6 @@ def run_load(spec: LoadSpec) -> Dict[str, Any]:
     if tenants:
         pilot, _, _ = testbed.start_pilot(
             nodes=spec.pilot_nodes, agent_config=agent_config("fork"))
-        service.add_pilots(pilot)
         overlay = testbed.session.raptor(
             pilot, workers=spec.raptor_workers,
             config=RaptorConfig(retain_results=False))

@@ -108,11 +108,6 @@ class Event:
         for callback in callbacks or ():
             callback(self)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "processed" if self._processed else (
-            "triggered" if self._triggered else "pending")
-        return f"<{type(self).__name__} {state} at {id(self):#x}>"
-
 
 def _make_wake() -> "Event":
     """The shared, pre-processed wake event handed to slot-sleep resumes.
@@ -348,9 +343,6 @@ class Condition(Event):
 
     def _collect(self) -> dict[Event, Any]:
         return {e: e.value for e in self._events if e.processed}
-
-    def _check(self, event: Event) -> None:
-        raise NotImplementedError
 
     def _detach(self) -> None:
         """Unsubscribe from every operand that has not dispatched yet.

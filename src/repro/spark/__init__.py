@@ -22,24 +22,11 @@ simulated.
 from repro.spark.cluster import SparkStandaloneCluster
 from repro.spark.context import SparkConf, SparkContext
 from repro.spark.master import ExecutorInfo, SparkMaster, SparkWorker
-from repro.spark.mllib import (
-    ColumnStats,
-    KMeansModel,
-    LinearRegressionModel,
-    col_stats,
-)
 from repro.spark.rdd import RDD
-from repro.spark.sql import DataFrame, create_dataframe
 
 __all__ = [
-    "ColumnStats",
-    "DataFrame",
     "ExecutorInfo",
-    "KMeansModel",
-    "LinearRegressionModel",
     "RDD",
-    "col_stats",
-    "create_dataframe",
     "SparkConf",
     "SparkContext",
     "SparkMaster",

@@ -110,12 +110,6 @@ class SparkContext:
             raise ValueError("num_slices must be >= 1")
         return ParallelCollectionRDD(self, list(data), n)
 
-    def text_file(self, hdfs, path: str) -> RDD:
-        """An RDD over an HDFS file, one partition per block (reads are
-        node-local where the executor holds a replica)."""
-        from repro.spark.rdd import HdfsRDD
-        return HdfsRDD(self, hdfs, path)
-
     def broadcast(self, value, nbytes: float = 1024.0):
         """Ship a read-only value to every executor node.  Generator.
 

@@ -200,10 +200,6 @@ class RDD:
     def parents(self) -> List["RDD"]:
         return [self.parent] if self.parent is not None else []
 
-    def compute_partition(self, index: int, task_ctx):
-        """Produce partition ``index``.  Simulation generator."""
-        raise NotImplementedError
-
 
 class ParallelCollectionRDD(RDD):
     """An RDD from an in-memory collection, sliced evenly.
@@ -263,29 +259,6 @@ class UnionRDD(RDD):
             records = yield from self.ctx.materialize(
                 self.right, index - self.left.num_partitions, task_ctx)
         return records
-
-
-class HdfsRDD(RDD):
-    """An RDD backed by an HDFS file: one partition per block.
-
-    Tasks read their block through a client bound to *their* node, so
-    reads are node-local whenever the executor holds a replica — the
-    locality story Spark-on-HDFS relies on.
-    """
-
-    def __init__(self, ctx, hdfs, path: str):
-        meta = hdfs.namenode.file_meta(path)
-        super().__init__(ctx, num_partitions=len(meta.blocks))
-        self.hdfs = hdfs
-        self.path = path
-        self.blocks = list(meta.blocks)
-
-    def compute_partition(self, index: int, task_ctx):
-        client = self.hdfs.client(task_ctx.node.name)
-        payload = yield from client.read_block(self.blocks[index])
-        if payload is None:
-            return []
-        return list(payload)
 
 
 class ShuffledRDD(RDD):

@@ -94,16 +94,6 @@ def install(env, record_events: bool = True,
     return telemetry
 
 
-def uninstall(env) -> None:
-    """Detach telemetry from ``env`` (subsequent hooks become no-ops)."""
-    env.telemetry = None
-
-
-def telemetry_of(env) -> Optional[Telemetry]:
-    """The environment's telemetry hub, or ``None`` when disabled."""
-    return getattr(env, "telemetry", None)
-
-
 __all__ = [
     "Counter",
     "EventBus",
@@ -120,6 +110,4 @@ __all__ = [
     "Tracer",
     "install",
     "spans_from_jsonl",
-    "telemetry_of",
-    "uninstall",
 ]

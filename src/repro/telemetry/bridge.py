@@ -37,10 +37,6 @@ class LiveUnitView:
                 return t
         return None
 
-    def __repr__(self) -> str:  # pragma: no cover
-        state = self.state.value if self.state else "?"
-        return f"<LiveUnitView {self.uid} {state}>"
-
 
 class LivePilotView:
     """History-compatible stand-in for a :class:`ComputePilot` handle."""

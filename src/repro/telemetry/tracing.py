@@ -62,10 +62,6 @@ class Span:
                 "track": self.track, "parent": self.parent_id,
                 "args": self.args}
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "open" if self.open else f"{self.duration:.3f}s"
-        return f"<Span {self.cat}:{self.name} {state}>"
-
 
 class Tracer:
     """Creates, finishes and exports spans."""

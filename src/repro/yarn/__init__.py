@@ -5,9 +5,9 @@ touches:
 
 * :class:`ResourceManager` — application lifecycle (NEW → SUBMITTED →
   ACCEPTED → RUNNING → FINISHED/FAILED/KILLED), heartbeat-driven
-  scheduling with pluggable policy (FIFO or capacity queues), container
-  preemption, and a cluster-metrics API shaped like the RM REST API
-  (the RADICAL-Pilot YARN scheduler polls it).
+  FIFO scheduling driven by NodeManager heartbeats, and a
+  cluster-metrics API shaped like the RM REST API (the RADICAL-Pilot
+  YARN scheduler polls it).
 * :class:`NodeManager` — per-node capacity (memory + vcores), container
   launch (with modeled JVM spin-up), heartbeats that carry allocation
   opportunities, failure injection.
@@ -30,12 +30,7 @@ from repro.yarn.records import (
     YarnResource,
 )
 from repro.yarn.node_manager import NodeManager
-from repro.yarn.resource_manager import (
-    CapacityPolicy,
-    FairPolicy,
-    FifoPolicy,
-    ResourceManager,
-)
+from repro.yarn.resource_manager import ResourceManager
 from repro.yarn.application import AmContext
 from repro.yarn.client import YarnClient
 from repro.yarn.cluster import YarnCluster
@@ -44,12 +39,9 @@ __all__ = [
     "AmContext",
     "AppSpec",
     "ApplicationState",
-    "CapacityPolicy",
     "Container",
     "ContainerRequest",
     "ContainerState",
-    "FairPolicy",
-    "FifoPolicy",
     "NodeManager",
     "ResourceManager",
     "YarnClient",

@@ -15,20 +15,19 @@ from repro.sim.engine import Environment
 from repro.yarn.client import YarnClient
 from repro.yarn.config import YarnConfig
 from repro.yarn.node_manager import NodeManager
-from repro.yarn.resource_manager import ResourceManager, SchedulingPolicy
+from repro.yarn.resource_manager import ResourceManager
 
 
 class YarnCluster:
     """One YARN deployment over a set of nodes."""
 
     def __init__(self, env: Environment, machine: Machine,
-                 nodes: List[Node], config: Optional[YarnConfig] = None,
-                 policy: Optional[SchedulingPolicy] = None):
+                 nodes: List[Node], config: Optional[YarnConfig] = None):
         self.env = env
         self.machine = machine
         self.nodes = list(nodes)
         self.config = config or YarnConfig()
-        self.resource_manager = ResourceManager(env, self.config, policy)
+        self.resource_manager = ResourceManager(env, self.config)
         self.node_managers = [NodeManager(env, node, self.config)
                               for node in self.nodes]
         for nm in self.node_managers:

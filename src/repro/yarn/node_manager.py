@@ -20,7 +20,7 @@ class NodeManager:
 
     The NM's heartbeat loop lives in the ResourceManager (which owns
     the scheduling reaction); here we keep capacity arithmetic, the
-    container launch path (with JVM spin-up cost) and kill/preempt.
+    container launch path (with JVM spin-up cost) and kill.
     """
 
     def __init__(self, env: Environment, node: Node, config: YarnConfig):
@@ -165,7 +165,7 @@ class NodeManager:
     def kill_container(self, container_id: str,
                        final_state: ContainerState = ContainerState.KILLED,
                        diagnostics: str = "") -> None:
-        """Kill (or preempt) a container immediately."""
+        """Kill a container immediately."""
         container = self.containers.get(container_id)
         if container is None or container.state.is_final:
             return
@@ -196,8 +196,3 @@ class NodeManager:
         self.failed_at = self.env.now
         if self._rm is not None:
             self._rm._nm_liveness_changed(self)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (f"<NodeManager {self.name} used={self.used.memory_mb}MB/"
-                f"{self.used.vcores}vc of {self.capacity.memory_mb}MB/"
-                f"{self.capacity.vcores}vc>")

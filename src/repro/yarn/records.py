@@ -41,12 +41,11 @@ class ContainerState(enum.Enum):
     COMPLETED = "completed"
     FAILED = "failed"
     KILLED = "killed"
-    PREEMPTED = "preempted"
 
     @property
     def is_final(self) -> bool:
         return self in (ContainerState.COMPLETED, ContainerState.FAILED,
-                        ContainerState.KILLED, ContainerState.PREEMPTED)
+                        ContainerState.KILLED)
 
 
 class ApplicationState(enum.Enum):
@@ -95,10 +94,6 @@ class Container:
         self.state = ContainerState.ALLOCATED
         self.exit_code: Optional[int] = None
         self.diagnostics: str = ""
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (f"<Container {self.container_id} on {self.node_name} "
-                f"{self.state.value}>")
 
 
 @dataclass

@@ -1,11 +1,10 @@
 """ResourceManager: application lifecycle + heartbeat-driven scheduling.
 
 Scheduling is *pull-based*, as in real YARN: every NodeManager
-heartbeat is a scheduling opportunity for that node.  The pluggable
-policy (:class:`FifoPolicy`, :class:`FairPolicy` or
-:class:`CapacityPolicy`) decides which application's pending request,
-if any, gets a container there.  AM containers are ordinary requests
-tagged at highest priority.
+heartbeat is a scheduling opportunity for that node, offered to the
+applications' pending requests in submission order (YARN's FIFO
+scheduler).  AM containers are ordinary requests tagged at highest
+priority.
 
 The RM keeps a *runnable index* — the non-final apps with a non-empty
 ``pending`` deque, in submission order — so an opportunity costs
@@ -16,9 +15,9 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, insort
-from collections import defaultdict, deque
+from collections import deque
 from operator import attrgetter
-from typing import Deque, Dict, Iterable, List, Optional
+from typing import Deque, Dict, List, Optional
 
 from repro.sim.engine import Environment
 from repro.yarn.config import YarnConfig
@@ -83,119 +82,23 @@ class AppRecord:
                      state=state.value, queue=self.queue)
 
 
-class SchedulingPolicy:
-    """Decides whether an app may receive a container on a node."""
-
-    def attach(self, rm: "ResourceManager") -> None:
-        self.rm = rm
-
-    def app_order(self, apps: List[AppRecord]) -> Iterable[AppRecord]:
-        """Order in which one opportunity is offered to ``apps``.
-
-        ``apps`` is the RM's runnable index: already in submission
-        (``seq``) order and not to be mutated.  The RM stops consuming
-        the result once the node or the assignment budget is exhausted.
-        """
-        raise NotImplementedError
-
-    def may_allocate(self, app: AppRecord,
-                     resource: YarnResource) -> bool:
-        raise NotImplementedError
-
-
-class FifoPolicy(SchedulingPolicy):
-    """YARN's FIFO scheduler: strict submission order, no queue caps."""
-
-    def app_order(self, apps: List[AppRecord]) -> Iterable[AppRecord]:
-        return apps
-
-    def may_allocate(self, app: AppRecord, resource: YarnResource) -> bool:
-        return True
-
-
-class FairPolicy(SchedulingPolicy):
-    """Fair scheduler: scheduling opportunities go to the application
-    furthest below its (weighted) fair share of cluster memory.
-
-    Matches YARN's FairScheduler in spirit: ordering by
-    ``usage / weight``, no hard caps — starved apps catch up first.
-    """
-
-    def __init__(self, weights: Optional[Dict[str, float]] = None):
-        self.weights = dict(weights or {})
-        for queue, weight in self.weights.items():
-            if weight <= 0:
-                raise ValueError(f"weight for {queue!r} must be positive")
-
-    def _weight(self, app: AppRecord) -> float:
-        return self.weights.get(app.queue, 1.0)
-
-    def app_order(self, apps: List[AppRecord]) -> Iterable[AppRecord]:
-        # Stable sort: submission order breaks usage ties.
-        return sorted(
-            apps, key=lambda a: a.usage.memory_mb / self._weight(a))
-
-    def may_allocate(self, app: AppRecord, resource: YarnResource) -> bool:
-        return True
-
-
-class CapacityPolicy(SchedulingPolicy):
-    """Capacity scheduler: per-queue shares of cluster memory.
-
-    ``queues`` maps queue name to capacity fraction; a queue may grow
-    to ``max_capacity`` times its share (elasticity).  Apps in the same
-    queue are FIFO.
-    """
-
-    def __init__(self, queues: Optional[Dict[str, float]] = None,
-                 max_capacity: float = 1.0):
-        self.queues = dict(queues or {"default": 1.0})
-        self.max_capacity = max_capacity
-        total = sum(self.queues.values())
-        if abs(total - 1.0) > 1e-6:
-            raise ValueError(f"queue capacities must sum to 1, got {total}")
-
-    def app_order(self, apps: List[AppRecord]) -> Iterable[AppRecord]:
-        # Round-robin across queues (by name), FIFO within a queue.
-        by_queue: Dict[str, List[AppRecord]] = defaultdict(list)
-        for app in apps:
-            by_queue[app.queue].append(app)
-        lanes = [by_queue[queue] for queue in sorted(by_queue)]
-        return [app for rank in itertools.zip_longest(*lanes) for app in rank
-                if app is not None]
-
-    def may_allocate(self, app: AppRecord, resource: YarnResource) -> bool:
-        share = self.queues.get(app.queue)
-        if share is None:
-            return False  # unknown queue: rejected at submit, belt+braces
-        total_mb = self.rm.total_capacity().memory_mb
-        queue_used = self.rm._queue_used_mb[app.queue]
-        limit = total_mb * min(1.0, share * self.max_capacity)
-        return queue_used + resource.memory_mb <= limit + 1e-9
-
-
 class ResourceManager:
     """The YARN master."""
 
-    def __init__(self, env: Environment, config: Optional[YarnConfig] = None,
-                 policy: Optional[SchedulingPolicy] = None):
+    def __init__(self, env: Environment, config: Optional[YarnConfig] = None):
         self.env = env
         self.config = config or YarnConfig()
-        self.policy = policy or FifoPolicy()
-        self.policy.attach(self)
         self.node_managers: Dict[str, NodeManager] = {}
         self.apps: Dict[str, AppRecord] = {}
         # Non-final apps only, in submission order.
         self._active_apps: Dict[str, AppRecord] = {}
         # The runnable index: active apps with a non-empty ``pending``
         # deque, sorted by ``seq``; with it the total of their queued
-        # asks and the memory active apps hold per queue.  All three
-        # are maintained where they change (see _request_queued,
-        # _schedule_on, _allocate, _on_container_complete,
-        # _track_app_state) so no scheduling opportunity rescans apps.
+        # asks.  Both are maintained where they change (see
+        # _request_queued, _schedule_on, _track_app_state) so no
+        # scheduling opportunity rescans apps.
         self._runnable: List[AppRecord] = []
         self._pending_requests = 0
-        self._queue_used_mb: Dict[str, int] = defaultdict(int)
         self._apps_running = 0
         self._apps_pending = 0
         self._app_counter = itertools.count(1)
@@ -323,9 +226,6 @@ class ResourceManager:
     # ---------------------------------------------------------- submission
     def submit_application(self, spec: AppSpec) -> AppRecord:
         """Accept an application; AM container allocation is queued."""
-        if isinstance(self.policy, CapacityPolicy) and \
-                spec.queue not in self.policy.queues:
-            raise ValueError(f"unknown queue {spec.queue!r}")
         seq = next(self._app_counter)
         app_id = f"application_{seq:04d}"
         app = AppRecord(self.env, app_id, spec, seq)
@@ -392,7 +292,6 @@ class ResourceManager:
             self._apps_pending += 1
         if state.is_final and \
                 self._active_apps.pop(app.app_id, None) is not None:
-            self._queue_used_mb[app.queue] -= app.usage.memory_mb
             if app.pending:
                 self._pending_requests -= len(app.pending)
                 self._unindex(app)
@@ -424,12 +323,10 @@ class ResourceManager:
                 self._backlog_gauge_tel = tel
             self._backlog_gauge.set(self._pending_requests)
         drained: List[AppRecord] = []
-        for app in self.policy.app_order(self._runnable):
+        for app in self._runnable:
             while app.pending and budget > 0:
                 request = app.pending[0]
                 if not request.resource.fits_in(nm.available):
-                    break
-                if not self.policy.may_allocate(app, request.resource):
                     break
                 if (request.preferred_nodes
                         and nm.name not in request.preferred_nodes):
@@ -463,7 +360,6 @@ class ResourceManager:
             resource=request.resource)
         nm.reserve(container)
         app.usage = app.usage.plus(container.resource)
-        self._queue_used_mb[app.queue] += container.resource.memory_mb
         app.live_containers[container.container_id] = container
         self.metrics_counters["containersAllocated"] += 1
         tel = self.env.telemetry
@@ -531,30 +427,11 @@ class ResourceManager:
         if container.container_id in app.live_containers:
             del app.live_containers[container.container_id]
             app.usage = app.usage.minus(container.resource)
-            if app.app_id in self._active_apps:
-                self._queue_used_mb[app.queue] -= container.resource.memory_mb
         if container is not app.am_container:
             app.completed.append(container)
         sanitizer = self.env.sanitizer
         if sanitizer is not None:
             sanitizer.check_resource_manager(self)
-
-    # ---------------------------------------------------------- preemption
-    def preempt_containers(self, app_id: str, count: int) -> List[str]:
-        """Preempt up to ``count`` newest task containers of an app."""
-        app = self.apps[app_id]
-        victims = [c for c in app.live_containers.values()
-                   if c is not app.am_container]
-        victims.sort(key=lambda c: c.container_id, reverse=True)
-        preempted = []
-        for container in victims[:count]:
-            nm = self.node_managers.get(container.node_name)
-            if nm is not None:
-                nm.kill_container(container.container_id,
-                                  ContainerState.PREEMPTED,
-                                  "preempted by scheduler")
-                preempted.append(container.container_id)
-        return preempted
 
     # ------------------------------------------------------------- metrics
     def total_capacity(self) -> YarnResource:

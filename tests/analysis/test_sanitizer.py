@@ -126,10 +126,7 @@ def test_yarn_rm_checker_catches_tally_drift():
     (lambda rm: rm._runnable.pop(), "runnable index"),
     (lambda rm: setattr(rm, "_pending_requests", 3),
      "pending-request count 3 != scan 2"),
-    (lambda rm: rm._queue_used_mb.__setitem__("default", 512),
-     "per-queue usage tally"),
-], ids=["runnable-order", "runnable-membership", "pending-count",
-        "queue-usage"])
+], ids=["runnable-order", "runnable-membership", "pending-count"])
 def test_yarn_rm_checker_catches_scheduling_index_drift(corrupt, message):
     from repro.yarn import AppSpec, YarnCluster, YarnConfig, YarnResource
 

@@ -13,19 +13,15 @@ from repro.analytics.genomics import (
     kmers_of,
 )
 from repro.analytics.graphs import (
-    count_triangles_local,
-    count_triangles_pilot,
     count_triangles_reference,
     count_triangles_spark,
     generate_graph,
 )
 from repro.cluster import Machine, stampede
-from repro.api import ComputePilotDescription, PilotState
 from repro.hdfs import HdfsCluster
 from repro.sim import Environment, SeedSequenceRegistry
 from repro.spark import SparkConf, SparkStandaloneCluster
 from repro.yarn import YarnCluster
-from tests.core.test_units import fast_agent
 
 EDGES = generate_graph(60, 240, seed=5)
 TRUTH = count_triangles_reference(EDGES)
@@ -41,17 +37,6 @@ def test_generate_graph_simple_and_deterministic():
     assert len(set(a)) == len(a)             # no duplicates
 
 
-def test_local_triangle_count_matches_networkx():
-    assert count_triangles_local(EDGES) == TRUTH
-    assert TRUTH > 0  # the test graph actually has triangles
-
-
-def test_triangle_count_known_graph():
-    square_with_diagonal = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]
-    assert count_triangles_local(square_with_diagonal) == 2
-    assert count_triangles_reference(square_with_diagonal) == 2
-
-
 def test_spark_triangle_count_matches_networkx():
     env = Environment()
     machine = Machine(env, stampede(num_nodes=2))
@@ -63,23 +48,6 @@ def test_spark_triangle_count_matches_networkx():
         ctx = yield from cluster.context(SparkConf(
             num_executors=2, executor_cores=2))
         holder["count"] = yield from count_triangles_spark(ctx, EDGES)
-
-    env.run(env.process(driver()))
-    assert holder["count"] == TRUTH
-
-
-def test_pilot_triangle_count_matches_networkx(stack):
-    env, registry, session, pmgr, umgr = stack
-    pilot = pmgr.submit_pilot(ComputePilotDescription(
-        resource="slurm://stampede", nodes=2, runtime=600,
-        agent_config=fast_agent()))
-    umgr.add_pilots(pilot)
-    env.run(pilot.wait(PilotState.ACTIVE))
-    holder = {}
-
-    def driver():
-        holder["count"] = yield from count_triangles_pilot(
-            umgr, EDGES, ntasks=4)
 
     env.run(env.process(driver()))
     assert holder["count"] == TRUTH

@@ -1,4 +1,4 @@
-"""Cross-engine K-Means agreement: pilot vs MapReduce vs Spark vs reference.
+"""Cross-engine K-Means agreement: pilot vs Spark vs reference.
 
 PYTEST_DONT_REWRITE — assertion rewriting of this module trips a
 CPython 3.11 ``ast`` recursion-guard bug; plain asserts work fine.
@@ -9,7 +9,6 @@ import numpy as np
 from repro.analytics import (
     generate_points,
     kmeans_reference,
-    run_kmeans_mapreduce,
     run_kmeans_pilot,
     run_kmeans_spark,
 )
@@ -22,11 +21,9 @@ from repro.api import (
     Session,
     UnitManager,
 )
-from repro.hdfs import HdfsCluster
 from repro.saga import Registry, Site
-from repro.sim import Environment, SeedSequenceRegistry
+from repro.sim import Environment
 from repro.spark import SparkConf, SparkStandaloneCluster
-from repro.yarn import YarnCluster
 from tests.conftest import FAST_RMS
 
 
@@ -75,25 +72,6 @@ def test_pilot_yarn_matches_reference():
     def driver():
         centroids, _ = yield from run_kmeans_pilot(
             umgr, POINTS, K, ntasks=4, iterations=2)
-        holder["c"] = centroids
-
-    env.run(env.process(driver()))
-    assert np.allclose(holder["c"], EXPECTED)
-
-
-def test_mapreduce_matches_reference():
-    env = Environment()
-    machine = Machine(env, stampede(num_nodes=2))
-    hdfs = HdfsCluster(env, machine, machine.nodes, replication=2,
-                       rng=SeedSequenceRegistry(1).stream("x"))
-    yarn = YarnCluster(env, machine, machine.nodes)
-    holder = {}
-
-    def driver():
-        yield env.process(hdfs.start())
-        yield env.process(yarn.start())
-        centroids = yield from run_kmeans_mapreduce(
-            env, hdfs, yarn, POINTS, K, iterations=2, num_blocks=4)
         holder["c"] = centroids
 
     env.run(env.process(driver()))

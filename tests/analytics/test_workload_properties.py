@@ -6,26 +6,11 @@ from hypothesis import strategies as st
 
 from repro.analytics import (
     count_kmers_reference,
-    count_triangles_local,
-    count_triangles_reference,
-    generate_graph,
     generate_points,
     kmeans_reference,
 )
 from repro.analytics.genomics import kmers_of
 from repro.analytics.kmeans import _partial_sums, _update
-
-
-@given(num_nodes=st.integers(5, 40),
-       edge_factor=st.integers(1, 4),
-       seed=st.integers(0, 1000))
-@settings(max_examples=40, deadline=None)
-def test_triangle_count_matches_networkx_on_random_graphs(
-        num_nodes, edge_factor, seed):
-    max_edges = num_nodes * (num_nodes - 1) // 2
-    num_edges = min(num_nodes * edge_factor, max_edges)
-    edges = generate_graph(num_nodes, num_edges, seed=seed)
-    assert count_triangles_local(edges) == count_triangles_reference(edges)
 
 
 @given(reads=st.lists(st.text(alphabet="ACGT", min_size=1, max_size=30),

@@ -226,4 +226,3 @@ def test_yarn_scheduler_rejects_impossible_slot():
 def test_slot_allocation_explicit_cores():
     alloc = SlotAllocation([], memory_mb=1024, cores=3)
     assert alloc.total_cores == 3
-    assert alloc.nodes == []

@@ -33,14 +33,14 @@ def test_session_facade_hands_out_singletons(stack):
 
 def test_session_facade_kwargs_build_fresh_managers(stack):
     env, registry, session, pmgr, umgr = stack
-    from repro.api import BackfillScheduler, RestartPolicy
+    from repro.api import RestartPolicy
     singleton = session.unit_manager()
     custom = session.unit_manager(restart_policy=RestartPolicy())
     assert custom is not singleton
     assert custom.restart_policy is not None
     assert session.unit_manager() is singleton
     assert session.unit_manager(
-        scheduler=BackfillScheduler()) is not singleton
+        restart_policy=RestartPolicy()) is not custom
     fresh_pmgr = session.pilot_manager(heartbeat_timeout=10.0)
     assert fresh_pmgr is not session.pilot_manager()
 
@@ -74,7 +74,7 @@ def test_core_unknown_attribute_raises():
         with pytest.raises(AttributeError, match=name):
             getattr(repro.core, name)
     with pytest.raises(ImportError, match="State"):
-        from repro.pilot_api import State  # noqa: F401
+        from repro.core.states import State  # noqa: F401
 
 
 def test_no_deprecated_core_imports_left_in_src():

@@ -34,11 +34,12 @@ def test_heartbeats_advance_while_active():
         resource="slurm://stampede", nodes=1, runtime=600,
         agent_config=fast_agent(db_poll_interval=1.0)))
     env.run(pilot.wait(PilotState.ACTIVE))
+    pilots = session.db.collection("pilots")
     env.run(until=env.now + 10.0)
-    first = pmgr.last_heartbeat(pilot.uid)
+    first = pilots.get(pilot.uid).get("heartbeat")
     assert first is not None
     env.run(until=env.now + 10.0)
-    assert pmgr.last_heartbeat(pilot.uid) > first
+    assert pilots.get(pilot.uid).get("heartbeat") > first
 
 
 def test_healthy_pilot_not_flagged():

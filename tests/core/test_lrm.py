@@ -98,5 +98,4 @@ def test_fork_lrm_initialize_sets_nodes(site):
     lrm = make_lrm("fork", env, site_, AgentConfig())
     env.run(env.process(lrm.initialize(FakeJob())))
     assert lrm.total_cores == 32
-    assert lrm.cores_per_node == 16
     assert lrm.setup_seconds == 0.0

@@ -64,7 +64,7 @@ def test_submit_data_unit_creates_files(stack):
 
     env.run(env.process(driver()))
     du = holder["du"]
-    assert du.state == "Available"
+    assert du.replicas == [pd]
     assert pd.used == 32 * MB
     site = registry.lookup("stampede")
     assert site.scratch.exists(pd.path_for(du.uid, "frames.dat"))
@@ -118,22 +118,6 @@ def test_replicate_idempotent(stack):
         yield env.process(cds.replicate(du, pd))
         assert len(du.replicas) == 1  # no duplicate replica
         assert pd.used == 10 * MB
-
-    env.run(env.process(driver()))
-
-
-def test_delete_data_unit_frees_space(stack):
-    env, registry, session, pmgr, umgr = stack
-    cds = ComputeDataService(session, umgr)
-    pd = cds.create_pilot_data(PilotDataDescription(
-        resource="slurm://stampede", size_bytes=100 * MB))
-
-    def driver():
-        du = yield from cds.submit_data_unit(DataUnitDescription(
-            name="d", files=(("f", 10 * MB),)), pd)
-        cds.delete_data_unit(du)
-        assert pd.used == 0
-        assert du.state == "New"
 
     env.run(env.process(driver()))
 

@@ -6,14 +6,11 @@ from repro.api import (
     ComputePilotDescription,
     ComputeUnitDescription,
     PilotState,
-    UnitState,
 )
 from repro.core.profiler import (
     concurrency_series,
-    core_utilization,
     peak_concurrency,
     phase_means,
-    pilot_startup_breakdown,
     unit_phases,
 )
 from tests.core.test_units import fast_agent
@@ -73,16 +70,6 @@ def test_phase_means_empty_iterable():
     assert all(v is None for v in means.values())
 
 
-def test_pilot_startup_breakdown(run_units):
-    env, pilot, units = run_units
-    breakdown = pilot_startup_breakdown(pilot)
-    assert breakdown["total"] == pytest.approx(
-        breakdown["submit_to_launch"] + breakdown["queue_wait"]
-        + breakdown["agent_bootstrap"], abs=1e-6)
-    assert breakdown["agent_bootstrap"] > 0
-    assert breakdown["lrm_setup"] == 0.0  # fork LRM
-
-
 def test_concurrency_capped_by_cores(run_units):
     env, pilot, units = run_units
     # 8 units x 4 cores on a 16-core node: at most 4 concurrent
@@ -102,21 +89,3 @@ def test_incomplete_unit_phases_none(stack):
     env.run(until=10.0)
     phases = unit_phases(units[0])
     assert phases["execute"] is None
-
-
-def test_core_utilization_bounds(run_units):
-    env, pilot, units = run_units
-    wave_start = min(u.timestamp(UnitState.EXECUTING) for u in units)
-    util = core_utilization(units, pilot, start=wave_start)
-    assert 0.5 < util <= 1.0  # 4x4 cores busy of 16 during the waves
-
-
-def test_core_utilization_degenerate_inputs():
-    """Degenerate inputs return 0 rather than raising."""
-    from repro.core.description import ComputePilotDescription
-    from repro.core.pilot import ComputePilot
-    from repro.sim import Environment
-    env = Environment()
-    pilot = ComputePilot(env, "p", ComputePilotDescription(
-        resource="slurm://stampede"))
-    assert core_utilization([], pilot) == 0.0

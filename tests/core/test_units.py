@@ -9,7 +9,6 @@ from repro.api import (
     PilotState,
     UnitState,
 )
-from repro.core.unit_manager import BackfillScheduler
 
 
 def fast_agent(**kw):
@@ -136,7 +135,7 @@ def test_missing_stage_in_fails_unit(stack):
 def test_stage_in_and_out_roundtrip(stack):
     env, registry, session, pmgr, umgr = stack
     site = registry.lookup("stampede")
-    site.scratch.touch("/scratch/input.dat", 5e6)
+    env.run(site.scratch.create("/scratch/input.dat", 5e6))
     active_pilot(env, pmgr, umgr)
     units = umgr.submit_units(ComputeUnitDescription(
         cores=1,
@@ -210,19 +209,6 @@ def test_round_robin_spreads_units(stack):
     assert assigned == {a.uid, b.uid}
     env.run(umgr.wait_units(units))
     assert all(u.state is UnitState.DONE for u in units)
-
-
-def test_backfill_scheduler_prefers_active(stack):
-    env, registry, session, pmgr, umgr = stack
-    umgr.scheduler = BackfillScheduler()
-    active = active_pilot(env, pmgr, umgr)
-    pending = pmgr.submit_pilot(ComputePilotDescription(
-        resource="slurm://wrangler", nodes=1, runtime=600,
-        agent_config=fast_agent(bootstrap_seconds=1e5)))
-    umgr.add_pilots(pending)
-    units = umgr.submit_units([ComputeUnitDescription(cores=1)
-                               for _ in range(3)])
-    assert all(u.pilot_uid == active.uid for u in units)
 
 
 def test_unit_startup_time_metric(stack):

@@ -12,7 +12,6 @@ from repro.experiments.calibration import (
     SCENARIOS,
     TASK_CONFIGS,
     agent_config,
-    scenario_label,
 )
 from repro.experiments.figure6 import (
     KMeansRow,
@@ -47,10 +46,6 @@ def test_scenarios_match_paper():
     products = {p * c for p, c in SCENARIOS}
     assert products == {50_000_000}
     assert TASK_CONFIGS == {8: 1, 16: 2, 32: 3}
-
-
-def test_scenario_label():
-    assert scenario_label(10_000, 5_000) == "10,000 points / 5,000 clusters"
 
 
 def test_calibrated_cost_structure():

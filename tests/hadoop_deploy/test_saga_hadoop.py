@@ -4,12 +4,9 @@ import pytest
 
 from repro.cluster import stampede, wrangler
 from repro.hadoop_deploy import (
-    FrameworkPlugin,
     SagaHadoop,
     provision_dedicated_hadoop,
-    register_plugin,
 )
-from repro.hadoop_deploy.plugins import make_plugin
 from repro.saga import Registry, Site
 from repro.sim import Environment, SimulationError
 from repro.spark import SparkConf
@@ -118,26 +115,6 @@ def test_unknown_framework_rejected(testbed):
     with pytest.raises(ValueError, match="unknown framework"):
         SagaHadoop(env, registry, "slurm://stampede",
                    framework="flink").start().send(None)
-
-
-def test_plugin_registration(testbed):
-    env, registry = testbed
-
-    class FlinkPlugin(FrameworkPlugin):
-        name = "flink"
-
-        def start_daemons(self, nodes):
-            self.flink_started = True
-            if False:
-                yield None
-
-        def stop(self):
-            pass
-
-    register_plugin("flink", FlinkPlugin)
-    site = registry.lookup("stampede")
-    plugin = make_plugin("flink", env, site)
-    assert isinstance(plugin, FlinkPlugin)
 
 
 def test_cluster_access_before_start_raises(testbed):

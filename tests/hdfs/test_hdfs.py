@@ -48,8 +48,9 @@ def test_put_replicates_to_factor():
         yield env.process(client.put("/f", 10 * MB))
 
     env.run(env.process(driver()))
-    locations = client.block_locations("/f")
-    nodes = {r.node_name for r in locations}
+    nn = hdfs.namenode
+    nodes = {name for block in nn.file_meta("/f").blocks
+             for name in nn.block_map[block.block_id]}
     assert len(nodes) == 3
 
 
@@ -121,22 +122,6 @@ def test_local_read_prefers_local_replica():
     env.run(env.process(driver()))
 
 
-def test_delete_frees_replica_space():
-    env, _, hdfs = make_hdfs()
-    client = hdfs.client(hdfs.master_node.name)
-
-    def driver():
-        yield env.process(client.put("/f", 12 * MB))
-
-    env.run(env.process(driver()))
-    used_before = sum(dn.node.local_disk.used for dn in hdfs.datanodes)
-    assert used_before == 36 * MB  # 3 replicas
-    client.delete("/f")
-    used_after = sum(dn.node.local_disk.used for dn in hdfs.datanodes)
-    assert used_after == 0
-    assert not client.exists("/f")
-
-
 def test_block_locations_counts():
     env, _, hdfs = make_hdfs(block_size=10 * MB, replication=2)
     client = hdfs.client(hdfs.master_node.name)
@@ -145,9 +130,10 @@ def test_block_locations_counts():
         yield env.process(client.put("/f", 25 * MB))
 
     env.run(env.process(driver()))
-    locations = client.block_locations("/f")
+    nn = hdfs.namenode
+    blocks = nn.file_meta("/f").blocks
     # 3 blocks x 2 replicas
-    assert len(locations) == 6
+    assert [len(nn.block_map[b.block_id]) for b in blocks] == [2, 2, 2]
 
 
 def test_datanode_failure_then_reread_from_survivor():

@@ -4,10 +4,11 @@ PYTEST_DONT_REWRITE — assertion rewriting of this module trips a
 CPython 3.11 ``ast`` recursion-guard bug; plain asserts work fine.
 """
 
-import numpy as np
-
-from repro.analytics import generate_points, kmeans_reference
-from repro.analytics.kmeans import run_kmeans_mapreduce
+from repro.analytics import (
+    count_kmers_mapreduce,
+    count_kmers_reference,
+    generate_reads,
+)
 from repro.cluster import Machine, stampede
 from repro.api import (
     ComputePilotDescription,
@@ -72,29 +73,21 @@ def test_mapreduce_survives_replica_loss_between_jobs():
         yield env.process(yarn.start())
 
     env.run(env.process(boot()))
-    points = generate_points(300, 5, seed=11)
+    reads = generate_reads(120, read_length=40, seed=11)
     holder = {}
 
     def driver():
-        # fail one datanode AFTER the data is loaded; replication=2
-        # guarantees a surviving replica for every block
-        client = hdfs.client(hdfs.master_node.name)
-        from repro.analytics.kmeans import KMeansCost
-        cost = KMeansCost()
-        nbytes = cost.bytes_per_point_in * len(points)
-        chunks = np.array_split(points, 4)
-        yield env.process(client.put(
-            "/kmeans/points", nbytes,
-            payload_slices=[[c] for c in chunks],
-            block_size=max(1.0, nbytes / 4)))
+        # the first job loads the reads; fail one datanode AFTER that:
+        # replication=2 guarantees a surviving replica for every block
+        holder[3], _ = yield from count_kmers_mapreduce(
+            env, hdfs, yarn, reads, 3)
         hdfs.datanodes[1].fail()
-        centroids = yield from run_kmeans_mapreduce(
-            env, hdfs, yarn, points, 5, iterations=2, num_blocks=4)
-        holder["c"] = centroids
+        holder[5], _ = yield from count_kmers_mapreduce(
+            env, hdfs, yarn, reads, 5)
 
     env.run(env.process(driver()))
-    assert np.allclose(holder["c"],
-                       kmeans_reference(points, 5, iterations=2))
+    for k in (3, 5):
+        assert holder[k] == count_kmers_reference(reads, k)
 
 
 # ------------------------------------------------ YARN NM loss mid-pilot

@@ -44,9 +44,9 @@ def test_refs_move_atomically_and_resolve(tmp_path):
     first = store.put({"rev": 1})
     second = store.put({"rev": 2})
     store.set_ref("latest", first)
-    assert store.ref("latest") == first
+    assert store.refs().get("latest") == first
     store.set_ref("latest", second)
-    assert store.ref("latest") == second
+    assert store.refs().get("latest") == second
     assert store.refs() == {"latest": second}
     assert store.resolve("latest") == {"rev": 2}
     assert store.resolve(first) == {"rev": 1}
@@ -77,7 +77,7 @@ def test_set_ref_blocks_behind_the_refs_lock(tmp_path):
         os.close(fd)
     thread.join(timeout=10)
     assert done.is_set()
-    assert store.ref("latest") == digest
+    assert store.refs().get("latest") == digest
 
 
 def test_ref_to_unknown_object_rejected(tmp_path):

@@ -71,7 +71,7 @@ def _trickle(env, session, overlay):
 
     env.run(env.process(client()))
     env.run(overlay.wait())
-    workers = [r.worker for r in sorted(overlay.results,
+    workers = [r.worker for r in sorted(overlay.master.results,
                                         key=lambda r: r.started_at)]
     assert workers != sorted(workers)
 
@@ -124,7 +124,7 @@ def _outcome(program, shape):
         config=RaptorConfig(retain_results=True), **shape)
     program(env, session, overlay)
     envelopes = [(r.tid, r.worker, r.attempts, r.started_at,
-                  r.finished_at, r.ok, r.error) for r in overlay.results]
+                  r.finished_at, r.ok, r.error) for r in overlay.master.results]
     stats = dict(overlay.stats())
     stats.pop("overlay")          # a process-global uid
     return envelopes, stats, env.now

@@ -16,7 +16,7 @@ def overlay_on(stack, workers=6, **kw):
 
 def test_session_raptor_builds_started_overlay(stack):
     env, session, overlay = overlay_on(stack)
-    assert overlay.master.ready
+    assert overlay.master.node is not None and not overlay.master.closed
     assert len(overlay.master.workers) == 6
     assert overlay.master_unit is not None
     assert len(overlay.worker_units) == 6
@@ -48,7 +48,7 @@ def test_results_retained_in_completion_order(stack):
     futures = overlay.submit_tasks([
         TaskDescription(cpu_seconds=0.1) for _ in range(20)])
     env.run(overlay.wait(futures))
-    finished = [r.finished_at for r in overlay.results]
+    finished = [r.finished_at for r in overlay.master.results]
     assert len(finished) == 20
     assert finished == sorted(finished)
 
@@ -61,7 +61,7 @@ def test_wait_without_futures_uses_counters(stack):
     assert handles is None
     env.run(overlay.wait())
     assert overlay.stats()["tasks_completed"] == 100
-    assert overlay.results == []          # retain_results off
+    assert overlay.master.results == []          # retain_results off
 
 
 def test_task_payload_exception_fails_only_that_task(stack):

@@ -23,7 +23,7 @@ def test_register_is_idempotent_and_updates_weight():
     drr = WeightedDeficitRoundRobin()
     drr.register("a", weight=1.0)
     drr.register("a", weight=3.0)
-    assert drr.tenants == ["a"]
+    assert list(drr._weights) == ["a"]
     assert drr._weights["a"] == 3.0
 
 

@@ -107,41 +107,6 @@ def test_count_by_key():
     assert run(env, rdd.count_by_key()) == {"a": 2, "b": 1}
 
 
-def test_text_file_reads_hdfs_blocks():
-    env, cluster, ctx, hdfs = make_spark(with_hdfs=True)
-    client = hdfs.client(hdfs.master_node.name)
-    words = [f"w{i}" for i in range(40)]
-    slices = [words[:20], words[20:]]
-
-    def load():
-        yield env.process(client.put("/corpus", 20 * MB,
-                                     payload_slices=slices,
-                                     block_size=10 * MB))
-
-    env.run(env.process(load()))
-    rdd = ctx.text_file(hdfs, "/corpus")
-    assert rdd.num_partitions == 2
-    got = run(env, rdd.collect())
-    assert Counter(got) == Counter(words)
-
-
-def test_text_file_pipeline_with_shuffle():
-    env, cluster, ctx, hdfs = make_spark(with_hdfs=True)
-    client = hdfs.client(hdfs.master_node.name)
-    words = ["dog", "cat", "dog", "emu", "cat", "dog"]
-
-    def load():
-        yield env.process(client.put("/w", 6 * MB,
-                                     payload_slices=[words[:3], words[3:]],
-                                     block_size=3 * MB))
-
-    env.run(env.process(load()))
-    counts = dict(run(env, (
-        ctx.text_file(hdfs, "/w").map(lambda w: (w, 1))
-        .reduce_by_key(lambda a, b: a + b).collect())))
-    assert counts == {"dog": 3, "cat": 2, "emu": 1}
-
-
 def test_broadcast_value_usable_in_tasks():
     env, cluster, ctx, _ = make_spark()
     holder = {}

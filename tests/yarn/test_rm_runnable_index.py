@@ -19,10 +19,7 @@ from repro.cluster import Machine, stampede
 from repro.sim import Environment
 from repro.yarn import (
     AppSpec,
-    CapacityPolicy,
     ContainerRequest,
-    FairPolicy,
-    FifoPolicy,
     YarnConfig,
     YarnResource,
 )
@@ -31,50 +28,18 @@ from repro.yarn.resource_manager import ResourceManager
 
 
 # ------------------------------------------------------------ the oracle
-def _reference_order(policy, active):
-    """The seed's ``app_order`` per policy (keyed by ``seq`` where the
-    seed used the zero-padded ``app_id`` — equal below 10,000 apps)."""
-    if isinstance(policy, FairPolicy):
-        return sorted(active, key=lambda a: (
-            a.usage.memory_mb / policy._weight(a), a.seq))
-    fifo = sorted(active, key=lambda a: a.seq)
-    if not isinstance(policy, CapacityPolicy):
-        return fifo
-    by_queue = {}
-    for app in fifo:
-        by_queue.setdefault(app.queue, []).append(app)
-    ordered = []
-    while any(by_queue.values()):
-        for queue in sorted(by_queue):
-            if by_queue[queue]:
-                ordered.append(by_queue[queue].pop(0))
-    return ordered
-
-
-def _reference_may_allocate(rm, app, resource):
-    policy = rm.policy
-    if not isinstance(policy, CapacityPolicy):
-        return True
-    queue_used = sum(a.usage.memory_mb for a in rm._active_apps.values()
-                     if a.queue == app.queue)
-    limit = rm.total_capacity().memory_mb * min(
-        1.0, policy.queues[app.queue] * policy.max_capacity)
-    return queue_used + resource.memory_mb <= limit + 1e-9
-
-
 class ScanResourceManager(ResourceManager):
     """The pre-index scheduler: rescan and sort every active app on
-    every heartbeat, and sum queue usage over them per ask."""
+    every heartbeat (by ``seq``: the seed sorted the zero-padded
+    ``app_id``, equal below 10,000 apps)."""
 
     def _schedule_on(self, nm):
         budget = self.config.max_assignments_per_heartbeat
         active = [a for a in self._active_apps.values() if a.pending]
-        for app in _reference_order(self.policy, active):
+        for app in sorted(active, key=lambda a: a.seq):
             while app.pending and budget > 0:
                 request = app.pending[0]
                 if not request.resource.fits_in(nm.available):
-                    break
-                if not _reference_may_allocate(self, app, request.resource):
                     break
                 if (request.preferred_nodes
                         and nm.name not in request.preferred_nodes):
@@ -112,12 +77,6 @@ class _RecordingNM(NodeManager):
         super().reserve(container)
 
 
-POLICIES = {
-    "fifo": lambda: FifoPolicy(),
-    "fair": lambda: FairPolicy(weights={"gold": 3.0}),
-    "capacity": lambda: CapacityPolicy({"default": 0.6, "gold": 0.4},
-                                       max_capacity=0.75),
-}
 NODES = 3
 HORIZON = 400.0
 
@@ -171,11 +130,11 @@ def _am_program(waves, node_names):
     return am
 
 
-def _run(rm_cls, policy, ops):
+def _run(rm_cls, ops):
     env = Environment()
     config = YarnConfig()
     machine = Machine(env, stampede(num_nodes=NODES))
-    rm = rm_cls(env, config, policy)
+    rm = rm_cls(env, config)
     log = []
     nms = [_RecordingNM(env, node, config, log) for node in machine.nodes]
     for nm in nms:
@@ -213,19 +172,17 @@ def _run(rm_cls, policy, ops):
 SEEDS = list(range(24))
 
 
-def _check(policy_name, ops):
-    log, metrics, rm = _run(ResourceManager, POLICIES[policy_name](), ops)
-    ref_log, ref_metrics, _ = _run(ScanResourceManager,
-                                   POLICIES[policy_name](), ops)
+def _check(ops):
+    log, metrics, rm = _run(ResourceManager, ops)
+    ref_log, ref_metrics, _ = _run(ScanResourceManager, ops)
     assert log == ref_log
     assert metrics == ref_metrics
     return log, metrics, rm
 
 
-@pytest.mark.parametrize("policy_name", sorted(POLICIES))
 @pytest.mark.parametrize("seed", SEEDS)
-def test_index_matches_reference_scan(policy_name, seed):
-    log, metrics, rm = _check(policy_name, _program(seed))
+def test_index_matches_reference_scan(seed):
+    log, metrics, rm = _check(_program(seed))
     assert len(log) >= 12            # at least every AM was placed
     assert metrics["containersAllocated"] == len(log)
 
@@ -236,7 +193,7 @@ def test_programs_exercise_reentry_kills_and_node_loss():
     reentered = killed = lost = 0
     for seed in SEEDS:
         ops = _program(seed)
-        log, metrics, rm = _run(ResourceManager, POLICIES["capacity"](), ops)
+        log, metrics, rm = _run(ResourceManager, ops)
         per_app = {}
         for _, app_id, _ in log:
             per_app[app_id] = per_app.get(app_id, 0) + 1
@@ -253,7 +210,7 @@ def test_fifo_order_holds_across_the_10000th_application():
     env = Environment()
     config = YarnConfig(max_assignments_per_heartbeat=1)
     machine = Machine(env, stampede(num_nodes=1))
-    rm = ResourceManager(env, config, FifoPolicy())
+    rm = ResourceManager(env, config)
     nm = NodeManager(env, machine.nodes[0], config)
     rm.register_node_manager(nm)
     rm._app_counter = itertools.count(9998)
@@ -285,18 +242,15 @@ class _CountingDeque(deque):
         return super().__len__()
 
 
-class _CountingFifo(FifoPolicy):
-    def __init__(self):
-        self.offered = self.asked = 0
+class _CountingIndex(list):
+    """A runnable index that counts the apps a walk is offered."""
 
-    def app_order(self, apps):
-        for app in super().app_order(apps):
-            self.offered += 1
+    offered = 0
+
+    def __iter__(self):
+        for app in super().__iter__():
+            type(self).offered += 1
             yield app
-
-    def may_allocate(self, app, resource):
-        self.asked += 1
-        return True
 
 
 def _examined_per_opportunity(parked):
@@ -305,8 +259,7 @@ def _examined_per_opportunity(parked):
     env = Environment()
     config = YarnConfig(nm_vcore_ratio=64.0)
     machine = Machine(env, stampede(num_nodes=12))
-    policy = _CountingFifo()
-    rm = ResourceManager(env, config, policy)
+    rm = ResourceManager(env, config)
     nms = [NodeManager(env, node, config) for node in machine.nodes]
     for nm in nms:
         rm.register_node_manager(nm)
@@ -334,14 +287,15 @@ def _examined_per_opportunity(parked):
     SimSanitizer.uninstall(env)
     for app in rm.apps.values():
         app.pending = _CountingDeque(app.pending)
-    _CountingDeque.examined = policy.offered = policy.asked = 0
+    rm._runnable = _CountingIndex(rm._runnable)
+    _CountingDeque.examined = _CountingIndex.offered = 0
     rm._schedule_on(nms[-1])
-    return _CountingDeque.examined, policy.offered, policy.asked
+    return _CountingDeque.examined, _CountingIndex.offered
 
 
 def test_scheduling_opportunity_cost_is_independent_of_parked_apps():
     few = _examined_per_opportunity(10)
     many = _examined_per_opportunity(1000)
     assert few == many
-    examined, offered, _ = few
+    examined, offered = few
     assert offered == 8 and examined <= 3 * offered

@@ -7,7 +7,6 @@ from repro.sim import Environment
 from repro.yarn import (
     AppSpec,
     ApplicationState,
-    CapacityPolicy,
     ContainerState,
     YarnCluster,
     YarnConfig,
@@ -17,11 +16,10 @@ from repro.yarn import (
 CFG = YarnConfig()
 
 
-def make_yarn(num_nodes=3, config=CFG, policy=None):
+def make_yarn(num_nodes=3, config=CFG):
     env = Environment()
     machine = Machine(env, stampede(num_nodes=num_nodes))
-    cluster = YarnCluster(env, machine, machine.nodes, config=config,
-                          policy=policy)
+    cluster = YarnCluster(env, machine, machine.nodes, config=config)
     env.run(env.process(cluster.start()))
     return env, machine, cluster
 
@@ -262,31 +260,6 @@ def test_kill_application():
         assert nm.used.memory_mb == 0
 
 
-def test_preemption_kills_newest_container():
-    env, machine, cluster = make_yarn()
-    containers_seen = []
-
-    def am(ctx):
-        ctx.request_containers(2, YarnResource(1024, 1))
-        got = yield from ctx.wait_for_containers(2)
-        containers_seen.extend(got)
-
-        def task(env_, c):
-            yield env_.timeout(50.0)
-
-        events = [ctx.start_container(c, task) for c in got]
-        yield ctx.env.timeout(20.0)
-        ctx.rm.preempt_containers(ctx.app_id, 1)
-        yield ctx.env.all_of(events)
-        ctx.finish()
-
-    spec = AppSpec(name="preempt-me", am_resource=YarnResource(512, 1),
-                   am_program=am)
-    app, report = submit_and_wait(env, cluster, spec)
-    states = sorted(c.state.value for c in containers_seen)
-    assert states == ["completed", "preempted"]
-
-
 def test_nm_failure_kills_its_containers():
     env, machine, cluster = make_yarn(num_nodes=2)
     result = {}
@@ -389,47 +362,6 @@ def test_locality_relaxes_when_target_full():
                    am_program=am)
     submit_and_wait(env, cluster, spec)
     assert got_nodes and got_nodes[0] != target_nm.name
-
-
-def test_capacity_policy_limits_queue():
-    policy = CapacityPolicy(queues={"prod": 0.75, "dev": 0.25})
-    env, machine, cluster = make_yarn(num_nodes=1, policy=policy)
-    nm = cluster.node_managers[0]
-    total_mb = nm.capacity.memory_mb
-    peak = {"dev": 0}
-
-    def am(ctx):
-        # dev queue asks for far more than its 25% share; only two
-        # 8%-containers (plus the AM) fit under the cap.
-        ctx.request_containers(8, YarnResource(
-            memory_mb=int(total_mb * 0.08), vcores=1))
-        got = yield from ctx.wait_for_containers(2)
-        peak["dev"] = max(peak["dev"], ctx.app.usage.memory_mb)
-
-        def task(env_, c):
-            yield env_.timeout(2.0)
-
-        yield ctx.env.all_of([ctx.start_container(c, task) for c in got])
-        ctx.finish()
-
-    spec = AppSpec(name="dev-app", queue="dev",
-                   am_resource=YarnResource(512, 1), am_program=am)
-    submit_and_wait(env, cluster, spec)
-    assert peak["dev"] <= total_mb * 0.25 + 512
-
-
-def test_capacity_policy_rejects_unknown_queue():
-    policy = CapacityPolicy(queues={"prod": 1.0})
-    env, machine, cluster = make_yarn(num_nodes=1, policy=policy)
-    with pytest.raises(ValueError, match="unknown queue"):
-        cluster.resource_manager.submit_application(AppSpec(
-            name="x", queue="nope", am_resource=YarnResource(512, 1),
-            am_program=simple_am()))
-
-
-def test_capacity_policy_validates_shares():
-    with pytest.raises(ValueError, match="sum to 1"):
-        CapacityPolicy(queues={"a": 0.5, "b": 0.2})
 
 
 def test_yarn_resource_arithmetic():
