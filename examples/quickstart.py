@@ -14,10 +14,8 @@ from repro.api import (
     AgentConfig,
     ComputePilotDescription,
     ComputeUnitDescription,
-    PilotManager,
     PilotState,
     Session,
-    UnitManager,
 )
 from repro.saga import Registry, Site
 from repro.sim import Environment
@@ -31,8 +29,8 @@ def main():
 
     # --- the RADICAL-Pilot session: managers + shared DB ---
     session = Session(env, registry)
-    pmgr = PilotManager(session)
-    umgr = UnitManager(session)
+    pmgr = session.pilot_manager()
+    umgr = session.unit_manager()
 
     pilot = pmgr.submit_pilot(ComputePilotDescription(
         resource="slurm://stampede",

@@ -5,11 +5,11 @@ managers, description objects, fault injection and the simulation
 environment::
 
     from repro.api import (AgentConfig, ComputePilotDescription,
-                           ComputeUnitDescription, Environment,
+                           ComputeUnitDescription, Environment, Registry,
                            RestartPolicy, Session)
 
     env = Environment()
-    session = Session(env)
+    session = Session(env, Registry())
     pmgr = session.pilot_manager()
     umgr = session.unit_manager(restart_policy=RestartPolicy())
     session.faults.node_crash(at=120.0, node="c251-101")
@@ -68,7 +68,7 @@ from repro.persist import (
     state_digest,
     state_fingerprint,
 )
-from repro.saga.registry import Registry, Site, default_registry
+from repro.saga.registry import Registry, Site
 from repro.service import (
     PilotService,
     ServiceConfig,
@@ -127,7 +127,6 @@ __all__ = [
     "UnitManager",
     "UnitState",
     "checkpoint_session",
-    "default_registry",
     "launch",
     "restore",
     "scenario",

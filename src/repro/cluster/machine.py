@@ -20,7 +20,7 @@ harness can sweep them (ablations, sensitivity runs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List
 
 from repro.cluster.network import Interconnect

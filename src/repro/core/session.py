@@ -6,7 +6,7 @@ from typing import Optional
 
 from repro.analysis.sanitizer import SimSanitizer, sanitize_enabled
 from repro.core.db import Database
-from repro.saga.registry import Registry, default_registry
+from repro.saga.registry import Registry
 from repro.sim.engine import Environment
 from repro.sim.rng import SeedSequenceRegistry
 
@@ -25,7 +25,7 @@ class Session:
     """
 
     def __init__(self, env: Environment,
-                 registry: Optional[Registry] = None,
+                 registry: Registry,
                  db: Optional[Database] = None,
                  seed: int = 42,
                  sanitize: Optional[bool] = None):
@@ -35,10 +35,9 @@ class Session:
         # below) and a counter would make it depend on how many
         # sessions ran earlier in the process.
         self.uid = f"session.{seed:04d}"
-        self.registry = registry or default_registry()
+        self.registry = registry
         self.db = db or Database(env)
         self.rng = SeedSequenceRegistry(seed)
-        self.closed = False
         # Plain ints (not itertools.count): a checkpoint snapshots the
         # counters directly instead of poking at iterator internals.
         self._uid_counters: dict[str, int] = {}
@@ -148,7 +147,9 @@ class Session:
         """Canonical summary of the session's own serializable state."""
         return {"uid": self.uid,
                 "root_seed": self.rng.root_seed,
-                "closed": self.closed,
+                # A session is never closed; the constant keeps the
+                # format-9 checkpoint schema and state digests.
+                "closed": False,
                 "uid_counters": dict(self._uid_counters)}
 
     def checkpoint(self, path, ref: str = "latest"):
@@ -182,6 +183,3 @@ class Session:
         value = self._uid_counters.get(prefix, 0) + 1
         self._uid_counters[prefix] = value
         return f"{prefix}.{value:0{width}d}"
-
-    def close(self) -> None:
-        self.closed = True

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.cluster.network import Interconnect
 from repro.hdfs.block import Block

@@ -22,7 +22,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict
 
 try:
     import fcntl

@@ -12,7 +12,7 @@ with a :class:`Registry`; SAGA URLs resolve against it.
 
 from repro.saga.filesystem import FileCatalog, copy_file
 from repro.saga.job import Description, Job, Service
-from repro.saga.registry import Registry, Site, default_registry
+from repro.saga.registry import Registry, Site
 from repro.saga.url import Url
 
 __all__ = [
@@ -24,5 +24,4 @@ __all__ = [
     "Site",
     "Url",
     "copy_file",
-    "default_registry",
 ]

@@ -2,7 +2,7 @@
 
 Mirrors radical.saga's shape::
 
-    service = Service("slurm://stampede")
+    service = Service("slurm://stampede", registry)
     desc = Description(executable="agent.py", number_of_nodes=2,
                        wall_time_limit=60)
     job = service.create_job(desc)
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
 from repro.rms.job import BatchJob, JobDescription, JobState
-from repro.saga.registry import Registry, Site, default_registry
+from repro.saga.registry import Registry, Site
 from repro.saga.url import Url
 
 #: SAGA job states (string constants, as in saga-python).
@@ -133,9 +133,9 @@ class Job:
 class Service:
     """A SAGA job service bound to one site via its URL."""
 
-    def __init__(self, url: str, registry: Optional[Registry] = None):
+    def __init__(self, url: str, registry: Registry):
         self.url = Url.parse(url)
-        self.registry = registry or default_registry()
+        self.registry = registry
         self.site: Site = self.registry.lookup(self.url.host)
         allowed = _SCHEME_TO_RMS.get(self.url.scheme)
         if allowed is None:

@@ -47,11 +47,3 @@ class Registry:
             raise KeyError(
                 f"no registered site {hostname!r}; known: "
                 f"{sorted(self._sites)}") from None
-
-
-_DEFAULT = Registry()
-
-
-def default_registry() -> Registry:
-    """The process-wide registry used when none is passed explicitly."""
-    return _DEFAULT

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from repro.core.description import Description
-from repro.sim.engine import Environment, Event
+from repro.sim.engine import Environment
 
 
 class RequestState:
@@ -31,12 +31,6 @@ class RequestState:
     DONE = "Done"
     FAILED = "Failed"
     REJECTED = "Rejected"
-
-    FINAL = (DONE, FAILED, REJECTED)
-
-    @classmethod
-    def is_final(cls, state: str) -> bool:
-        return state in cls.FINAL
 
 
 #: Admission decisions (`admit()` return values).
@@ -79,14 +73,14 @@ class Ticket:
 
     __slots__ = ("uid", "tenant", "session_id", "kind", "size", "state",
                  "detail", "enqueued_at", "submitted_at", "finished_at",
-                 "_event", "payload")
+                 "payload")
 
     def __init__(self, env: Environment, uid: str, tenant: str,
                  session_id: str, kind: str, size: int, payload: Any):
         self.uid = uid
         self.tenant = tenant
         self.session_id = session_id
-        self.kind = kind              # "units" | "raptor" | "pilot"
+        self.kind = kind              # "raptor"
         self.size = size              # work items carried
         self.payload = payload
         self.state = RequestState.QUEUED
@@ -94,22 +88,11 @@ class Ticket:
         self.enqueued_at = env.now
         self.submitted_at: Optional[float] = None
         self.finished_at: Optional[float] = None
-        self._event = Event(env)
-
-    @property
-    def done(self) -> bool:
-        return self._event.triggered
-
-    def wait(self) -> Event:
-        """Event firing with the ticket once it settles."""
-        return self._event
 
     def _settle(self, now: float, state: str, detail: str = "") -> None:
         self.state = state
         self.detail = detail
         self.finished_at = now
-        if not self._event.triggered:
-            self._event.succeed(self)
 
     @property
     def submit_latency(self) -> Optional[float]:
@@ -117,28 +100,6 @@ class Ticket:
         if self.submitted_at is None:
             return None
         return self.submitted_at - self.enqueued_at
-
-    @property
-    def completion_latency(self) -> Optional[float]:
-        """Enqueue-to-settle latency (None while in flight)."""
-        if self.finished_at is None:
-            return None
-        return self.finished_at - self.enqueued_at
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Canonical JSON-able view (the query surface's row format)."""
-        return {
-            "id": self.uid,
-            "tenant": self.tenant,
-            "session": self.session_id,
-            "kind": self.kind,
-            "size": self.size,
-            "state": self.state,
-            "detail": self.detail,
-            "enqueuedTime": self.enqueued_at,
-            "submittedTime": self.submitted_at,
-            "finishedTime": self.finished_at,
-        }
 
 
 class TenantAccount:

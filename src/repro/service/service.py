@@ -28,7 +28,6 @@ enqueue->settle, in simulated seconds).
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Sequence
@@ -88,8 +87,7 @@ class ServiceSession:
     """
 
     __slots__ = ("service", "tenant", "sid", "index", "state",
-                 "opened_at", "closed_at", "tickets", "outstanding",
-                 "_drained")
+                 "opened_at", "closed_at", "tickets", "outstanding")
 
     def __init__(self, service: "PilotService", tenant: str, sid: str,
                  index: int, rejected: bool = False):
@@ -102,7 +100,6 @@ class ServiceSession:
         self.closed_at: Optional[float] = None
         self.tickets: List[Ticket] = []
         self.outstanding = 0
-        self._drained: List[Event] = []
 
     @property
     def rejected(self) -> bool:
@@ -127,15 +124,6 @@ class ServiceSession:
             self.state = "Closing"
         else:
             self.service._session_closed(self)
-
-    def drained(self) -> Event:
-        """Event firing when every ticket of this session has settled."""
-        event = Event(self.service.env)
-        if self.outstanding == 0:
-            event.succeed(self)
-        else:
-            self._drained.append(event)
-        return event
 
     # --------------------------------------------------------------- queries
     def snapshot(self) -> Dict[str, Any]:
@@ -192,10 +180,6 @@ class PilotService:
     def attach_overlay(self, overlay) -> None:
         """Attach a raptor overlay serving raptor-kind requests."""
         self._overlay = overlay
-
-    @property
-    def overlay(self):
-        return self._overlay
 
     # -------------------------------------------------------------- tenants
     def register_tenant(self, name: str,
@@ -308,13 +292,8 @@ class PilotService:
                              else "service.failed").inc()
         sess = self._sessions[ticket.session_id]
         sess.outstanding -= 1
-        if sess.outstanding == 0:
-            drained, sess._drained = sess._drained, []
-            for event in drained:
-                if not event.triggered:
-                    event.succeed(sess)
-            if sess.state == "Closing":
-                self._session_closed(sess)
+        if sess.outstanding == 0 and sess.state == "Closing":
+            self._session_closed(sess)
         self._outstanding -= 1
         if self._outstanding == 0:
             waiters, self._quiesce_waiters = self._quiesce_waiters, []
@@ -379,10 +358,7 @@ class PilotService:
                     if sess is None:
                         raise KeyError(
                             f"unknown session {parts[1]}/{parts[3]}")
-                    out = sess.snapshot()
-                    out["ticketList"] = [t.snapshot()
-                                         for t in sess.tickets]
-                    return out
+                    return sess.snapshot()
         elif parts == ["sessions"]:
             by_state: Dict[str, int] = {}
             for sess in self._sessions.values():
@@ -396,11 +372,6 @@ class PilotService:
             return self._metrics_snapshot()
         raise KeyError(f"unknown endpoint {path!r}; "
                        f"known: {', '.join(self.ENDPOINTS)}")
-
-    def query_json(self, path: str) -> str:
-        """:meth:`query`, serialized as canonical JSON."""
-        return json.dumps(self.query(path), sort_keys=True,
-                          separators=(",", ":"))
 
     def _counter(self, name: str) -> float:
         return self.metrics.counter(name).total

@@ -26,10 +26,6 @@ class RngStream:
         """One uniform draw on [low, high)."""
         return float(self._gen.uniform(low, high))
 
-    def normal(self, mean: float = 0.0, std: float = 1.0) -> float:
-        """One normal draw."""
-        return float(self._gen.normal(mean, std))
-
     def lognormal_around(self, center: float, spread: float = 0.05) -> float:
         """A positive draw centered at ``center`` with relative ``spread``.
 
@@ -39,14 +35,6 @@ class RngStream:
         if center <= 0:
             return max(center, 0.0)
         return float(center * self._gen.lognormal(0.0, spread))
-
-    def exponential(self, mean: float) -> float:
-        """One exponential draw with the given mean."""
-        return float(self._gen.exponential(mean))
-
-    def integers(self, low: int, high: int) -> int:
-        """One integer draw on [low, high)."""
-        return int(self._gen.integers(low, high))
 
     def choice(self, seq):
         """Pick one element of a non-empty sequence."""

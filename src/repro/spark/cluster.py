@@ -30,10 +30,6 @@ class SparkStandaloneCluster:
             self.master.register_worker(worker)
         self.running = False
 
-    @property
-    def master_node(self) -> Node:
-        return self.nodes[0]
-
     def start(self):
         """Boot the Master, then all Workers in parallel.  Generator."""
         yield self.env.process(self.master.start())

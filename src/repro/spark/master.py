@@ -37,10 +37,6 @@ class SparkWorker:
         self.memory_free = node.memory_bytes
         self.running = False
 
-    @property
-    def name(self) -> str:
-        return self.node.name
-
     def start(self):
         yield self.env.timeout(self.STARTUP_SECONDS)
         self.running = True

@@ -34,7 +34,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.telemetry.bridge import (
-    LivePilotView,
     LiveUnitView,
     ProfilerBridge,
 )
@@ -45,7 +44,7 @@ from repro.telemetry.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.telemetry.tracing import Span, Tracer, spans_from_jsonl
+from repro.telemetry.tracing import Span, Tracer
 
 
 class Telemetry:
@@ -99,7 +98,6 @@ __all__ = [
     "EventBus",
     "Gauge",
     "Histogram",
-    "LivePilotView",
     "LiveUnitView",
     "MetricsRegistry",
     "ProfilerBridge",
@@ -109,5 +107,4 @@ __all__ = [
     "TelemetryEvent",
     "Tracer",
     "install",
-    "spans_from_jsonl",
 ]

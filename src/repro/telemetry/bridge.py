@@ -2,7 +2,7 @@
 
 :mod:`repro.core.profiler` analyses unit/pilot *handle histories* after
 a run.  The bridge reconstructs equivalent histories from ``unit.state``
-/ ``pilot.state`` bus events as they happen, so the same analysis
+bus events as they happen, so the same analysis
 functions (``unit_phases``, ``phase_means``, ``concurrency_series``,
 ``peak_concurrency``) work mid-run, on the agent side, or in a process
 that never saw the client handles at all.
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.states import PilotState, UnitState
+from repro.core.states import UnitState
 from repro.telemetry.bus import EventBus, TelemetryEvent
 
 
@@ -24,10 +24,6 @@ class LiveUnitView:
         self.pilot_uid: Optional[str] = None
         self.history: List[Tuple[float, UnitState]] = []
 
-    @property
-    def state(self) -> Optional[UnitState]:
-        return self.history[-1][1] if self.history else None
-
     def advance(self, time: float, state: UnitState) -> None:
         self.history.append((time, state))
 
@@ -38,30 +34,8 @@ class LiveUnitView:
         return None
 
 
-class LivePilotView:
-    """History-compatible stand-in for a :class:`ComputePilot` handle."""
-
-    def __init__(self, uid: str):
-        self.uid = uid
-        self.history: List[Tuple[float, PilotState]] = []
-        self.agent_info: Dict[str, object] = {}
-
-    @property
-    def state(self) -> Optional[PilotState]:
-        return self.history[-1][1] if self.history else None
-
-    def advance(self, time: float, state: PilotState) -> None:
-        self.history.append((time, state))
-
-    def timestamp(self, state: PilotState) -> Optional[float]:
-        for t, s in self.history:
-            if s is state:
-                return t
-        return None
-
-
 class ProfilerBridge:
-    """Subscribes to state-transition events and keeps live views.
+    """Subscribes to unit state-transition events and keeps live views.
 
     Usage::
 
@@ -74,46 +48,22 @@ class ProfilerBridge:
     def __init__(self, bus: EventBus, replay: bool = True):
         self.bus = bus
         self._units: Dict[str, LiveUnitView] = {}
-        self._pilots: Dict[str, LivePilotView] = {}
-        self._subscription = bus.subscribe(
-            self._on_event, categories=("unit", "pilot"), names=("state",))
+        bus.subscribe(self._on_event, categories=("unit",), names=("state",))
         if replay:
-            for event in bus.select(name="state"):
-                if event.category in ("unit", "pilot"):
-                    self._on_event(event)
+            for event in bus.select("unit", "state"):
+                self._on_event(event)
 
     # ----------------------------------------------------------- ingest
     def _on_event(self, event: TelemetryEvent) -> None:
         uid = event.payload.get("uid")
         if uid is None:
             return
-        if event.category == "unit":
-            view = self._units.get(uid)
-            if view is None:
-                view = self._units[uid] = LiveUnitView(uid)
-                view.pilot_uid = event.payload.get("pilot")
-            view.advance(event.time, UnitState(event.payload["state"]))
-        elif event.category == "pilot":
-            view = self._pilots.get(uid)
-            if view is None:
-                view = self._pilots[uid] = LivePilotView(uid)
-            view.advance(event.time, PilotState(event.payload["state"]))
-            agent_info = event.payload.get("agent_info")
-            if agent_info:
-                view.agent_info.update(agent_info)
+        view = self._units.get(uid)
+        if view is None:
+            view = self._units[uid] = LiveUnitView(uid)
+            view.pilot_uid = event.payload.get("pilot")
+        view.advance(event.time, UnitState(event.payload["state"]))
 
     # ---------------------------------------------------------- queries
     def units(self) -> List[LiveUnitView]:
         return list(self._units.values())
-
-    def pilots(self) -> List[LivePilotView]:
-        return list(self._pilots.values())
-
-    def unit(self, uid: str) -> LiveUnitView:
-        return self._units[uid]
-
-    def pilot(self, uid: str) -> LivePilotView:
-        return self._pilots[uid]
-
-    def close(self) -> None:
-        self._subscription.cancel()

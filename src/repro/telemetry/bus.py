@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 #: Well-known event categories (components are free to add their own).
 CATEGORIES = ("pilot", "unit", "agent", "yarn", "hdfs", "rms", "metric")
@@ -30,10 +30,6 @@ class TelemetryEvent:
     category: str
     name: str
     payload: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def key(self) -> Tuple[str, str]:
-        return (self.category, self.name)
 
     def to_dict(self) -> Dict[str, Any]:
         return {"t": self.time, "seq": self.seq, "cat": self.category,
@@ -62,7 +58,6 @@ class Subscription:
         self.categories = frozenset(categories) if categories else None
         self.names = frozenset(names) if names else None
         self.predicate = predicate
-        self.active = True
         self.delivered = 0
 
     def matches(self, event: TelemetryEvent) -> bool:
@@ -74,10 +69,6 @@ class Subscription:
         if self.predicate is not None and not self.predicate(event):
             return False
         return True
-
-    def cancel(self) -> None:
-        self.active = False
-        self.bus._unsubscribe(self)
 
 
 class EventBus:
@@ -107,9 +98,9 @@ class EventBus:
         self.emitted += 1
         if self.record:
             self.events.append(event)
-        # Iterate over a copy: callbacks may subscribe/cancel.
+        # Iterate over a copy: callbacks may subscribe.
         for sub in list(self._subscriptions):
-            if sub.active and sub.matches(event):
+            if sub.matches(event):
                 sub.delivered += 1
                 sub.callback(event)
         return event
@@ -125,12 +116,6 @@ class EventBus:
                            names=names, predicate=predicate)
         self._subscriptions.append(sub)
         return sub
-
-    def _unsubscribe(self, sub: Subscription) -> None:
-        try:
-            self._subscriptions.remove(sub)
-        except ValueError:
-            pass
 
     # ----------------------------------------------------------- queries
     def select(self, category: Optional[str] = None,

@@ -53,9 +53,6 @@ class Metric:
             out["labels"] = self.labels
         return out
 
-    def rows(self) -> Iterator[Dict[str, Any]]:
-        raise NotImplementedError
-
 
 class Counter(Metric):
     """Monotonically increasing total with an increment series."""
@@ -125,19 +122,6 @@ class Gauge(Metric):
 
     def max(self) -> Optional[float]:
         return max((v for _, v in self.samples), default=None)
-
-    def time_weighted_mean(self, until: Optional[float] = None) -> float:
-        """Mean of the step function traced by the samples."""
-        if not self.samples:
-            return 0.0
-        end = self.env.now if until is None else until
-        total = 0.0
-        for (t0, v), (t1, _) in zip(self.samples, self.samples[1:], strict=False):
-            total += v * (t1 - t0)
-        last_t, last_v = self.samples[-1]
-        total += last_v * max(0.0, end - last_t)
-        span = end - self.samples[0][0]
-        return total / span if span > 0 else self.samples[-1][1]
 
     def rows(self) -> Iterator[Dict[str, Any]]:
         for t, v in self.samples:
@@ -269,12 +253,6 @@ class MetricsRegistry:
                          window_seconds=window_seconds)
 
     # ----------------------------------------------------------- queries
-    def all(self) -> List[Metric]:
-        return list(self._metrics.values())
-
-    def find(self, name: str) -> List[Metric]:
-        return [m for m in self._metrics.values() if m.name == name]
-
     def names(self) -> List[str]:
         return sorted({m.name for m in self._metrics.values()})
 

@@ -48,14 +48,6 @@ class Span:
         self.parent_id = parent_id
         self.args = args
 
-    @property
-    def open(self) -> bool:
-        return self.end is None
-
-    @property
-    def duration(self) -> Optional[float]:
-        return None if self.end is None else self.end - self.start
-
     def to_dict(self) -> Dict[str, Any]:
         return {"sid": self.sid, "name": self.name, "cat": self.cat,
                 "start": self.start, "end": self.end,
@@ -94,23 +86,7 @@ class Tracer:
             span.args.update(args)
         return span
 
-    def span(self, name: str, **kwargs):
-        """Context manager for spans that do not cross a sim yield."""
-        return _SpanContext(self, name, kwargs)
-
     # ------------------------------------------------------------ queries
-    def find(self, cat: Optional[str] = None,
-             name: Optional[str] = None) -> List[Span]:
-        return [s for s in self.spans
-                if (cat is None or s.cat == cat)
-                and (name is None or s.name == name)]
-
-    def children_of(self, span: Span) -> List[Span]:
-        return [s for s in self.spans if s.parent_id == span.sid]
-
-    def open_spans(self) -> List[Span]:
-        return [s for s in self.spans if s.open]
-
     # ------------------------------------------------------------- export
     def to_jsonl(self) -> str:
         """Lossless span dump, one JSON object per line."""
@@ -166,36 +142,3 @@ class Tracer:
         return {"traceEvents": meta + events,
                 "displayTimeUnit": "ms",
                 "otherData": {"clock": "simulated seconds x 1e6"}}
-
-
-class _SpanContext:
-    """``with tracer.span("name"): ...`` for non-yielding sections."""
-
-    def __init__(self, tracer: Tracer, name: str, kwargs: Dict[str, Any]):
-        self.tracer = tracer
-        self.name = name
-        self.kwargs = kwargs
-        self.span: Optional[Span] = None
-
-    def __enter__(self) -> Span:
-        self.span = self.tracer.begin(self.name, **self.kwargs)
-        return self.span
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.tracer.end(self.span,
-                        **({"error": repr(exc)} if exc else {}))
-
-
-def spans_from_jsonl(text: str) -> List[Span]:
-    """Rebuild spans from a :meth:`Tracer.to_jsonl` dump (round-trip)."""
-    spans: List[Span] = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        data = json.loads(line)
-        span = Span(sid=data["sid"], name=data["name"], cat=data["cat"],
-                    start=data["start"], track=data["track"],
-                    parent_id=data["parent"], args=data["args"])
-        span.end = data["end"]
-        spans.append(span)
-    return spans

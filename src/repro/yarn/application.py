@@ -30,10 +30,6 @@ class AmContext:
         self.am_container = am_container
         self.env = rm.env
 
-    @property
-    def app_id(self) -> str:
-        return self.app.app_id
-
     # ------------------------------------------------------------ protocol
     def add_container_request(self, request: ContainerRequest) -> None:
         """Queue one container ask with the RM scheduler."""
@@ -97,9 +93,3 @@ class AmContext:
             self.app.diagnostics = diagnostics
 
     # ------------------------------------------------------------- queries
-    def cluster_metrics(self):
-        return self.rm.cluster_metrics()
-
-    def node_names(self) -> List[str]:
-        return [name for name, nm in self.rm.node_managers.items()
-                if nm.alive]

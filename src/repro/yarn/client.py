@@ -33,8 +33,5 @@ class YarnClient:
         yield app.finished
         return self.rm.application_report(app.app_id)
 
-    def application_report(self, app_id: str) -> ApplicationReport:
-        return self.rm.application_report(app_id)
-
     def kill(self, app_id: str) -> None:
         self.rm.kill_application(app_id)

@@ -37,10 +37,6 @@ class YarnCluster:
         if faults is not None:
             faults.register_yarn(self)
 
-    @property
-    def master_node(self) -> Node:
-        return self.nodes[0]
-
     def start(self):
         """Boot the RM, then all NMs in parallel.  Generator."""
         yield self.env.process(self.resource_manager.start())

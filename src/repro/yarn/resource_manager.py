@@ -434,14 +434,6 @@ class ResourceManager:
             sanitizer.check_resource_manager(self)
 
     # ------------------------------------------------------------- metrics
-    def total_capacity(self) -> YarnResource:
-        return YarnResource(memory_mb=self._agg_total_mb,
-                            vcores=self._agg_total_vc)
-
-    def used_capacity(self) -> YarnResource:
-        return YarnResource(memory_mb=self._agg_used_mb,
-                            vcores=self._agg_used_vc)
-
     def cluster_metrics(self) -> Dict[str, float]:
         """RM REST ``/ws/v1/cluster/metrics``-shaped snapshot.
 
@@ -475,33 +467,6 @@ class ResourceManager:
             "activeNodes": active_nodes,
             "totalNodes": len(self.node_managers),
         }
-
-    def application_list(self) -> List[Dict[str, object]]:
-        """RM REST ``/ws/v1/cluster/apps``-shaped listing."""
-        return [{
-            "id": app.app_id,
-            "name": app.spec.name,
-            "queue": app.queue,
-            "state": app.state.value,
-            "applicationType": app.spec.app_type,
-            "allocatedMB": app.usage.memory_mb,
-            "allocatedVCores": app.usage.vcores,
-            "runningContainers": len(app.live_containers),
-            "startedTime": app.start_time,
-            "finishedTime": app.finish_time,
-        } for app in self.apps.values()]
-
-    def node_reports(self) -> List[Dict[str, object]]:
-        """RM REST ``/ws/v1/cluster/nodes``-shaped listing."""
-        return [{
-            "id": nm.name,
-            "state": "RUNNING" if nm.alive else "LOST",
-            "availMemoryMB": nm.available.memory_mb,
-            "usedMemoryMB": nm.used.memory_mb,
-            "availableVirtualCores": nm.available.vcores,
-            "usedVirtualCores": nm.used.vcores,
-            "numContainers": len(nm.containers),
-        } for nm in self.node_managers.values()]
 
     def application_report(self, app_id: str) -> ApplicationReport:
         app = self.apps[app_id]

@@ -13,6 +13,7 @@ from repro.cluster import Machine, stampede
 from repro.cluster.storage import SharedBandwidthPipe
 from repro.core.agent.scheduler import ContinuousScheduler
 from repro.core.session import Session
+from repro.saga import Registry
 from repro.sim import Environment
 
 
@@ -50,16 +51,16 @@ def test_environment_auto_installs_from_env_var(monkeypatch):
 def test_session_sanitize_kwarg_tristate(monkeypatch):
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
     env = Environment()
-    session = Session(env, sanitize=True)
+    session = Session(env, Registry(), sanitize=True)
     assert session.sanitizer is env.sanitizer is not None
     env2 = Environment()
-    assert Session(env2).sanitizer is None
+    assert Session(env2, Registry()).sanitizer is None
     monkeypatch.setenv("REPRO_SANITIZE", "yes")
     env3 = Environment()
-    assert Session(env3).sanitizer is not None
+    assert Session(env3, Registry()).sanitizer is not None
     env4 = Environment()
     SimSanitizer.install(env4)
-    assert Session(env4, sanitize=False).sanitizer is None
+    assert Session(env4, Registry(), sanitize=False).sanitizer is None
 
 
 # ------------------------------------------------------------ checkers

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.storage import MB, SharedBandwidthPipe
+from repro.cluster.storage import SharedBandwidthPipe
 from repro.sim import Environment
 
 

@@ -16,7 +16,6 @@ from repro.experiments.calibration import (
 from repro.experiments.figure6 import (
     KMeansRow,
     run_figure6_cell,
-    speedup,
     yarn_advantage,
 )
 from repro.experiments.harness import Testbed, experiment_machine
@@ -77,12 +76,6 @@ def _row(machine, flavor, points, ntasks, runtime):
                      clusters=50, ntasks=ntasks,
                      nodes=TASK_CONFIGS[ntasks], runtime=runtime,
                      lrm_setup=0.0, centroids_ok=True)
-
-
-def test_speedup_computation():
-    rows = [_row("stampede", "RP", 1000, 8, 800.0),
-            _row("stampede", "RP", 1000, 32, 200.0)]
-    assert speedup(rows, "stampede", "RP", 1000) == pytest.approx(4.0)
 
 
 def test_yarn_advantage_computation():

@@ -81,9 +81,8 @@ def test_spark_cluster_lifecycle(testbed):
         yield from tool.start()
         ctx = yield from tool.spark.context(SparkConf(
             num_executors=2, executor_cores=2))
-        total = yield from ctx.parallelize(range(10), 2).reduce(
-            lambda a, b: a + b)
-        result["sum"] = total
+        values = yield from ctx.parallelize(range(10), 2).collect()
+        result["sum"] = sum(values)
         tool.stop()
         yield tool.stopped
 

@@ -129,8 +129,8 @@ def test_yarn_pilot_unit_fails_when_its_node_dies_mid_execution():
     assert len(failures) == 1
     assert failures[0].payload["containers"] >= 1
     assert tel.bus.select("yarn", "node_failed") == failures
-    counters = tel.metrics.find("yarn.nm.failures")
-    assert sum(c.total for c in counters) == 1
+    assert sum(r["delta"] for r in tel.metrics.rows()
+               if r["metric"] == "yarn.nm.failures") == 1
     # the doomed container's lifecycle closed out on the bus too
     finished = tel.bus.select("yarn", "container_finished")
     assert any(e.payload["state"] == "killed" for e in finished)

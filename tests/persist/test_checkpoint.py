@@ -22,6 +22,7 @@ from repro.persist import (
     state_fingerprint,
 )
 from repro.persist.checkpoint import fingerprint_diff, fingerprint_schema
+from repro.saga import Registry
 from repro.sim.engine import Environment, SimulationError
 
 #: The package sources (subprocess PYTHONPATH, source-tree guard).
@@ -57,7 +58,7 @@ def test_launch_binds_provenance():
 
 def test_unprovenanced_session_cannot_checkpoint(tmp_path):
     from repro.api import Environment, Session
-    session = Session(Environment())
+    session = Session(Environment(), Registry())
     with pytest.raises(PersistError, match="no provenance"):
         session.checkpoint(tmp_path / "s")
 
@@ -132,7 +133,7 @@ def test_checkpoint_refuses_mid_process(tmp_path):
 
     def inside():
         session.checkpoint(tmp_path / "s")
-        yield 1.0
+        yield session.env.timeout(1.0)
 
     session.env.process(inside())
     with pytest.raises(PersistError, match="quiescent"):
@@ -343,7 +344,7 @@ def test_replay_guard_rails():
 
     def ticks():
         for _ in range(3):
-            yield 1.0
+            yield env2.timeout(1.0)
 
     env2.process(ticks())
     env2.run()
@@ -354,18 +355,18 @@ def test_replay_guard_rails():
 def test_replay_restores_parked_clock():
     """run(until=T) parks the clock past the last event; replay_to
     re-applies that position (and rejects unreachable ones)."""
-    def ticks():
-        yield 1.0
-        yield 1.0
+    def ticks(env):
+        yield env.timeout(1.0)
+        yield env.timeout(1.0)
 
     a = Environment()
-    a.process(ticks())
+    a.process(ticks(a))
     a.run(until=5.0)
     b = Environment()
-    b.process(ticks())
+    b.process(ticks(b))
     b.replay_to(a.steps, now=5.0)
     assert b.now == a.now == 5.0
     c = Environment()
-    c.process(ticks())
+    c.process(ticks(c))
     with pytest.raises(SimulationError, match="unreachable"):
         c.replay_to(1, now=100.0)   # next event lies before that clock

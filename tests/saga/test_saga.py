@@ -12,7 +12,6 @@ from repro.saga import (
     Site,
     Url,
     copy_file,
-    default_registry,
 )
 from repro.saga import job as saga_job
 from repro.sim import Environment
@@ -58,10 +57,6 @@ def test_registry_lookup(testbed):
     assert registry.lookup("stampede") is site
     with pytest.raises(KeyError, match="no registered site"):
         registry.lookup("comet")
-
-
-def test_default_registry_is_shared():
-    assert default_registry() is default_registry()
 
 
 # ------------------------------------------------------------ job API

@@ -193,8 +193,7 @@ def test_unhandled_process_exception_crashes_run():
 
 
 def test_yield_non_event_is_an_error():
-    # Numbers are slot-based sleeps (see test_slot_sleeps); anything
-    # else that is not an Event crashes the simulation loudly.
+    # Anything that is not an Event crashes the simulation loudly.
     env = Environment()
 
     def proc():

@@ -6,7 +6,7 @@ import pytest
 
 from repro.sim import Environment
 from repro.telemetry.bus import EventBus
-from repro.telemetry.tracing import Tracer, spans_from_jsonl
+from repro.telemetry.tracing import Tracer
 
 
 @pytest.fixture()
@@ -32,14 +32,12 @@ def test_span_nesting_and_track_inheritance(tracer, env):
     phase = tracer.begin("execute", cat="unit.phase", parent=unit)
     assert phase.track == "unit.1"          # inherited from parent
     assert unit.parent_id == pilot.sid
-    assert tracer.children_of(pilot) == [unit]
-    assert tracer.children_of(unit) == [phase]
+    assert phase.parent_id == unit.sid
 
     _advance(env, 3.0)
     tracer.end(phase)
-    assert phase.duration == pytest.approx(3.0)
-    assert pilot.open and unit.open
-    assert set(tracer.open_spans()) == {pilot, unit}
+    assert phase.end - phase.start == pytest.approx(3.0)
+    assert [s for s in tracer.spans if s.end is None] == [pilot, unit]
 
 
 def test_end_is_idempotent(tracer, env):
@@ -52,26 +50,15 @@ def test_end_is_idempotent(tracer, env):
     assert s.args == {"final_state": "Done", "late": "yes"}
 
 
-def test_span_context_manager_records_errors(tracer):
-    with tracer.span("ok"):
-        pass
-    with pytest.raises(RuntimeError):
-        with tracer.span("boom"):
-            raise RuntimeError("nope")
-    ok, boom = tracer.spans
-    assert not ok.open and "error" not in ok.args
-    assert "RuntimeError" in boom.args["error"]
-
-
 def test_jsonl_roundtrip(tracer, env):
     a = tracer.begin("pilot.0001", cat="pilot", lrm="yarn")
     b = tracer.begin("unit.1", cat="unit", parent=a, track="unit.1")
     _advance(env, 2.5)
     tracer.end(b)
-    # a stays open: round-trip must preserve end=None too.
-    restored = spans_from_jsonl(tracer.to_jsonl())
-    assert [(s.sid, s.name, s.cat, s.start, s.end, s.track, s.parent_id,
-             s.args) for s in restored] == \
+    # a stays open: the export must preserve end=None too.
+    lines = [json.loads(line) for line in tracer.to_jsonl().splitlines()]
+    assert [(d["sid"], d["name"], d["cat"], d["start"], d["end"],
+             d["track"], d["parent"], d["args"]) for d in lines] == \
            [(s.sid, s.name, s.cat, s.start, s.end, s.track, s.parent_id,
              s.args) for s in tracer.spans]
 

@@ -93,7 +93,7 @@ class ChildProcessResourceManager(ResourceManager):
 
         def am_main(ctx):
             return (yield ctx.env.process(program(ctx),
-                                          name=f"am-main-{ctx.app_id}"))
+                                          name=f"am-main-{ctx.app.app_id}"))
 
         return super().submit_application(
             dataclasses.replace(spec, am_program=am_main))
@@ -313,9 +313,10 @@ def test_same_instant_kill_and_node_death_end_killed(at):
     assert app.usage == ZERO_RESOURCE and app.live_containers == {}
     rm = cluster.resource_manager
     live = [n for n in cluster.node_managers if n.alive]
-    assert rm.used_capacity().memory_mb == \
-        sum(n.used.memory_mb for n in live)
-    assert rm.used_capacity().vcores == sum(n.used.vcores for n in live)
+    metrics = rm.cluster_metrics()
+    assert metrics["allocatedMB"] == sum(n.used.memory_mb for n in live)
+    assert metrics["allocatedVirtualCores"] == \
+        sum(n.used.vcores for n in live)
 
 
 def test_payload_that_swallows_its_interrupt_stays_killed():
