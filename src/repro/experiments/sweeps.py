@@ -325,10 +325,6 @@ class Sweep:
         self.jobs = jobs
         self.max_cells = max_cells
 
-    def cells(self) -> List[SweepCell]:
-        return build_cells(self.grid, root_seed=self.root_seed,
-                           quick=self.quick)
-
     def run(self, run_dir: Optional[str] = None,
             resume: bool = False) -> SweepRun:
         return run_sweep(self.grid, root_seed=self.root_seed,

@@ -140,6 +140,13 @@ class DataNode:
         """Which tier holds this replica (None if absent)."""
         return self.block_storage.get(block_id)
 
+    def drop(self, block_id: int) -> None:
+        """Delete a replica (metadata + capacity)."""
+        block = self.blocks.pop(block_id, None)
+        if block is not None:
+            storage_type = self.block_storage.pop(block.block_id, DISK)
+            self.volume(storage_type).delete(block.nbytes)
+
     def holds(self, block_id: int) -> bool:
         return block_id in self.blocks
 

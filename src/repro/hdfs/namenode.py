@@ -192,6 +192,21 @@ class NameNode:
             tel.emit("hdfs", "file_committed", path=path,
                      nbytes=self.files[path].nbytes, blocks=len(blocks))
 
+    def delete_file(self, path: str) -> None:
+        meta = self.file_meta(path)
+        for block in meta.blocks:
+            for node_name in self.block_map.pop(block.block_id, ()):
+                dn = self.datanodes.get(node_name)
+                if dn is not None:
+                    dn.drop(block.block_id)
+        del self.files[path]
+        tel = self.env.telemetry
+        if tel is not None:
+            tel.emit("hdfs", "file_deleted", path=path)
+        sanitizer = self.env.sanitizer
+        if sanitizer is not None:
+            sanitizer.check_namenode(self)
+
     # --------------------------------------------------------- replication
     def under_replicated(self) -> List[Block]:
         """Blocks with fewer live replicas than the target factor."""

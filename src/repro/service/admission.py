@@ -69,19 +69,18 @@ class TenantQuota(Description):
 
 
 class Ticket:
-    """One asynchronous service request and its completion handle."""
+    """One asynchronous service request: a batch of raptor tasks and
+    its admission, dispatch and settlement record."""
 
-    __slots__ = ("uid", "tenant", "session_id", "kind", "size", "state",
+    __slots__ = ("uid", "tenant", "session_id", "state",
                  "detail", "enqueued_at", "submitted_at", "finished_at",
                  "payload")
 
     def __init__(self, env: Environment, uid: str, tenant: str,
-                 session_id: str, kind: str, size: int, payload: Any):
+                 session_id: str, payload: Any):
         self.uid = uid
         self.tenant = tenant
         self.session_id = session_id
-        self.kind = kind              # "raptor"
-        self.size = size              # work items carried
         self.payload = payload
         self.state = RequestState.QUEUED
         self.detail = ""

@@ -229,7 +229,7 @@ class PilotService:
                 f"session {sess.sid} is {sess.state}; cannot submit")
         account = self._accounts[sess.tenant]
         ticket = Ticket(self.env, self.session.next_uid("ticket", width=6),
-                        sess.tenant, sess.sid, "raptor", len(tasks), tasks)
+                        sess.tenant, sess.sid, tasks)
         sess.tickets.append(ticket)
         decision = account.admit()
         if decision == REJECTED:

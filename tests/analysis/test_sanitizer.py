@@ -107,6 +107,21 @@ def test_pipe_checker_catches_ledger_divergence():
         env.run(env.process(workers()))
 
 
+def test_pipe_checker_armed_mid_flight_starts_from_an_exact_ledger():
+    """A checker installed while transfers are in flight rebuilds the
+    shadow ledger from the finish credits, then checks as if it had been
+    there from the start (the transfers drain without a violation)."""
+    env = Environment()
+    pipe = SharedBandwidthPipe(env, aggregate_bw=100.0)
+    first = pipe.transfer(1000.0)
+    env.run(until=2.0)
+    SimSanitizer.install(env)
+    second = pipe.transfer(400.0)
+    env.run(env.all_of([first, second]))
+    assert env.now == pytest.approx(14.0)
+    assert pipe._shadow_synced
+
+
 def test_yarn_rm_checker_catches_tally_drift():
     from repro.yarn import YarnCluster, YarnConfig
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.sweeps import Sweep, run_sweep
+from repro.experiments.sweeps import Sweep, build_cells, run_sweep
 from repro.persist import JournalError, SweepJournal
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -102,7 +102,7 @@ def test_incremental_runs_accumulate(tmp_path, reference):
     """``--max-cells 1`` repeatedly: every invocation adds exactly one
     cell until the grid is complete."""
     run_dir = tmp_path / "run"
-    total = len(Sweep("chaos", quick=True).cells())
+    total = len(build_cells("chaos", quick=True))
     run_sweep("chaos", quick=True, jobs=1, run_dir=run_dir, max_cells=1)
     for done in range(1, total):
         run = run_sweep("chaos", quick=True, jobs=1, run_dir=run_dir,

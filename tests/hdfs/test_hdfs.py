@@ -122,6 +122,22 @@ def test_local_read_prefers_local_replica():
     env.run(env.process(driver()))
 
 
+def test_delete_frees_replica_space():
+    env, _, hdfs = make_hdfs()
+    client = hdfs.client(hdfs.master_node.name)
+
+    def driver():
+        yield env.process(client.put("/f", 12 * MB))
+
+    env.run(env.process(driver()))
+    used_before = sum(dn.node.local_disk.used for dn in hdfs.datanodes)
+    assert used_before == 36 * MB  # 3 replicas
+    hdfs.namenode.delete_file("/f")
+    used_after = sum(dn.node.local_disk.used for dn in hdfs.datanodes)
+    assert used_after == 0
+    assert not client.exists("/f")
+
+
 def test_block_locations_counts():
     env, _, hdfs = make_hdfs(block_size=10 * MB, replication=2)
     client = hdfs.client(hdfs.master_node.name)

@@ -104,3 +104,13 @@ def test_archive_reads_slower_than_disk():
     timed_read("/hot", "hot")
     timed_read("/cold/f", "cold")
     assert spans["cold"] > spans["hot"] * 2
+
+
+def test_delete_frees_the_right_tier():
+    env, machine, hdfs = make_hdfs()
+    hdfs.namenode.set_storage_policy("/archive/", "COLD")
+    client = put(env, hdfs, "/archive/f", 12 * MB)
+    assert sum(dn.archive.used for dn in hdfs.datanodes) > 0
+    hdfs.namenode.delete_file("/archive/f")
+    assert sum(dn.archive.used for dn in hdfs.datanodes) == 0
+    assert all(dn.node.local_disk.used == 0 for dn in hdfs.datanodes)

@@ -19,7 +19,8 @@ from repro.experiments.harness import Testbed
 from tests.integration.test_event_ledger import idle_events
 
 #: Upper bound on the events a world dispatches after its last pilot
-#: is final (measured: 9 fork, 13 Mode I YARN, 11 raptor).
+#: is final (measured: 9 fork, 11 Mode I YARN with or without AM
+#: re-use, 11 raptor).
 TAIL_BUDGET = 40
 
 
@@ -27,9 +28,10 @@ def _finish_and_cancel(flavor, runtime):
     """Run a little work on one pilot, then cancel it; the env and the
     step count at the moment the pilot turned final."""
     testbed = Testbed("stampede", num_nodes=2, seed=7)
-    lrm = "yarn" if flavor == "yarn" else "fork"
+    lrm = "yarn" if flavor.startswith("yarn") else "fork"
     pilot, _, _ = testbed.start_pilot(
-        nodes=2, agent_config=agent_config(lrm), runtime=runtime)
+        nodes=2, runtime=runtime, agent_config=agent_config(
+            lrm, reuse_application_master=flavor == "yarn-reuse"))
     env = testbed.env
     if flavor == "raptor":
         overlay = testbed.session.raptor(pilot, workers=2)
@@ -61,7 +63,7 @@ def _tail(flavor, runtime):
     return env.steps - final
 
 
-@pytest.mark.parametrize("flavor", ["fork", "yarn", "raptor"])
+@pytest.mark.parametrize("flavor", ["fork", "yarn", "yarn-reuse", "raptor"])
 def test_world_quiesces_after_its_pilots_end(flavor):
     hour, day = _tail(flavor, runtime=60), _tail(flavor, runtime=24 * 60)
     assert hour == day <= TAIL_BUDGET

@@ -72,8 +72,7 @@ def test_settled_accounting():
 
 def test_ticket_lifecycle_and_latencies():
     env = Environment()
-    ticket = Ticket(env, "ticket.000001", "t", "t/1", "raptor", 3,
-                    payload=[])
+    ticket = Ticket(env, "ticket.000001", "t", "t/1", payload=[])
     assert ticket.state == RequestState.QUEUED
     assert ticket.submit_latency is None
     env.run(until=2.0)

@@ -12,16 +12,19 @@ It then lists every function and method defined under ``src/repro``
 
 Every unreached function must be on ``tools/reachability_allowlist.txt``,
 one ``module:qualname  bin  reason`` per line (``module`` alone covers a
-whole module).  The two bins are ROADMAP item 4's:
+whole module, ``module:Class`` a whole class).  The two bins are ROADMAP
+item 4's:
 
 * ``robustness`` — an error or robustness path; the reason names the
   test that drives it;
 * ``paper`` — the paper needs it but no artefact shows it; the reason
   names where the paper does.
 
-Exit status 1 when a function goes unreached without an entry, or an
+Exit status 1 when a function goes unreached without an entry, when an
 entry names a function that no longer exists or that an artefact now
-reaches (so the list cannot go stale).  Takes a few minutes; CI only.
+reaches (so the list cannot go stale), or when a reason names a
+``tests/...py::test_name`` that is not defined.  Takes a few minutes; CI
+only.
 
 Run from anywhere::
 
@@ -35,12 +38,13 @@ import argparse
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -78,7 +82,7 @@ def artefacts(work: Path) -> List[List[str]]:
     grids = ("figure5", "figure6", "ablations", "sensitivity", "chaos",
              "raptor", "service")
     runs: List[List[str]] = [
-        [*repro, "all", "--quick"],
+        [*repro, "all"],
         [*repro, "sweep", "--list"],
         *([*repro, "sweep", grid, "--quick", "--jobs", "1",
            "--output", str(work / f"{grid}.json")] for grid in grids),
@@ -222,12 +226,20 @@ def main(argv=None) -> int:
           f"functions; {len(unreached)} unreached span {lines} lines "
           f"(of {total_lines} function lines, nested counted twice)")
 
+    def entry_for(module: str, qualname: str) -> Optional[str]:
+        parts = qualname.split(".")
+        for end in range(len(parts), 0, -1):
+            name = f"{module}:{'.'.join(parts[:end])}"
+            if name in allow:
+                return name
+        return module if module in allow else None
+
     used: Set[str] = set()
     missing = []
     for key in unreached:
         module, qualname, n = functions[key]
         name = f"{module}:{qualname}"
-        entry = name if name in allow else module if module in allow else None
+        entry = entry_for(module, qualname)
         if entry is None:
             missing.append(f"  {name}  ({n} lines)")
             continue
@@ -242,6 +254,13 @@ def main(argv=None) -> int:
         why = ("is reached now" if entry in names or entry in modules
                else "names no function")
         print(f"stale allowlist entry {entry}: {why}")
+    for entry, (_, reason) in allow.items():
+        for path, test in re.findall(r"(tests/\S+?\.py)::(\w+)", reason):
+            source = ROOT / path
+            if not source.exists() or not re.search(
+                    rf"^def {test}\(", source.read_text(), re.M):
+                stale.append(entry)
+                print(f"allowlist entry {entry}: no test {path}::{test}")
     if missing:
         print(f"{len(missing)} unreached function(s) not on "
               f"{ALLOWLIST.name}:")
