@@ -18,8 +18,8 @@ class UnitManager:
 
     Units are dealt over the usable pilots in turn and written to the
     shared DB assigned to their pilot; the agent picks them up at its
-    next poll.  A watcher replays agent-side state
-    changes onto the handles.
+    next poll.  A watcher replays agent-side state changes onto the
+    handles.
 
     With a :class:`~repro.faults.spec.RestartPolicy` the manager also
     owns client-side recovery: a FAILED unit is resubmitted under a

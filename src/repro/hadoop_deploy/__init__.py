@@ -2,9 +2,9 @@
 
 :class:`SagaHadoop` reproduces the standalone tool (paper Figure 2):
 it submits a placeholder job through SAGA to an HPC scheduler; a
-*framework plugin* (YARN or Spark) bootstraps the cluster inside the allocation; the
-user then submits framework applications through a simple API and
-finally stops the cluster.
+*framework plugin* (YARN or Spark) bootstraps the cluster inside the
+allocation; the user then submits framework applications through a
+simple API and finally stops the cluster.
 
 :func:`provision_dedicated_hadoop` models the other deployment flavour
 the paper uses on Wrangler: a persistent, system-operated Hadoop

@@ -26,15 +26,11 @@ reaches (so the list cannot go stale), or when a reason names a
 ``tests/...py::test_name`` that is not defined.  Takes a few minutes; CI
 only.
 
-Run from anywhere::
-
-    python tools/reachability.py            # check against the allowlist
-    python tools/reachability.py --all      # also print allowlisted ones
+Run from anywhere: ``python tools/reachability.py``.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import json
 import os
@@ -149,7 +145,7 @@ def defined() -> Dict[Tuple[str, int], Tuple[str, str, int]]:
     return found
 
 
-def probe(verbose: bool) -> Set[Tuple[str, int]]:
+def probe() -> Set[Tuple[str, int]]:
     """Run every artefact under the hook; the (file, line) calls seen."""
     with tempfile.TemporaryDirectory(prefix="reach-") as tmp:
         tmp = Path(tmp)
@@ -163,7 +159,6 @@ def probe(verbose: bool) -> Set[Tuple[str, int]]:
         env["PYTHONPATH"] = os.pathsep.join(
             [str(hook), str(SRC), str(ROOT)])
         env["PYTHONDONTWRITEBYTECODE"] = "1"
-        env["MPLBACKEND"] = "Agg"
         for argv in artefacts(work):
             started = time.perf_counter()
             done = subprocess.run(argv, cwd=ROOT, env=env,
@@ -174,9 +169,8 @@ def probe(verbose: bool) -> Set[Tuple[str, int]]:
             if done.returncode != 0:
                 sys.exit(f"artefact failed ({done.returncode}): {label}\n"
                          f"{done.stderr[-2000:]}")
-            if verbose:
-                print(f"  {time.perf_counter() - started:6.1f} s  {label}",
-                      file=sys.stderr)
+            print(f"  {time.perf_counter() - started:6.1f} s  {label}",
+                  file=sys.stderr)
         seen: Set[Tuple[str, int]] = set()
         for dump in out.glob("*.json"):
             seen.update((f, line) for f, line in json.loads(dump.read_text()))
@@ -198,14 +192,9 @@ def load_allowlist(path: Path) -> Dict[str, Tuple[str, str]]:
     return entries
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--all", action="store_true",
-                        help="also print the allowlisted unreached functions")
-    args = parser.parse_args(argv)
-
+def main() -> int:
     functions = defined()
-    seen = probe(verbose=True)
+    seen = probe()
     allow = load_allowlist(ALLOWLIST)
     unreached = sorted((key for key in functions if key not in seen),
                        key=lambda k: functions[k][:2])
@@ -244,8 +233,6 @@ def main(argv=None) -> int:
             missing.append(f"  {name}  ({n} lines)")
             continue
         used.add(entry)
-        if args.all:
-            print(f"  allowed  {name}  [{allow[entry][0]}]")
 
     names = {f"{m}:{q}" for m, q, _ in functions.values()}
     modules = {m for m, _, _ in functions.values()}
