@@ -20,7 +20,7 @@ harness can sweep them (ablations, sensitivity runs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List
 
 from repro.cluster.network import Interconnect
@@ -45,6 +45,10 @@ class MachineSpec:
     net_latency: float              # seconds
     download_bw: float              # bytes/s from the outside world
     has_dedicated_hadoop: bool = False
+
+    def with_nodes(self, num_nodes: int) -> "MachineSpec":
+        """A copy of this spec with a different node count."""
+        return replace(self, num_nodes=num_nodes)
 
 
 class Machine:

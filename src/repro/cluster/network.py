@@ -129,3 +129,12 @@ class Interconnect:
         if self.is_partitioned(src, dst):
             return self._held_transfer(total)
         return self.backbone.transfer(total)
+
+    def wan_roundtrip(self) -> Event:
+        """One client<->cluster WAN round-trip (used by ablation A1)."""
+        done = Event(self.env)
+
+        def _fire(_):
+            done.succeed()
+        self.env.timeout(2 * self.wan_latency).callbacks.append(_fire)
+        return done

@@ -6,7 +6,7 @@ from typing import Callable, List, Optional
 
 from repro.cluster.storage import StorageSpec, StorageVolume
 from repro.sim.engine import Environment, Event, Interrupt, SimulationError
-from repro.sim.resources import Level
+from repro.sim.resources import Level, Resource
 
 
 class NodeDied(RuntimeError):
@@ -16,8 +16,9 @@ class NodeDied(RuntimeError):
 class Node:
     """One compute node of a :class:`~repro.cluster.machine.Machine`.
 
-    Cores are ``num_cores`` (the agent schedulers count them); memory is
-    a :class:`Level` drained by running tasks; the local disk is a private
+    Cores are a counted :class:`Resource` (the agent schedulers count
+    ``num_cores`` themselves); memory is a :class:`Level` drained by
+    running tasks; the local disk is a private
     :class:`StorageVolume` (the asset YARN's shuffle exploits in the
     paper's Figure 6).
     """
@@ -36,13 +37,14 @@ class Node:
         self.num_cores = cores
         self.memory_bytes = float(memory_bytes)
         self.cpu_speed = float(cpu_speed)
-        # The per-node sub-objects (memory Level, disk and memfs
-        # StorageVolumes) are built lazily on first access:
+        # The per-node sub-objects (core Resource, memory Level, disk
+        # and memfs StorageVolumes) are built lazily on first access:
         # their constructors are passive (no events, no env mutation),
         # so laziness is observationally identical — and a 10k-node
         # machine no longer pays ~40k object constructions up front
         # when most nodes only ever serve core-count arithmetic.
         self._local_disk_spec = local_disk
+        self._cores: Optional[Resource] = None
         self._memory: Optional[Level] = None
         self._local_disk: Optional[StorageVolume] = None
         self._memory_fs: Optional[StorageVolume] = None
@@ -57,6 +59,13 @@ class Node:
         self._liveness_watchers: List[Callable[["Node"], None]] = []
         #: Processes inside :meth:`hold`, as an insertion-ordered set.
         self._holding: dict = {}
+
+    @property
+    def cores(self) -> Resource:
+        """Counted core slots (lazily built)."""
+        if self._cores is None:
+            self._cores = Resource(self.env, capacity=self.num_cores)
+        return self._cores
 
     @property
     def memory(self) -> Level:
@@ -88,6 +97,16 @@ class Node:
                 latency=1e-5,
                 capacity=self.memory_bytes * 0.25))
         return self._memory_fs
+
+    @property
+    def cores_in_use(self) -> int:
+        """Cores currently held by tasks."""
+        cores = self._cores
+        return cores.count if cores is not None else 0
+
+    @property
+    def cores_free(self) -> int:
+        return self.num_cores - self.cores_in_use
 
     def compute_seconds(self, abstract_work: float) -> float:
         """Convert machine-neutral work units into node-local seconds.

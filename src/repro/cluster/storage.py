@@ -180,6 +180,18 @@ class SharedBandwidthPipe:
         self.per_stream_bw = float(per_stream_bw) if per_stream_bw else None
         self._reschedule()
 
+    def estimate_duration(self, nbytes: float, streams: int = 1) -> float:
+        """Closed-form duration estimate at a fixed concurrency level.
+
+        Benchmarks use this for sanity checks; the event-driven path is
+        authoritative.
+        """
+        n = max(1, streams)
+        rate = self.aggregate_bw / n
+        if self.per_stream_bw is not None:
+            rate = min(rate, self.per_stream_bw)
+        return self.latency + nbytes / rate
+
     # -- internals -----------------------------------------------------------
     def _single_stream_rate(self) -> float:
         rate = self.aggregate_bw

@@ -90,6 +90,9 @@ class PilotData:
                 f"free {self.free:.0f}")
         self.used += nbytes
 
+    def _release(self, nbytes: float) -> None:
+        self.used = max(0.0, self.used - nbytes)
+
     def path_for(self, du_uid: str, filename: str) -> str:
         return f"/pilot-data/{self.uid}/{du_uid}/{filename}"
 
@@ -102,6 +105,10 @@ class DataUnit:
         self.uid = uid
         self.description = description
         self.replicas: List[PilotData] = []
+
+    @property
+    def state(self) -> str:
+        return "Available" if self.replicas else "New"
 
     @property
     def nbytes(self) -> float:
@@ -187,6 +194,16 @@ class ComputeDataService:
                 wire_bw=self.inter_site_bw if cross_site else None)
         du._add_replica(target)
         return du
+
+    def delete_data_unit(self, du: DataUnit) -> None:
+        for pd in du.replicas:
+            for filename, _ in du.description.files:
+                path = pd.path_for(du.uid, filename)
+                if pd.site.scratch.exists(path):
+                    pd.site.scratch.delete(path)
+            pd._release(du.nbytes)
+        du.replicas.clear()
+        self.data_units.pop(du.uid, None)
 
     # ------------------------------------------------------------- compute
     def submit_compute_unit(self, description: ComputeUnitDescription,

@@ -44,6 +44,18 @@ class Description:
         if not condition:
             raise DescriptionError(message)
 
+    @classmethod
+    def from_dict(cls, mapping: Dict[str, Any]) -> "Description":
+        """Build and validate a description from a keyword mapping."""
+        known = {f.name for f in dataclasses.fields(cls)}
+        unknown = sorted(set(mapping) - known)
+        if unknown:
+            raise DescriptionError(
+                f"unknown {cls.__name__} fields: {', '.join(unknown)}")
+        instance = cls(**mapping)
+        instance.validate()
+        return instance
+
     def replace(self, **changes: Any) -> "Description":
         """Clone with ``changes`` applied; the clone is validated."""
         try:

@@ -123,3 +123,7 @@ LUSTRE_JOB_BW = {
     "frontera": (3e9, 1e9, 0.015),
     "summit": (5e9, 2e9, 0.010),
 }
+
+
+def scenario_label(points: int, clusters: int) -> str:
+    return f"{points:,} points / {clusters:,} clusters"

@@ -143,6 +143,16 @@ def run_figure6(quick: bool = False, seed: int = 42) -> List[KMeansRow]:
 
 
 # ------------------------------------------------------- derived metrics
+def speedup(rows: List[KMeansRow], machine: str, flavor: str,
+            points: int, base_tasks: int = 8,
+            top_tasks: int = 32) -> float:
+    """Speedup of top_tasks over base_tasks for one scenario/flavor."""
+    sel = {r.ntasks: r for r in rows
+           if r.machine == machine and r.flavor == flavor
+           and r.points == points}
+    return sel[base_tasks].runtime / sel[top_tasks].runtime
+
+
 def yarn_advantage(rows: List[KMeansRow], min_tasks: int = 16) -> float:
     """Mean relative runtime reduction of RP-YARN vs RP (>= min_tasks).
 

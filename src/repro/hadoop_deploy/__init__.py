@@ -2,9 +2,10 @@
 
 :class:`SagaHadoop` reproduces the standalone tool (paper Figure 2):
 it submits a placeholder job through SAGA to an HPC scheduler; a
-*framework plugin* (YARN or Spark) bootstraps the cluster inside the
-allocation; the user then submits framework applications through a
-simple API and finally stops the cluster.
+*framework plugin* (YARN or Spark — extensible, e.g. Flink would slot
+in the same way) bootstraps the cluster inside the allocation; the
+user then submits framework applications through a simple API and
+finally stops the cluster.
 
 :func:`provision_dedicated_hadoop` models the other deployment flavour
 the paper uses on Wrangler: a persistent, system-operated Hadoop
@@ -16,13 +17,18 @@ from repro.hadoop_deploy.plugins import (
     FrameworkPlugin,
     SparkPlugin,
     YarnPlugin,
+    register_plugin,
 )
 from repro.hadoop_deploy.saga_hadoop import SagaHadoop
+from repro.hadoop_deploy.templates import HadoopTemplate, tune_for_machine
 
 __all__ = [
     "FrameworkPlugin",
+    "HadoopTemplate",
     "SagaHadoop",
     "SparkPlugin",
     "YarnPlugin",
     "provision_dedicated_hadoop",
+    "register_plugin",
+    "tune_for_machine",
 ]

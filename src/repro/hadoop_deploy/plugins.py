@@ -1,7 +1,8 @@
 """Framework plugins: the extensibility point of SAGA-Hadoop.
 
 A plugin encapsulates "download, configure and start" for one
-framework (paper §III-A): YARN (+HDFS) and Spark.
+framework (paper §III-A): YARN (+HDFS) and Spark are provided; new
+frameworks register via :func:`register_plugin`.
 """
 
 from __future__ import annotations
@@ -106,6 +107,11 @@ _PLUGINS: Dict[str, Type[FrameworkPlugin]] = {
     "yarn": YarnPlugin,
     "spark": SparkPlugin,
 }
+
+
+def register_plugin(name: str, cls: Type[FrameworkPlugin]) -> None:
+    """Add a new framework plugin (e.g. Flink)."""
+    _PLUGINS[name] = cls
 
 
 def make_plugin(name: str, env: Environment, site: Site) -> FrameworkPlugin:

@@ -124,6 +124,9 @@ class HdfsClient:
     def exists(self, path: str) -> bool:
         return self.namenode.exists(path)
 
+    def delete(self, path: str) -> None:
+        self.namenode.delete_file(path)
+
     def is_block_local(self, block: Block, node_name: str) -> bool:
         """Whether ``node_name`` holds a live replica of ``block``."""
         nn = self.namenode

@@ -92,6 +92,9 @@ class NameNode:
         except KeyError:
             raise FileNotFoundError(f"hdfs:{path}") from None
 
+    def total_bytes(self) -> float:
+        return sum(meta.nbytes for meta in self.files.values())
+
     def list_files(self, prefix: str = "/") -> List[str]:
         return sorted(p for p in self.files if p.startswith(prefix))
 

@@ -23,7 +23,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.persist.store import PersistError, atomic_write, canonical_json
 
@@ -190,3 +190,8 @@ class SweepJournal:
                     f"(not the final line, so not a crash artifact)")
             results[entry["key"]] = entry["result"]
         return results
+
+    def pending(self, keys: Iterable[str]) -> List[str]:
+        """The subset of ``keys`` not yet journaled, in given order."""
+        done = self.completed()
+        return [key for key in keys if key not in done]

@@ -9,7 +9,7 @@ tarball staging of Mode I.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Iterator, Optional
 
 from repro.cluster.storage import StorageVolume
 from repro.sim.engine import Environment, Event
@@ -33,6 +33,15 @@ class FileCatalog:
             return self._files[path]
         except KeyError:
             raise FileNotFoundError(f"{self.name}:{path}") from None
+
+    def list(self, prefix: str = "") -> Iterator[str]:
+        """Paths under ``prefix``, sorted."""
+        return iter(sorted(p for p in self._files if p.startswith(prefix)))
+
+    def touch(self, path: str, nbytes: float) -> None:
+        """Register a file without charging I/O (pre-existing data)."""
+        self.volume.used += nbytes
+        self._files[path] = nbytes
 
     def create(self, path: str, nbytes: float) -> Event:
         """Write a new file; completion event after the volume write."""

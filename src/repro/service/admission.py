@@ -32,6 +32,12 @@ class RequestState:
     FAILED = "Failed"
     REJECTED = "Rejected"
 
+    FINAL = (DONE, FAILED, REJECTED)
+
+    @classmethod
+    def is_final(cls, state: str) -> bool:
+        return state in cls.FINAL
+
 
 #: Admission decisions (`admit()` return values).
 ADMITTED = "admitted"
@@ -69,18 +75,19 @@ class TenantQuota(Description):
 
 
 class Ticket:
-    """One asynchronous service request: a batch of raptor tasks and
-    its admission, dispatch and settlement record."""
+    """One asynchronous service request: a batch of raptor tasks or of
+    compute units, and its admission, dispatch and settlement record."""
 
-    __slots__ = ("uid", "tenant", "session_id", "state",
+    __slots__ = ("uid", "tenant", "session_id", "kind", "state",
                  "detail", "enqueued_at", "submitted_at", "finished_at",
                  "payload")
 
     def __init__(self, env: Environment, uid: str, tenant: str,
-                 session_id: str, payload: Any):
+                 session_id: str, payload: Any, kind: str = "raptor"):
         self.uid = uid
         self.tenant = tenant
         self.session_id = session_id
+        self.kind = kind              # "raptor" | "units"
         self.payload = payload
         self.state = RequestState.QUEUED
         self.detail = ""

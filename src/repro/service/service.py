@@ -2,7 +2,8 @@
 
 The multi-tenant service layer over the RADICAL-Pilot core: tenants
 open lightweight :class:`ServiceSession` handles against one service
-instance and submit raptor function tasks *asynchronously* —
+instance and submit raptor function tasks and compute units
+*asynchronously* —
 every submission returns a :class:`~repro.service.admission.Ticket`
 immediately and the work is dispatched later, in batches, by the
 service's drain loop.  The moving parts:
@@ -32,7 +33,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Sequence
 
-from repro.core.description import Description
+from repro.core.description import ComputeUnitDescription, Description
+from repro.core.states import UnitState
+from repro.core.unit_manager import UnitManager
 from repro.service.admission import (
     REJECTED,
     THROTTLED,
@@ -114,6 +117,16 @@ class ServiceSession:
                 f"attached; call attach_overlay() first")
         return self.service._submit(self, list(tasks))
 
+    def submit_units(self, descriptions) -> Ticket:
+        """Queue compute units for the service's shared pilots."""
+        if self.service._umgr is None:
+            raise RuntimeError(
+                f"service {self.service.uid} has no pilots; "
+                f"call add_pilots() first")
+        if isinstance(descriptions, ComputeUnitDescription):
+            descriptions = [descriptions]
+        return self.service._submit(self, list(descriptions), "units")
+
     # ------------------------------------------------------------- lifecycle
     def close(self) -> None:
         """Stop accepting work; the session reaches ``Closed`` once its
@@ -147,9 +160,9 @@ class PilotService:
     """The long-lived multi-tenant service (one per simulated process).
 
     Built over a caller-provided :class:`~repro.core.session.Session`;
-    a raptor overlay is attached for the function-task requests, and
-    tenant work flows through admission -> fair-share -> batched
-    dispatch.
+    a raptor overlay is attached for the function-task requests, pilots
+    added with ``add_pilots`` serve unit requests, and tenant work flows
+    through admission -> fair-share -> batched dispatch.
     """
 
     def __init__(self, session, config: Optional[ServiceConfig] = None):
@@ -159,6 +172,7 @@ class PilotService:
         self.uid = session.next_uid("service")
         self.metrics = MetricsRegistry(self.env)
         self._overlay = None
+        self._umgr: Optional[UnitManager] = None   # built by add_pilots
         self._accounts: Dict[str, TenantAccount] = {}
         self._drr = WeightedDeficitRoundRobin(self.config.drr_quantum)
         self._queues: Dict[str, Deque[Ticket]] = {}
@@ -180,6 +194,12 @@ class PilotService:
     def attach_overlay(self, overlay) -> None:
         """Attach a raptor overlay serving raptor-kind requests."""
         self._overlay = overlay
+
+    def add_pilots(self, pilots) -> None:
+        """Add shared pilot capacity serving unit-kind requests."""
+        if self._umgr is None:
+            self._umgr = UnitManager(self.session)
+        self._umgr.add_pilots(pilots)
 
     # -------------------------------------------------------------- tenants
     def register_tenant(self, name: str,
@@ -223,13 +243,14 @@ class PilotService:
         return sess
 
     # ------------------------------------------------------------ submission
-    def _submit(self, sess: ServiceSession, tasks: List[Any]) -> Ticket:
+    def _submit(self, sess: ServiceSession, payload: List[Any],
+                kind: str = "raptor") -> Ticket:
         if sess.state not in ("Open",):
             raise RuntimeError(
                 f"session {sess.sid} is {sess.state}; cannot submit")
         account = self._accounts[sess.tenant]
         ticket = Ticket(self.env, self.session.next_uid("ticket", width=6),
-                        sess.tenant, sess.sid, tasks)
+                        sess.tenant, sess.sid, payload, kind)
         sess.tickets.append(ticket)
         decision = account.admit()
         if decision == REJECTED:
@@ -270,11 +291,22 @@ class PilotService:
         ticket.submitted_at = now
         ticket.state = RequestState.SUBMITTED
         self._submit_hist.observe(now - ticket.enqueued_at)
+        if ticket.kind == "units":
+            units = self._umgr.submit_units(ticket.payload)
+            self._umgr.wait_units(units).callbacks.append(
+                lambda _e, t=ticket, us=units: self._settle_units(t, us))
+            return
         futures = self._overlay.submit_tasks(ticket.payload, futures=True)
         self.env.all_of([f.wait() for f in futures]).callbacks.append(
             lambda _e, t=ticket, fs=futures: self._settle_raptor(t, fs))
 
     # ------------------------------------------------------------ settlement
+    def _settle_units(self, ticket: Ticket, units) -> None:
+        failed = sum(1 for u in units if u.state is not UnitState.DONE)
+        self._settle(ticket, ok=failed == 0,
+                     detail="" if failed == 0
+                     else f"{failed}/{len(units)} units not Done")
+
     def _settle_raptor(self, ticket: Ticket, futures) -> None:
         failed = sum(1 for f in futures if not f.result().ok)
         self._settle(ticket, ok=failed == 0,

@@ -5,6 +5,13 @@ a Python generator that yields :class:`Event` objects; the environment
 resumes the generator when the yielded event fires.  Events fire in
 ``(time, priority, sequence)`` order, giving a deterministic total order
 for simultaneous events — crucial for reproducible benchmarks.
+
+A process may also yield a bare ``float``/``int`` to sleep that many
+simulated seconds: the kernel schedules a slot-based :class:`_Sleep`
+entry instead of a :class:`Timeout` event, which skips two object
+allocations per sleep.  ``yield delay`` is behaviourally identical to
+``yield env.timeout(delay)`` (same firing time, priority and sequence
+ordering); it is the preferred form on hot paths.
 """
 
 from __future__ import annotations
@@ -102,6 +109,51 @@ class Event:
             callback(self)
 
 
+def _make_wake() -> "Event":
+    """The shared, pre-processed wake event handed to slot-sleep resumes.
+
+    Never scheduled and never mutated: processes resumed from a
+    :class:`_Sleep` only read ``_ok``/``_value`` from it.
+    """
+    wake = Event.__new__(Event)
+    wake.env = None
+    wake.callbacks = None
+    wake._value = None
+    wake._ok = True
+    wake._processed = True
+    wake._triggered = True
+    return wake
+
+
+_WAKE = _make_wake()
+
+
+class _Sleep:
+    """Heap slot for a bare-number yield: resumes its process directly.
+
+    Yielding a plain ``float``/``int`` from a process is the slot-based
+    fast path for pure sleeps: no :class:`Event`, no callbacks list, no
+    :class:`Timeout` — just one tuple on the event queue holding this
+    slot.  At leadership-class sizes (10k nodes, 1M units) sleeps
+    dominate the event mix, so shaving the two object allocations and
+    the callback indirection per sleep is a first-order win.
+
+    ``proc`` is cleared by :meth:`Process.interrupt` so a stale slot
+    never resumes an interrupted process a second time.
+    """
+
+    __slots__ = ("proc",)
+
+    def __init__(self, proc: "Process"):
+        self.proc = proc
+
+    def _run_callbacks(self) -> None:
+        proc = self.proc
+        if proc is not None:
+            proc._target = None
+            proc._resume(_WAKE)
+
+
 class Timeout(Event):
     """An event that fires ``delay`` simulated seconds in the future."""
 
@@ -153,9 +205,9 @@ class Process(Event):
         # The live frame IS the process-interaction model; a checkpoint
         # replays processes from the event log instead of serializing it.
         self._generator = generator
-        #: The Event the process is suspended on, or None while
-        #: running / finished.
-        self._target: Optional[Event] = None
+        #: What the process is suspended on: an Event, a _Sleep slot
+        #: (bare-number yield), or None while running / finished.
+        self._target: Optional[object] = None
         self.name = name or getattr(generator, "__name__", "process")
         Initialize(env, self)
 
@@ -198,7 +250,9 @@ class Process(Event):
         process a second time."""
         target = self._target
         if target is not None:
-            if target.callbacks is not None:
+            if type(target) is _Sleep:
+                target.proc = None
+            elif target.callbacks is not None:
                 try:
                     target.callbacks.remove(self._resume)
                 except ValueError:  # pragma: no cover - already detached
@@ -234,11 +288,27 @@ class Process(Event):
                 return
 
             if not isinstance(next_event, Event):
+                if type(next_event) is float or type(next_event) is int:
+                    # Slot-based sleep: schedule one lightweight heap
+                    # slot and suspend — no Event/Timeout allocation.
+                    # Scheduling at the same point a Timeout would have
+                    # been pushed keeps (time, priority, seq) ordering
+                    # identical to ``yield env.timeout(delay)``.
+                    if next_event < 0:
+                        env._active_process = None
+                        env._crash(SimulationError(
+                            f"negative delay {next_event}"), self)
+                        return
+                    slot = _Sleep(self)
+                    env._schedule(slot, PRIORITY_NORMAL, next_event)
+                    self._target = slot
+                    env._active_process = None
+                    return
                 env._active_process = None
                 env._crash(
                     SimulationError(
                         f"process {self.name!r} yielded {next_event!r}, "
-                        "expected an Event"),
+                        "expected an Event or a number"),
                     self)
                 return
             if next_event.callbacks is None:
@@ -517,8 +587,13 @@ class Environment:
         entries = []
         for time_, priority, seq, event in sorted(
                 self._queue, key=lambda e: e[:3]):
-            entries.append([time_, priority, seq, type(event).__name__,
-                            getattr(event, "name", None)])
+            if type(event) is _Sleep:
+                kind = "_Sleep"
+                name = event.proc.name if event.proc is not None else None
+            else:
+                kind = type(event).__name__
+                name = getattr(event, "name", None)
+            entries.append([time_, priority, seq, kind, name])
         return {"now": self._now, "seq": self._seq,
                 "steps": self._steps, "queue": entries}
 

@@ -43,6 +43,24 @@ class TaskContext:
         self.node = executor.node
 
 
+class Broadcast:
+    """A read-only value shipped to all executors (``bc.value``)."""
+
+    def __init__(self, value, nbytes: float):
+        self.value = value
+        self.nbytes = nbytes
+
+
+class Accumulator:
+    """Task-incremented counter, read at the driver (``acc.value``)."""
+
+    def __init__(self, initial=0):
+        self.value = initial
+
+    def add(self, amount) -> None:
+        self.value = self.value + amount
+
+
 class SparkContext:
     """Driver: owns executors, the shuffle manager and the RDD cache."""
 
@@ -91,6 +109,32 @@ class SparkContext:
         if n < 1:
             raise ValueError("num_slices must be >= 1")
         return ParallelCollectionRDD(self, list(data), n)
+
+    def text_file(self, hdfs, path: str) -> RDD:
+        """An RDD over an HDFS file, one partition per block (reads are
+        node-local where the executor holds a replica)."""
+        from repro.spark.rdd import HdfsRDD
+        return HdfsRDD(self, hdfs, path)
+
+    def broadcast(self, value, nbytes: float = 1024.0):
+        """Ship a read-only value to every executor node.  Generator.
+
+        Pays one fabric transfer per distinct executor node (torrent-
+        style distribution is not modeled); returns a
+        :class:`Broadcast` handle whose ``.value`` tasks read locally.
+        """
+        nodes = {e.node.name for e in self.executors}
+        if self.network is not None and len(nodes) > 1:
+            source = next(iter(sorted(nodes)))
+            sends = [self.network.send(source, target, nbytes)
+                     for target in sorted(nodes) if target != source]
+            for send in sends:
+                yield send
+        return Broadcast(value, nbytes)
+
+    def accumulator(self, initial=0):
+        """A write-only-from-tasks counter, readable at the driver."""
+        return Accumulator(initial)
 
     # ------------------------------------------------------------ execution
     def run_job(self, rdd: RDD):

@@ -34,9 +34,17 @@ class RDD:
         """Element-wise transform (narrow)."""
         return MappedRDD(self, lambda it: [f(x) for x in it])
 
+    def filter(self, f: Callable[[Any], bool]) -> "RDD":
+        """Keep elements where ``f`` holds (narrow)."""
+        return MappedRDD(self, lambda it: [x for x in it if f(x)])
+
     def flat_map(self, f: Callable[[Any], Iterable[Any]]) -> "RDD":
         """Map then flatten (narrow)."""
         return MappedRDD(self, lambda it: [y for x in it for y in f(x)])
+
+    def map_partitions(self, f: Callable[[Iterable[Any]], Iterable[Any]]) -> "RDD":
+        """Whole-partition transform (narrow)."""
+        return MappedRDD(self, f)
 
     def union(self, other: "RDD") -> "RDD":
         """Concatenate two RDDs' partitions (narrow)."""
@@ -57,6 +65,26 @@ class RDD:
         """Group values per key (wide)."""
         return ShuffledRDD(self, num_partitions or self.num_partitions,
                            combiner=None)
+
+    def distinct(self) -> "RDD":
+        """Deduplicate (wide, via reduce_by_key)."""
+        return (self.map(lambda x: (x, None))
+                .reduce_by_key(lambda a, b: a)
+                .map(lambda kv: kv[0]))
+
+    def sample(self, fraction: float, seed: int = 17) -> "RDD":
+        """Bernoulli sample (narrow, deterministic per partition)."""
+        if not 0.0 <= fraction <= 1.0:
+            raise ValueError("fraction must be in [0, 1]")
+        import numpy as _np
+
+        def sampler(it, _f=fraction, _s=seed):
+            records = list(it)
+            rng = _np.random.default_rng(_s)
+            keep = rng.random(len(records)) < _f
+            return [r for r, k in zip(records, keep, strict=True) if k]
+
+        return MappedRDD(self, sampler)
 
     def cogroup(self, other: "RDD",
                 num_partitions: Optional[int] = None) -> "RDD":
@@ -83,6 +111,23 @@ class RDD:
             lambda kv: [(kv[0], (a, b))
                         for a in kv[1][0] for b in kv[1][1]])
 
+    def sort_by(self, keyfunc: Callable[[Any], Any],
+                ascending: bool = True) -> "RDD":
+        """Total sort by ``keyfunc``.
+
+        Simplification vs. Spark's range-partitioned sort: everything
+        shuffles to a single partition and sorts there (fine at
+        simulation scale; documents itself as one wide stage).
+        """
+        tagged = self.map(lambda x: (keyfunc(x), x)).group_by_key(1)
+
+        def emit(it):
+            pairs = list(it)
+            pairs.sort(key=lambda kv: kv[0], reverse=not ascending)
+            return [x for _, values in pairs for x in values]
+
+        return tagged.map_partitions(emit)
+
     def cache(self) -> "RDD":
         """Materialize partitions in executor memory after first compute."""
         self._cached = True
@@ -101,6 +146,42 @@ class RDD:
         """Number of records.  Generator."""
         parts = yield from self.ctx.run_job(self)
         return sum(len(p) for p in parts)
+
+    def reduce(self, f: Callable[[Any, Any], Any]):
+        """Fold all records with ``f``.  Generator."""
+        records = yield from self.collect()
+        if not records:
+            raise ValueError("reduce of empty RDD")
+        acc = records[0]
+        for x in records[1:]:
+            acc = f(acc, x)
+        return acc
+
+    def take(self, n: int):
+        """First ``n`` records.  Generator."""
+        records = yield from self.collect()
+        return records[:n]
+
+    def aggregate(self, zero: Any, seq_op: Callable[[Any, Any], Any],
+                  comb_op: Callable[[Any, Any], Any]):
+        """Per-partition fold with ``seq_op``, merged with ``comb_op``.
+        Generator."""
+        parts = yield from self.ctx.run_job(self)
+        merged = zero
+        for part in parts:
+            acc = zero
+            for record in part:
+                acc = seq_op(acc, record)
+            merged = comb_op(merged, acc)
+        return merged
+
+    def count_by_key(self):
+        """Dict of key -> occurrence count (pairs RDD).  Generator."""
+        pairs = yield from self.collect()
+        counts: Dict[Any, int] = {}
+        for k, _ in pairs:
+            counts[k] = counts.get(k, 0) + 1
+        return counts
 
     # ------------------------------------------------------------- plumbing
     def shuffle_dependencies(self) -> List["ShuffledRDD"]:
@@ -178,6 +259,29 @@ class UnionRDD(RDD):
             records = yield from self.ctx.materialize(
                 self.right, index - self.left.num_partitions, task_ctx)
         return records
+
+
+class HdfsRDD(RDD):
+    """An RDD backed by an HDFS file: one partition per block.
+
+    Tasks read their block through a client bound to *their* node, so
+    reads are node-local whenever the executor holds a replica — the
+    locality story Spark-on-HDFS relies on.
+    """
+
+    def __init__(self, ctx, hdfs, path: str):
+        meta = hdfs.namenode.file_meta(path)
+        super().__init__(ctx, num_partitions=len(meta.blocks))
+        self.hdfs = hdfs
+        self.path = path
+        self.blocks = list(meta.blocks)
+
+    def compute_partition(self, index: int, task_ctx):
+        client = self.hdfs.client(task_ctx.node.name)
+        payload = yield from client.read_block(self.blocks[index])
+        if payload is None:
+            return []
+        return list(payload)
 
 
 class ShuffledRDD(RDD):

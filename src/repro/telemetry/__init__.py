@@ -93,6 +93,11 @@ def install(env, record_events: bool = True,
     return telemetry
 
 
+def uninstall(env) -> None:
+    """Detach telemetry from ``env`` (subsequent hooks become no-ops)."""
+    env.telemetry = None
+
+
 __all__ = [
     "Counter",
     "EventBus",
@@ -107,4 +112,5 @@ __all__ = [
     "TelemetryEvent",
     "Tracer",
     "install",
+    "uninstall",
 ]

@@ -123,6 +123,19 @@ class Gauge(Metric):
     def max(self) -> Optional[float]:
         return max((v for _, v in self.samples), default=None)
 
+    def time_weighted_mean(self, until: Optional[float] = None) -> float:
+        """Mean of the step function traced by the samples."""
+        if not self.samples:
+            return 0.0
+        end = self.env.now if until is None else until
+        total = 0.0
+        for (t0, v), (t1, _) in zip(self.samples, self.samples[1:], strict=False):
+            total += v * (t1 - t0)
+        last_t, last_v = self.samples[-1]
+        total += last_v * max(0.0, end - last_t)
+        span = end - self.samples[0][0]
+        return total / span if span > 0 else self.samples[-1][1]
+
     def rows(self) -> Iterator[Dict[str, Any]]:
         for t, v in self.samples:
             yield {**self._base(), "t": t, "value": v}

@@ -86,7 +86,10 @@ class Tracer:
             span.args.update(args)
         return span
 
-    # ------------------------------------------------------------ queries
+    def span(self, name: str, **kwargs):
+        """Context manager for spans that do not cross a sim yield."""
+        return _SpanContext(self, name, kwargs)
+
     # ------------------------------------------------------------- export
     def to_jsonl(self) -> str:
         """Lossless span dump, one JSON object per line."""
@@ -142,3 +145,21 @@ class Tracer:
         return {"traceEvents": meta + events,
                 "displayTimeUnit": "ms",
                 "otherData": {"clock": "simulated seconds x 1e6"}}
+
+
+class _SpanContext:
+    """``with tracer.span("name"): ...`` for non-yielding sections."""
+
+    def __init__(self, tracer: Tracer, name: str, kwargs: Dict[str, Any]):
+        self.tracer = tracer
+        self.name = name
+        self.kwargs = kwargs
+        self.span: Optional[Span] = None
+
+    def __enter__(self) -> Span:
+        self.span = self.tracer.begin(self.name, **self.kwargs)
+        return self.span
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.tracer.end(self.span,
+                        **({"error": repr(exc)} if exc else {}))

@@ -5,9 +5,9 @@ touches:
 
 * :class:`ResourceManager` — application lifecycle (NEW → SUBMITTED →
   ACCEPTED → RUNNING → FINISHED/FAILED/KILLED), heartbeat-driven
-  FIFO scheduling driven by NodeManager heartbeats, and a
-  cluster-metrics API shaped like the RM REST API (the RADICAL-Pilot
-  YARN scheduler polls it).
+  FIFO scheduling driven by NodeManager heartbeats, container
+  preemption, and a cluster-metrics API shaped like the RM REST API
+  (the RADICAL-Pilot YARN scheduler polls it).
 * :class:`NodeManager` — per-node capacity (memory + vcores), container
   launch (with modeled JVM spin-up), heartbeats that carry allocation
   opportunities, failure injection.

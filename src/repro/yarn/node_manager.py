@@ -20,7 +20,7 @@ class NodeManager:
 
     The NM's heartbeat loop lives in the ResourceManager (which owns
     the scheduling reaction); here we keep capacity arithmetic, the
-    container launch path (with JVM spin-up cost) and kill.
+    container launch path (with JVM spin-up cost) and kill/preempt.
     """
 
     def __init__(self, env: Environment, node: Node, config: YarnConfig):
@@ -165,7 +165,7 @@ class NodeManager:
     def kill_container(self, container_id: str,
                        final_state: ContainerState = ContainerState.KILLED,
                        diagnostics: str = "") -> None:
-        """Kill a container immediately."""
+        """Kill (or preempt) a container immediately."""
         container = self.containers.get(container_id)
         if container is None or container.state.is_final:
             return

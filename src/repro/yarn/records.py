@@ -41,11 +41,12 @@ class ContainerState(enum.Enum):
     COMPLETED = "completed"
     FAILED = "failed"
     KILLED = "killed"
+    PREEMPTED = "preempted"
 
     @property
     def is_final(self) -> bool:
         return self in (ContainerState.COMPLETED, ContainerState.FAILED,
-                        ContainerState.KILLED)
+                        ContainerState.KILLED, ContainerState.PREEMPTED)
 
 
 class ApplicationState(enum.Enum):

@@ -433,6 +433,23 @@ class ResourceManager:
         if sanitizer is not None:
             sanitizer.check_resource_manager(self)
 
+    # ---------------------------------------------------------- preemption
+    def preempt_containers(self, app_id: str, count: int) -> List[str]:
+        """Preempt up to ``count`` newest task containers of an app."""
+        app = self.apps[app_id]
+        victims = [c for c in app.live_containers.values()
+                   if c is not app.am_container]
+        victims.sort(key=lambda c: c.container_id, reverse=True)
+        preempted = []
+        for container in victims[:count]:
+            nm = self.node_managers.get(container.node_name)
+            if nm is not None:
+                nm.kill_container(container.container_id,
+                                  ContainerState.PREEMPTED,
+                                  "preempted by scheduler")
+                preempted.append(container.container_id)
+        return preempted
+
     # ------------------------------------------------------------- metrics
     def cluster_metrics(self) -> Dict[str, float]:
         """RM REST ``/ws/v1/cluster/metrics``-shaped snapshot.
@@ -467,6 +484,33 @@ class ResourceManager:
             "activeNodes": active_nodes,
             "totalNodes": len(self.node_managers),
         }
+
+    def application_list(self) -> List[Dict[str, object]]:
+        """RM REST ``/ws/v1/cluster/apps``-shaped listing."""
+        return [{
+            "id": app.app_id,
+            "name": app.spec.name,
+            "queue": app.queue,
+            "state": app.state.value,
+            "applicationType": app.spec.app_type,
+            "allocatedMB": app.usage.memory_mb,
+            "allocatedVCores": app.usage.vcores,
+            "runningContainers": len(app.live_containers),
+            "startedTime": app.start_time,
+            "finishedTime": app.finish_time,
+        } for app in self.apps.values()]
+
+    def node_reports(self) -> List[Dict[str, object]]:
+        """RM REST ``/ws/v1/cluster/nodes``-shaped listing."""
+        return [{
+            "id": nm.name,
+            "state": "RUNNING" if nm.alive else "LOST",
+            "availMemoryMB": nm.available.memory_mb,
+            "usedMemoryMB": nm.used.memory_mb,
+            "availableVirtualCores": nm.available.vcores,
+            "usedVirtualCores": nm.used.vcores,
+            "numContainers": len(nm.containers),
+        } for nm in self.node_managers.values()]
 
     def application_report(self, app_id: str) -> ApplicationReport:
         app = self.apps[app_id]

@@ -43,7 +43,11 @@ covers the runner call alone: ``sweeps.run_cell`` times its runner with
 Each interpreter also runs one small telemetry-on bag; its metrics and
 span JSONL must hash the same under both hash seeds.
 
-Run one interpreter's half by hand (from the repository root)::
+The two interpreters run once per test session, in the
+``oracle_reports`` fixture of ``tests/conftest.py``; the per-grid
+tests of ``tests/experiments/test_sweep_digests.py`` read the same
+reports.  Run one interpreter's half by hand (from the repository
+root)::
 
     PYTHONHASHSEED=1 PYTHONPATH=src \\
         python -m tests.analysis.test_determinism_oracle 1
@@ -54,12 +58,10 @@ import itertools
 import json
 import os
 import random
-import subprocess
 import sys
 import time
 import uuid
 from contextlib import contextmanager
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,9 +69,6 @@ import pytest
 from repro.core.session import Session
 from repro.experiments.sweeps import (GRIDS, SweepCell, SweepRun,
                                       build_cells, grid_module, run_sweep)
-
-ROOT = Path(__file__).resolve().parents[2]
-HASH_SEEDS = (1, 2)
 
 QUICK_DIGESTS = {
     "figure5":
@@ -246,43 +245,21 @@ def oracle_report(rng_seed):
             "telemetry": telemetry}
 
 
-@pytest.fixture(scope="module")
-def reports():
-    """Both interpreters' reports, run side by side."""
-    inherited = os.environ.get("PYTHONPATH")
-    path = str(ROOT / "src") + (os.pathsep + inherited if inherited else "")
-    procs = [subprocess.Popen(
-        [sys.executable, "-m", "tests.analysis.test_determinism_oracle",
-         str(seed)],
-        cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        env={**os.environ, "PYTHONPATH": path,
-             "PYTHONHASHSEED": str(seed)})
-        for seed in HASH_SEEDS]
-    try:
-        outs = [proc.communicate(timeout=600) for proc in procs]
-    finally:
-        for proc in procs:
-            proc.kill()  # a no-op once the interpreter has exited
-    for proc, (_, stderr) in zip(procs, outs, strict=True):
-        assert proc.returncode == 0, stderr
-    return [json.loads(stdout) for stdout, _ in outs]
-
-
-def test_pinned_digests_hold_under_perturbation(reports):
-    for report in reports:
+def test_pinned_digests_hold_under_perturbation(oracle_reports):
+    for report in oracle_reports:
         assert report["digests"] == PINNED
 
 
-def test_no_cell_body_calls_a_hazard(reports):
-    assert [report["hits"] for report in reports] == [[], []]
+def test_no_cell_body_calls_a_hazard(oracle_reports):
+    assert [report["hits"] for report in oracle_reports] == [[], []]
 
 
-def test_every_session_in_a_cell_gets_the_cell_seed(reports):
-    assert [report["strays"] for report in reports] == [[], []]
+def test_every_session_in_a_cell_gets_the_cell_seed(oracle_reports):
+    assert [report["strays"] for report in oracle_reports] == [[], []]
 
 
-def test_telemetry_is_independent_of_the_hash_seed(reports):
-    first, second = (report["telemetry"] for report in reports)
+def test_telemetry_is_independent_of_the_hash_seed(oracle_reports):
+    first, second = (report["telemetry"] for report in oracle_reports)
     assert not first.startswith("raised"), first
     assert first == second
 

@@ -121,3 +121,37 @@ def test_invalid_node_parameters_rejected():
         Node(env, "x", cores=1, memory_bytes=0.0, local_disk=disk)
     with pytest.raises(SimulationError):
         Node(env, "x", cores=1, memory_bytes=1.0, local_disk=disk, cpu_speed=0)
+
+
+def test_spec_with_nodes_copy():
+    spec = stampede(num_nodes=2).with_nodes(10)
+    assert spec.num_nodes == 10
+    assert spec.cores_per_node == 16
+
+
+def test_node_core_accounting():
+    env = Environment()
+    node = Machine(env, stampede(num_nodes=1)).nodes[0]
+
+    def hold():
+        with node.cores.request() as req:
+            yield req
+            assert node.cores_in_use == 1
+            assert node.cores_free == 15
+            yield env.timeout(1.0)
+
+    env.run(env.process(hold()))
+    assert node.cores_in_use == 0
+
+
+def test_wan_roundtrip_costs_two_latencies():
+    env = Environment()
+    machine = Machine(env, stampede(num_nodes=1))
+    done = []
+
+    def rt():
+        yield machine.network.wan_roundtrip()
+        done.append(env.now)
+
+    env.run(env.process(rt()))
+    assert done[0] == pytest.approx(0.100, rel=1e-6)

@@ -122,6 +122,15 @@ def test_invalid_bandwidth_rejected():
         SharedBandwidthPipe(env, aggregate_bw=1, per_stream_bw=0)
 
 
+def test_estimate_duration_matches_event_path():
+    env = Environment()
+    pipe = SharedBandwidthPipe(env, aggregate_bw=100 * MB,
+                               per_stream_bw=60 * MB, latency=0.1)
+    est = pipe.estimate_duration(60 * MB, streams=1)
+    done = run_transfers(pipe, [60 * MB])
+    assert done[0] == pytest.approx(est, rel=1e-3)
+
+
 def test_bytes_moved_accounting():
     env = Environment()
     pipe = SharedBandwidthPipe(env, aggregate_bw=100 * MB)

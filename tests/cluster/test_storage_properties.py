@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.storage import SharedBandwidthPipe
+from repro.cluster.storage import MB, SharedBandwidthPipe
 from repro.sim import Environment
 
 
@@ -51,3 +51,13 @@ def test_smaller_transfers_finish_no_later(sizes):
     by_size = sorted(range(len(sizes)), key=lambda i: sizes[i])
     times = [finish[i] for i in by_size]
     assert times == sorted(times)
+
+
+@given(size=st.integers(min_value=1, max_value=10**9),
+       streams=st.integers(min_value=1, max_value=64))
+@settings(max_examples=50)
+def test_estimate_monotone_in_contention(size, streams):
+    env = Environment()
+    pipe = SharedBandwidthPipe(env, aggregate_bw=100 * MB, per_stream_bw=50 * MB)
+    assert (pipe.estimate_duration(size, streams + 1)
+            >= pipe.estimate_duration(size, streams) - 1e-9)

@@ -1,5 +1,11 @@
 """Shared fixtures for RADICAL-Pilot core tests."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cluster import stampede, wrangler
@@ -31,3 +37,28 @@ def make_stack():
 def stack():
     """A fresh :func:`make_stack` world per test."""
     return make_stack()
+
+
+@pytest.fixture(scope="session")
+def oracle_reports():
+    """The determinism oracle's two reports (``PYTHONHASHSEED`` 1 and 2),
+    from two interpreters run side by side once per session; see
+    ``tests/analysis/test_determinism_oracle.py``."""
+    root = Path(__file__).resolve().parents[1]
+    inherited = os.environ.get("PYTHONPATH")
+    path = str(root / "src") + (os.pathsep + inherited if inherited else "")
+    procs = [subprocess.Popen(
+        [sys.executable, "-m", "tests.analysis.test_determinism_oracle",
+         str(seed)],
+        cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": path,
+             "PYTHONHASHSEED": str(seed)})
+        for seed in (1, 2)]
+    try:
+        outs = [proc.communicate(timeout=600) for proc in procs]
+    finally:
+        for proc in procs:
+            proc.kill()  # a no-op once the interpreter has exited
+    for proc, (_, stderr) in zip(procs, outs, strict=True):
+        assert proc.returncode == 0, stderr
+    return [json.loads(stdout) for stdout, _ in outs]

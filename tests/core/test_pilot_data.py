@@ -215,3 +215,19 @@ def test_affinity_prefers_largest_byte_share(stack):
     # 50 MB on wrangler vs 5 MB on stampede -> run on wrangler
     assert holder["unit"].pilot_uid == pilot_wr.uid
     assert holder["unit"].state is UnitState.DONE
+
+
+def test_delete_data_unit_frees_space(stack):
+    env, registry, session, pmgr, umgr = stack
+    cds = ComputeDataService(session, umgr)
+    pd = cds.create_pilot_data(PilotDataDescription(
+        resource="slurm://stampede", size_bytes=100 * MB))
+
+    def driver():
+        du = yield from cds.submit_data_unit(DataUnitDescription(
+            name="d", files=(("f", 10 * MB),)), pd)
+        cds.delete_data_unit(du)
+        assert pd.used == 0
+        assert du.state == "New"
+
+    env.run(env.process(driver()))

@@ -12,10 +12,12 @@ from repro.experiments.calibration import (
     SCENARIOS,
     TASK_CONFIGS,
     agent_config,
+    scenario_label,
 )
 from repro.experiments.figure6 import (
     KMeansRow,
     run_figure6_cell,
+    speedup,
     yarn_advantage,
 )
 from repro.experiments.harness import Testbed, experiment_machine
@@ -114,3 +116,13 @@ def test_within_band():
     # no tolerance registered: the bare paper band
     assert within(80.0, "pilot_startup_plain") == (True, "paper 45-80: OK")
     assert not within(80.1, "pilot_startup_plain")[0]
+
+
+def test_scenario_label():
+    assert scenario_label(10_000, 5_000) == "10,000 points / 5,000 clusters"
+
+
+def test_speedup_computation():
+    rows = [_row("stampede", "RP", 1000, 8, 800.0),
+            _row("stampede", "RP", 1000, 32, 200.0)]
+    assert speedup(rows, "stampede", "RP", 1000) == pytest.approx(4.0)

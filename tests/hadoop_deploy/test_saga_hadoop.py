@@ -4,9 +4,12 @@ import pytest
 
 from repro.cluster import stampede, wrangler
 from repro.hadoop_deploy import (
+    FrameworkPlugin,
     SagaHadoop,
     provision_dedicated_hadoop,
+    register_plugin,
 )
+from repro.hadoop_deploy.plugins import make_plugin
 from repro.saga import Registry, Site
 from repro.sim import Environment, SimulationError
 from repro.spark import SparkConf
@@ -146,3 +149,23 @@ def test_dedicated_hadoop_on_wrangler(testbed):
     env.run(env.process(driver()))
     assert site.dedicated_yarn.running
     assert site.dedicated_hdfs.running
+
+
+def test_plugin_registration(testbed):
+    env, registry = testbed
+
+    class FlinkPlugin(FrameworkPlugin):
+        name = "flink"
+
+        def start_daemons(self, nodes):
+            self.flink_started = True
+            if False:
+                yield None
+
+        def stop(self):
+            pass
+
+    register_plugin("flink", FlinkPlugin)
+    site = registry.lookup("stampede")
+    plugin = make_plugin("flink", env, site)
+    assert isinstance(plugin, FlinkPlugin)

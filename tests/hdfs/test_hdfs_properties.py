@@ -51,3 +51,23 @@ def test_replication_invariants(nbytes, num_nodes, replication):
         holders = hdfs.namenode.block_map[block.block_id]
         assert len(holders) == expected
         assert len(set(holders)) == expected  # distinct nodes
+
+
+@given(sizes=st.lists(st.integers(min_value=1, max_value=20 * 1024 ** 2),
+                      min_size=1, max_size=6))
+@settings(max_examples=20, deadline=None)
+def test_namespace_accounting(sizes):
+    """total_bytes equals the sum of all file sizes; delete restores."""
+    env, hdfs = fresh_hdfs()
+    client = hdfs.client(hdfs.master_node.name)
+
+    def driver():
+        for i, size in enumerate(sizes):
+            yield env.process(client.put(f"/f{i}", size))
+
+    env.run(env.process(driver()))
+    assert hdfs.namenode.total_bytes() == sum(sizes)
+    for i in range(len(sizes)):
+        client.delete(f"/f{i}")
+    assert hdfs.namenode.total_bytes() == 0
+    assert all(dn.node.local_disk.used == 0 for dn in hdfs.datanodes)

@@ -33,6 +33,13 @@ def test_record_and_recover(tmp_path):
     assert recovered == {"a": {"rows": [1]}, "b": {"rows": [2]}}
 
 
+def test_pending_preserves_declaration_order(tmp_path):
+    with SweepJournal(tmp_path / "run") as journal:
+        journal.record("b", {"rows": [2]})
+    assert SweepJournal(tmp_path / "run").pending(
+        ["a", "b", "c"]) == ["a", "c"]
+
+
 def test_torn_tail_is_dropped(tmp_path):
     """The one corruption a SIGKILL can cause — a half-appended final
     line — recovers to the last durable record."""

@@ -73,3 +73,8 @@ def test_unit_description_service_is_exclusive_with_function():
     with pytest.raises(DescriptionError, match="service or a function"):
         ComputeUnitDescription(service=service,
                                function=lambda: 1).validate()
+
+
+def test_task_description_from_dict_rejects_unknown_fields():
+    with pytest.raises(DescriptionError, match="unknown"):
+        TaskDescription.from_dict({"executable": "/bin/true"})

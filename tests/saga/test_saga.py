@@ -235,3 +235,13 @@ def test_copy_overwrites_destination(testbed):
 
     env.run(env.process(driver()))
     assert cat.size("/dst") == 10 * MB
+
+
+def test_catalog_touch_and_list(testbed):
+    env, registry, site = testbed
+    cat = site.scratch
+    cat.touch("/a/1", 5.0)
+    cat.touch("/a/2", 5.0)
+    cat.touch("/b/3", 5.0)
+    assert list(cat.list("/a/")) == ["/a/1", "/a/2"]
+    assert cat.volume.used == 15.0

@@ -81,3 +81,10 @@ def test_ticket_lifecycle_and_latencies():
     ticket._settle(env.now, RequestState.DONE)
     assert ticket.state == "Done" and ticket.finished_at == 5.0
     assert ticket.submit_latency == pytest.approx(2.0)
+
+
+def test_request_state_finality():
+    assert RequestState.is_final(RequestState.DONE)
+    assert RequestState.is_final(RequestState.REJECTED)
+    assert not RequestState.is_final(RequestState.QUEUED)
+    assert not RequestState.is_final(RequestState.SUBMITTED)

@@ -3,7 +3,7 @@
 
 import pytest
 
-from repro.api import RaptorConfig, TaskDescription
+from repro.api import ComputeUnitDescription, RaptorConfig, TaskDescription
 from repro.experiments.calibration import agent_config
 from repro.experiments.harness import Testbed
 from repro.service import (
@@ -22,6 +22,7 @@ def served():
         tick_interval=0.5, max_batch_per_tick=64))
     pilot, _, _ = testbed.start_pilot(
         nodes=2, agent_config=agent_config("fork"))
+    service.add_pilots(pilot)
     overlay = testbed.session.raptor(
         pilot, workers=8, config=RaptorConfig(retain_results=False))
     testbed.env.run(overlay.ready())
@@ -70,6 +71,17 @@ def test_submission_is_non_blocking_and_batched(served):
     (submit_at,) = submits
     assert submit_at % 0.5 == pytest.approx(0.0, abs=1e-9)
     assert all(t.state == RequestState.DONE for t in tickets)
+
+
+def test_unit_tickets_settle(served):
+    env, testbed, service = served
+    service.register_tenant("t")
+    sess = service.open_session("t")
+    ticket = sess.submit_units(ComputeUnitDescription(
+        executable="/bin/date", cpu_seconds=1.0))
+    env.run(service.quiesced())
+    assert ticket.state == RequestState.DONE
+    assert ticket.finished_at > ticket.enqueued_at
 
 
 def test_session_lifecycle_and_drained(served):

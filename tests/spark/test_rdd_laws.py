@@ -1,7 +1,7 @@
 """Algebraic laws of the RDD API (property-based).
 
 The classic functor/monoid laws that make lazy pipelines refactorable:
-map fusion, flat_map via map+flatten, union
+map fusion, filter composition, flat_map via map+flatten, union
 commutativity up to multiset equality, reduce_by_key associativity.
 """
 
@@ -33,6 +33,22 @@ def test_map_fusion(data, parts):
     chained = run(env2, ctx2.parallelize(data, parts)
                   .map(f).map(g).collect())
     assert Counter(fused) == Counter(chained)
+
+
+@given(data=st.lists(st.integers(-30, 30), max_size=40),
+       parts=st.integers(1, 5))
+@settings(max_examples=20, deadline=None)
+def test_filter_composition(data, parts):
+    """filter(p).filter(q) == filter(p and q)."""
+    p = lambda x: x % 2 == 0
+    q = lambda x: x > 0
+    env, ctx = spark_ctx()
+    chained = run(env, ctx.parallelize(data, parts)
+                  .filter(p).filter(q).collect())
+    env2, ctx2 = spark_ctx()
+    combined = run(env2, ctx2.parallelize(data, parts)
+                   .filter(lambda x: p(x) and q(x)).collect())
+    assert Counter(chained) == Counter(combined)
 
 
 @given(data=st.lists(st.integers(0, 20), max_size=30),

@@ -48,6 +48,16 @@ def test_map_matches_builtin(data, parts):
     assert Counter(got) == Counter(x * x + 1 for x in data)
 
 
+@given(data=st.lists(st.integers(-50, 50), max_size=60),
+       parts=st.integers(1, 6))
+@settings(max_examples=25, deadline=None)
+def test_filter_matches_builtin(data, parts):
+    env, ctx = spark_ctx()
+    got = run(env, ctx.parallelize(data, parts).filter(lambda x: x % 3 == 0)
+              .collect())
+    assert Counter(got) == Counter(x for x in data if x % 3 == 0)
+
+
 @given(pairs=st.lists(st.tuples(st.sampled_from("abcde"),
                                 st.integers(-20, 20)), max_size=60),
        parts=st.integers(1, 6))
@@ -74,3 +84,22 @@ def test_group_by_key_matches_reference(pairs, parts):
     for k, v in pairs:
         expected.setdefault(k, []).append(v)
     assert got == {k: sorted(v) for k, v in expected.items()}
+
+
+@given(data=st.lists(st.integers(0, 100), min_size=1, max_size=50),
+       parts=st.integers(1, 5))
+@settings(max_examples=25, deadline=None)
+def test_count_and_reduce_consistent(data, parts):
+    env, ctx = spark_ctx()
+    rdd = ctx.parallelize(data, parts)
+    assert run(env, rdd.count()) == len(data)
+    assert run(env, rdd.reduce(lambda a, b: a + b)) == sum(data)
+
+
+@given(data=st.lists(st.integers(0, 20), max_size=40),
+       parts=st.integers(1, 4))
+@settings(max_examples=25, deadline=None)
+def test_distinct_matches_set(data, parts):
+    env, ctx = spark_ctx()
+    got = run(env, ctx.parallelize(data, parts).distinct().collect())
+    assert sorted(got) == sorted(set(data))

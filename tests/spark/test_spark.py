@@ -41,10 +41,48 @@ def test_parallelize_collect_roundtrip():
     assert sorted(run(env, rdd.collect())) == data
 
 
+def test_map_filter_chain():
+    env, cluster, ctx = make_spark()
+    rdd = ctx.parallelize(range(20), 3).map(lambda x: x * 2).filter(
+        lambda x: x % 4 == 0)
+    expected = sorted(x * 2 for x in range(20) if (x * 2) % 4 == 0)
+    assert sorted(run(env, rdd.collect())) == expected
+
+
 def test_flat_map():
     env, cluster, ctx = make_spark()
     rdd = ctx.parallelize(["a b", "c d e"], 2).flat_map(str.split)
     assert sorted(run(env, rdd.collect())) == ["a", "b", "c", "d", "e"]
+
+
+def test_map_partitions():
+    env, cluster, ctx = make_spark()
+    rdd = ctx.parallelize(range(10), 2).map_partitions(
+        lambda it: [sum(it)])
+    parts = run(env, rdd.collect())
+    assert sum(parts) == sum(range(10))
+    assert len(parts) == 2
+
+
+def test_count_and_take():
+    env, cluster, ctx = make_spark()
+    rdd = ctx.parallelize(range(57), 5)
+    assert run(env, rdd.count()) == 57
+    taken = run(env, rdd.take(5))
+    assert len(taken) == 5
+
+
+def test_reduce():
+    env, cluster, ctx = make_spark()
+    rdd = ctx.parallelize(range(1, 11), 3)
+    assert run(env, rdd.reduce(lambda a, b: a + b)) == 55
+
+
+def test_reduce_empty_raises():
+    env, cluster, ctx = make_spark()
+    rdd = ctx.parallelize([], 2)
+    with pytest.raises(ValueError, match="empty"):
+        run(env, rdd.reduce(lambda a, b: a + b))
 
 
 def test_reduce_by_key():
@@ -78,6 +116,12 @@ def test_group_by_key():
     rdd = ctx.parallelize(pairs, 2).group_by_key()
     grouped = {k: sorted(v) for k, v in run(env, rdd.collect())}
     assert grouped == {"x": [1, 3], "y": [2]}
+
+
+def test_distinct():
+    env, cluster, ctx = make_spark()
+    rdd = ctx.parallelize([1, 2, 2, 3, 3, 3], 3).distinct()
+    assert sorted(run(env, rdd.collect())) == [1, 2, 3]
 
 
 def test_union():

@@ -1,27 +1,55 @@
-"""Tests for the extended RDD API: cogroup and joins."""
+"""Tests for the extended RDD API: joins, sorting, sampling, HDFS RDDs."""
+
+from collections import Counter
+
+import pytest
 
 from repro.cluster import Machine, stampede
-from repro.sim import Environment
+from repro.cluster.storage import MB
+from repro.hdfs import HdfsCluster
+from repro.sim import Environment, SeedSequenceRegistry
 from repro.spark import SparkConf, SparkStandaloneCluster
 
 
-def make_spark(num_nodes=2, conf=None):
+def make_spark(num_nodes=2, conf=None, with_hdfs=False):
     env = Environment()
     machine = Machine(env, stampede(num_nodes=num_nodes))
     cluster = SparkStandaloneCluster(env, machine, machine.nodes)
+    hdfs = None
+    if with_hdfs:
+        hdfs = HdfsCluster(env, machine, machine.nodes, replication=2,
+                           rng=SeedSequenceRegistry(1).stream("s"))
     holder = {}
 
     def boot():
+        if hdfs is not None:
+            yield env.process(hdfs.start())
         yield env.process(cluster.start())
         holder["ctx"] = (yield from cluster.context(conf or SparkConf(
             num_executors=2, executor_cores=2)))
 
     env.run(env.process(boot()))
-    return env, cluster, holder["ctx"], None
+    return env, cluster, holder["ctx"], hdfs
 
 
 def run(env, gen):
     return env.run(env.process(gen))
+
+
+def test_sample_deterministic_and_bounded():
+    env, cluster, ctx, _ = make_spark()
+    rdd = ctx.parallelize(range(1000), 4)
+    a = run(env, rdd.sample(0.3, seed=5).collect())
+    b = run(env, rdd.sample(0.3, seed=5).collect())
+    assert Counter(a) == Counter(b)
+    assert 200 < len(a) < 400
+    assert set(a) <= set(range(1000))
+
+
+def test_sample_fraction_validation():
+    env, cluster, ctx, _ = make_spark()
+    with pytest.raises(ValueError):
+        ctx.parallelize([1], 1).sample(1.5)
 
 
 def test_cogroup():
@@ -51,3 +79,90 @@ def test_join_empty_intersection():
     a = ctx.parallelize([("a", 1)], 1)
     b = ctx.parallelize([("b", 2)], 1)
     assert run(env, a.join(b).collect()) == []
+
+
+def test_sort_by():
+    env, cluster, ctx, _ = make_spark()
+    data = [5, 3, 9, 1, 7, 3]
+    rdd = ctx.parallelize(data, 3)
+    assert run(env, rdd.sort_by(lambda x: x).collect()) == sorted(data)
+    assert run(env, rdd.sort_by(lambda x: x, ascending=False).collect()) \
+        == sorted(data, reverse=True)
+
+
+def test_aggregate():
+    env, cluster, ctx, _ = make_spark()
+    rdd = ctx.parallelize(range(1, 11), 4)
+    # (sum, count) in one pass
+    total, count = run(env, rdd.aggregate(
+        (0, 0),
+        lambda acc, x: (acc[0] + x, acc[1] + 1),
+        lambda a, b: (a[0] + b[0], a[1] + b[1])))
+    assert (total, count) == (55, 10)
+
+
+def test_count_by_key():
+    env, cluster, ctx, _ = make_spark()
+    rdd = ctx.parallelize([("a", 1), ("b", 1), ("a", 9)], 2)
+    assert run(env, rdd.count_by_key()) == {"a": 2, "b": 1}
+
+
+def test_text_file_reads_hdfs_blocks():
+    env, cluster, ctx, hdfs = make_spark(with_hdfs=True)
+    client = hdfs.client(hdfs.master_node.name)
+    words = [f"w{i}" for i in range(40)]
+    slices = [words[:20], words[20:]]
+
+    def load():
+        yield env.process(client.put("/corpus", 20 * MB,
+                                     payload_slices=slices,
+                                     block_size=10 * MB))
+
+    env.run(env.process(load()))
+    rdd = ctx.text_file(hdfs, "/corpus")
+    assert rdd.num_partitions == 2
+    got = run(env, rdd.collect())
+    assert Counter(got) == Counter(words)
+
+
+def test_text_file_pipeline_with_shuffle():
+    env, cluster, ctx, hdfs = make_spark(with_hdfs=True)
+    client = hdfs.client(hdfs.master_node.name)
+    words = ["dog", "cat", "dog", "emu", "cat", "dog"]
+
+    def load():
+        yield env.process(client.put("/w", 6 * MB,
+                                     payload_slices=[words[:3], words[3:]],
+                                     block_size=3 * MB))
+
+    env.run(env.process(load()))
+    counts = dict(run(env, (
+        ctx.text_file(hdfs, "/w").map(lambda w: (w, 1))
+        .reduce_by_key(lambda a, b: a + b).collect())))
+    assert counts == {"dog": 3, "cat": 2, "emu": 1}
+
+
+def test_broadcast_value_usable_in_tasks():
+    env, cluster, ctx, _ = make_spark()
+    holder = {}
+
+    def driver():
+        lookup = yield from ctx.broadcast({"a": 10, "b": 20}, nbytes=1e6)
+        rdd = ctx.parallelize(["a", "b", "a"], 2).map(
+            lambda k, _bc=lookup: _bc.value[k])
+        holder["out"] = yield from rdd.collect()
+
+    env.run(env.process(driver()))
+    assert Counter(holder["out"]) == Counter([10, 20, 10])
+
+
+def test_accumulator_counts_across_tasks():
+    env, cluster, ctx, _ = make_spark()
+    acc = ctx.accumulator(0)
+
+    def bump(x, _acc=acc):
+        _acc.add(1)
+        return x
+
+    run(env, ctx.parallelize(range(25), 5).map(bump).collect())
+    assert acc.value == 25

@@ -103,9 +103,12 @@ def test_record_false_keeps_no_events(env):
     assert bus.events == [] and len(hits) == 1 and bus.emitted == 1
 
 
-def test_install_is_idempotent(env):
+def test_install_is_idempotent_and_uninstall_detaches(env):
+    from repro import telemetry
     tel = install(env)
     assert install(env) is tel
     assert env.telemetry is tel
+    telemetry.uninstall(env)
+    assert env.telemetry is None
     # A fresh Environment defaults to disabled.
     assert Environment().telemetry is None

@@ -39,7 +39,7 @@ def test_counter_monotonic(registry, env):
     assert rows[-1]["total"] == 150 and rows[-1]["t"] == 5.0
 
 
-def test_gauge_same_instant_overwrite_and_step_samples(registry, env):
+def test_gauge_same_instant_overwrite_and_time_weighted_mean(registry, env):
     g = registry.gauge("queue_depth")
     g.set(3)
     g.set(5)                      # same instant: one sample survives
@@ -47,6 +47,8 @@ def test_gauge_same_instant_overwrite_and_step_samples(registry, env):
     _at(env, 10.0, lambda: g.set(1))
     _at(env, 20.0, lambda: g.set(0))
     assert g.samples == [(0.0, 5.0), (10.0, 1.0), (20.0, 0.0)]
+    # 5 for 10s, 1 for 10s, 0 after: mean over [0, 20] = 3.0
+    assert g.time_weighted_mean(until=20.0) == pytest.approx(3.0)
     assert g.max() == 5.0
     assert g.value == 0.0
 

@@ -99,3 +99,14 @@ def test_chrome_trace_export(tracer, env):
     # Distinct integer tids per track.
     tids = {e["tid"] for e in xs} | {e["tid"] for e in instants}
     assert len(tids) == 3 and all(isinstance(t, int) for t in tids)
+
+
+def test_span_context_manager_records_errors(tracer):
+    with tracer.span("ok"):
+        pass
+    with pytest.raises(RuntimeError):
+        with tracer.span("boom"):
+            raise RuntimeError("nope")
+    ok, boom = tracer.spans
+    assert ok.end is not None and "error" not in ok.args
+    assert "RuntimeError" in boom.args["error"]

@@ -180,7 +180,8 @@ def _check(ops):
     return log, metrics, rm
 
 
-@pytest.mark.parametrize("seed", SEEDS)
+# Case ids name the order the program runs under: ``<seed>-fifo``.
+@pytest.mark.parametrize("seed", SEEDS, ids=lambda seed: f"{seed}-fifo")
 def test_index_matches_reference_scan(seed):
     log, metrics, rm = _check(_program(seed))
     assert len(log) >= 12            # at least every AM was placed

@@ -393,3 +393,28 @@ def test_stop_cluster_kills_running_apps():
 
     env.run(env.process(driver()))
     assert out["app"].state is ApplicationState.KILLED
+
+
+def test_preemption_kills_newest_container():
+    env, machine, cluster = make_yarn()
+    containers_seen = []
+
+    def am(ctx):
+        ctx.request_containers(2, YarnResource(1024, 1))
+        got = yield from ctx.wait_for_containers(2)
+        containers_seen.extend(got)
+
+        def task(env_, c):
+            yield env_.timeout(50.0)
+
+        events = [ctx.start_container(c, task) for c in got]
+        yield ctx.env.timeout(20.0)
+        ctx.rm.preempt_containers(ctx.app.app_id, 1)
+        yield ctx.env.all_of(events)
+        ctx.finish()
+
+    spec = AppSpec(name="preempt-me", am_resource=YarnResource(512, 1),
+                   am_program=am)
+    app, report = submit_and_wait(env, cluster, spec)
+    states = sorted(c.state.value for c in containers_seen)
+    assert states == ["completed", "preempted"]

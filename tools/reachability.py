@@ -12,13 +12,15 @@ It then lists every function and method defined under ``src/repro``
 
 Every unreached function must be on ``tools/reachability_allowlist.txt``,
 one ``module:qualname  bin  reason`` per line (``module`` alone covers a
-whole module, ``module:Class`` a whole class).  The two bins are ROADMAP
-item 4's:
+whole module, ``module:Class`` a whole class).  The bins are ROADMAP
+item 4's two and one for tested library surface:
 
 * ``robustness`` — an error or robustness path; the reason names the
   test that drives it;
 * ``paper`` — the paper needs it but no artefact shows it; the reason
-  names where the paper does.
+  names where the paper does;
+* ``library`` — a public member of the library that no artefact calls
+  but a test checks; the reason names the test.
 
 Exit status 1 when a function goes unreached without an entry, when an
 entry names a function that no longer exists or that an artefact now
@@ -46,7 +48,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 PACKAGE = SRC / "repro"
 ALLOWLIST = Path(__file__).resolve().with_name("reachability_allowlist.txt")
-BINS = ("robustness", "paper")
+BINS = ("robustness", "paper", "library")
 
 #: Installed as ``sitecustomize`` ahead of everything on PYTHONPATH, so
 #: every interpreter an artefact starts records its calls too.
