@@ -15,8 +15,13 @@ Usage::
     python -m repro checkpoint bag --store ckpt --at 120
     python -m repro restore ckpt [--until T]
 
-``--quick`` restricts Figure 6 to the smallest and largest scenarios
-at 8 and 32 tasks (16 cells instead of 36).
+Each paper verb (``figure5`` … ``all``) is its grid's sweep at root
+seed 42 — the same cells, seeds and rows as ``sweep GRID`` — followed
+by that grid's report.  ``--quick`` runs the reduced grids: Figure 6 on
+the smallest and largest scenarios at 8 and 32 tasks (16 cells instead
+of 36), and, under ``all --quick``, the ablations without their four
+A3-on-K-Means cells.  The checks those grids lack print ``not in
+grid``: the two 16-task Figure 6 claims and A3 on K-Means.
 
 ``trace`` runs a single telemetry-enabled K-Means cell and writes
 Chrome ``trace_event`` JSON (Perfetto/chrome://tracing), span, event

@@ -56,59 +56,18 @@ class Command:
 
 
 # ----------------------------------------------------------------- runners
-def _figure5(args: argparse.Namespace):
-    from repro.experiments import (
-        run_figure5_pilot_startup,
-        run_figure5_unit_startup,
-    )
-    from repro.experiments.tables import figure5_report
-    return figure5_report(run_figure5_pilot_startup(),
-                          run_figure5_unit_startup())
-
-
-def _figure6(args: argparse.Namespace):
-    from repro.experiments import run_figure6
-    from repro.experiments.tables import figure6_report
-    return figure6_report(run_figure6(quick=args.quick))
-
-
-def _ablations(args: argparse.Namespace):
-    from repro.experiments import SCENARIOS, run_figure6_cell
-    from repro.experiments.ablations import (
-        run_am_reuse,
-        run_integration_level,
-        run_spark_deploy_mode,
-    )
-    from repro.experiments.tables import ablations_report
-    # A3 on the real workload: the two Stampede 32-task Figure 6 cells,
-    # as run and with the paper's proposed AM re-use.
-    a3_kmeans = [
-        tuple(run_figure6_cell("stampede", "RP-YARN", points, clusters, 32,
-                               reuse_application_master=reuse)
-              for reuse in (False, True))
-        for points, clusters in (SCENARIOS[0], SCENARIOS[-1])]
-    return ablations_report(run_integration_level(),
-                            run_spark_deploy_mode(), run_am_reuse(),
-                            a3_kmeans)
-
-
-def _sensitivity(args: argparse.Namespace):
-    from repro.experiments.sensitivity import sweep_lustre_bandwidth
-    from repro.experiments.tables import sensitivity_report
-    return sensitivity_report(sweep_lustre_bandwidth())
-
-
-#: The paper's artefacts, in the order ``all`` prints them; each returns
-#: ``(report text, every paper-shape check holds)``.
-_PAPER = {"figure5": _figure5, "figure6": _figure6,
-          "ablations": _ablations, "sensitivity": _sensitivity}
-
-
 def _run_paper(args: argparse.Namespace) -> int:
-    names = list(_PAPER) if args.command == "all" else [args.command]
+    """Each paper verb is its grid's sweep at root seed 42, then that
+    grid's report over the sweep's rows; ``all`` runs every one."""
+    from repro.experiments.sweeps import run_sweep
+    from repro.experiments.tables import REPORTS
+    names = list(REPORTS) if args.command == "all" else [args.command]
     holds = True
     for name in names:
-        text, ok = _PAPER[name](args)
+        run = run_sweep(name, root_seed=42,
+                        quick=getattr(args, "quick", False))
+        text, ok = REPORTS[name](
+            [row for result in run.results for row in result["rows"]])
         print(text + "\n")
         holds = holds and ok
     return 0 if holds else 1
@@ -264,7 +223,8 @@ def _run_restore(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- registry
 _QUICK = arg("--quick", action="store_true",
-             help="figure6: run a reduced 16-cell grid")
+             help="run the reduced grids: 16 Figure 6 cells; under all, "
+                  "no A3-on-K-Means cells")
 _PAPER_EXIT_CODES = ((0, "every paper-shape check holds"),
                      (1, "a paper-shape check failed"), (2, "usage error"))
 
@@ -272,7 +232,8 @@ COMMANDS: Tuple[Command, ...] = (
     *(Command(name=name, runner=_run_paper, exit_codes=_PAPER_EXIT_CODES,
               help=f"run the {name} experiment(s)",
               args=(_QUICK,) if name in ("figure6", "all") else ())
-      for name in (*_PAPER, "all")),
+      for name in ("figure5", "figure6", "ablations", "sensitivity",
+                   "all")),
     Command(
         name="sweep", runner=_run_sweep,
         help="run an experiment grid over a process pool "

@@ -9,10 +9,7 @@ series the evaluation plots:
 * concurrency over time (how many units were EXECUTING at t).
 
 All functions are duck-typed over "anything with ``history`` /
-``timestamp()``": client-side handles, or the live views a
-:class:`repro.telemetry.ProfilerBridge` reconstructs from the event
-stream mid-run — the same analyses work without waiting for the run
-to finish.
+``timestamp()``", such as the client-side unit handles.
 """
 
 from __future__ import annotations

@@ -5,9 +5,10 @@ system, session), runs the paper's measurement procedure, and returns
 structured rows that the benchmark suite prints next to the
 paper-reported values.  All harnesses are deterministic for a given
 seed.  A grid is its module: ``cells(root_seed, quick)`` lists it, and
-``RUNNERS`` holds one function per cell kind, which both
-``python -m repro sweep`` and the paper verbs call
-(:mod:`~repro.experiments.sweeps`).
+``RUNNERS`` holds one function per cell kind.  ``python -m repro
+sweep`` runs a grid through :mod:`~repro.experiments.sweeps`; each
+paper verb is the same sweep at root seed 42, followed by its grid's
+report (:mod:`~repro.experiments.tables`).
 
 * :mod:`~repro.experiments.figure5` — Pilot startup (main) and
   Compute-Unit startup (inset) for RP / RP-YARN Mode I / Mode II on
@@ -40,11 +41,7 @@ from repro.experiments.calibration import (
     SCENARIOS,
     TASK_CONFIGS,
 )
-from repro.experiments.figure5 import (
-    run_figure5_pilot_startup,
-    run_figure5_unit_startup,
-)
-from repro.experiments.figure6 import run_figure6, run_figure6_cell
+from repro.experiments.figure6 import run_figure6_cell
 
 __all__ = [
     "CALIBRATED_AGENT",
@@ -53,8 +50,5 @@ __all__ = [
     "CALIBRATED_YARN",
     "SCENARIOS",
     "TASK_CONFIGS",
-    "run_figure5_pilot_startup",
-    "run_figure5_unit_startup",
-    "run_figure6",
     "run_figure6_cell",
 ]

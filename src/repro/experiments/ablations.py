@@ -12,16 +12,22 @@
 * **A3 — AM re-use (§III-C/IV-A):** the paper names Application Master
   and container re-use as the optimization that "will reduce the
   startup time significantly"; we implement it and measure warm-unit
-  startup with and without.
+  startup with and without, and (full grid only) on the Stampede
+  32-task RP-YARN Figure 6 cells of the smallest and largest scenario.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from dataclasses import asdict, dataclass
+from typing import Any, Dict, List
 
 from repro.api import ComputeUnitDescription
-from repro.experiments.calibration import CALIBRATED_YARN, agent_config
+from repro.experiments.calibration import (
+    CALIBRATED_YARN,
+    SCENARIOS,
+    agent_config,
+)
+from repro.experiments.figure6 import run_figure6_cell
 from repro.experiments.harness import Testbed, experiment_machine
 from repro.experiments.sweeps import SweepCell, make_cell
 from repro.cluster.machine import Machine
@@ -173,13 +179,32 @@ def run_am_reuse(machine: str = "stampede", samples: int = 4,
     return rows
 
 
+def run_am_reuse_kmeans(points: int, clusters: int, reuse: bool,
+                        seed: int = 42) -> Dict[str, Any]:
+    """A3 on the real workload: a Stampede 32-task RP-YARN Figure 6
+    cell, with or without AM re-use."""
+    row = run_figure6_cell("stampede", "RP-YARN", points, clusters, 32,
+                           seed=seed, reuse_application_master=reuse)
+    return {**asdict(row), "am_reuse": reuse}
+
+
 # ------------------------------------------------------------ sweep grid
 RUNNERS = {"integration-level": run_integration_level,
            "spark-deploy-mode": run_spark_deploy_mode,
-           "am-reuse": run_am_reuse}
+           "am-reuse": run_am_reuse,
+           "am-reuse-kmeans": run_am_reuse_kmeans}
 
 
 def cells(root_seed: int = 42, quick: bool = False) -> List[SweepCell]:
-    """One parameter-free cell per ablation (``quick`` changes
-    nothing)."""
-    return [make_cell("ablations", kind, root_seed) for kind in RUNNERS]
+    """One parameter-free cell per ablation; the full grid adds A3 on
+    the smallest and largest K-Means scenario, with and without AM
+    re-use."""
+    grid = [make_cell("ablations", kind, root_seed)
+            for kind in ("integration-level", "spark-deploy-mode",
+                         "am-reuse")]
+    if not quick:
+        grid += [make_cell("ablations", "am-reuse-kmeans", root_seed,
+                           points=points, clusters=clusters, reuse=reuse)
+                 for points, clusters in (SCENARIOS[0], SCENARIOS[-1])
+                 for reuse in (False, True)]
+    return grid

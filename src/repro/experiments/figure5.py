@@ -59,11 +59,6 @@ def pilot_startup(machine: str, flavor: str, lrm: str, provision: bool,
                       lrm_setup=pilot.agent_info["lrm_setup_seconds"])
 
 
-def run_figure5_pilot_startup(seed: int = 42) -> List[StartupRow]:
-    """Measure every bar of Figure 5's main panel."""
-    return [pilot_startup(*case, seed=seed) for case in PILOT_CASES]
-
-
 @dataclass
 class UnitStartupRow:
     """One bar of Figure 5's inset."""
@@ -99,11 +94,6 @@ def unit_startup(machine: str, flavor: str, lrm: str,
         startups.append(units[0].startup_time)
     return UnitStartupRow(machine=machine, flavor=flavor,
                           unit_startup=sum(startups) / len(startups))
-
-
-def run_figure5_unit_startup(seed: int = 42) -> List[UnitStartupRow]:
-    """Measure every bar of Figure 5's inset."""
-    return [unit_startup(*case, seed=seed) for case in UNIT_CASES]
 
 
 # ------------------------------------------------------------ sweep grid

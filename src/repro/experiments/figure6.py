@@ -17,7 +17,7 @@ benchmark run re-validates numerical correctness alongside timing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -79,17 +79,21 @@ def _expected_for(points: int, clusters: int,
 
 
 def run_figure6_cell(machine: str, flavor: str, points: int,
-                     clusters: int, ntasks: int,
-                     seed: int = 42, **agent_overrides) -> KMeansRow:
+                     clusters: int, ntasks: int, seed: int = 42,
+                     lustre_bw: Optional[float] = None,
+                     **agent_overrides) -> KMeansRow:
     """Run one (machine, runtime, scenario, task-count) cell.
 
-    ``agent_overrides`` are forwarded to the agent configuration —
-    e.g. ``reuse_application_master=True`` to measure the paper's
-    proposed optimization on the real workload.
+    ``lustre_bw`` (bytes/s) replaces the machine's calibrated
+    job-visible Lustre share (the S1 sweep).  ``agent_overrides`` are
+    forwarded to the agent configuration — e.g.
+    ``reuse_application_master=True`` to measure the paper's proposed
+    optimization on the real workload.
     """
     nodes = TASK_CONFIGS[ntasks]
     lrm = "yarn" if flavor == "RP-YARN" else "fork"
-    testbed = Testbed(machine, num_nodes=nodes, seed=seed)
+    testbed = Testbed(machine, num_nodes=nodes, seed=seed,
+                      lustre_bw=lustre_bw)
     pilot, _, t_active = testbed.start_pilot(
         nodes=nodes, agent_config=agent_config(lrm, **agent_overrides))
 
@@ -136,38 +140,30 @@ def cells(root_seed: int = 42, quick: bool = False) -> List[SweepCell]:
 RUNNERS = {"kmeans": run_figure6_cell}
 
 
-def run_figure6(quick: bool = False, seed: int = 42) -> List[KMeansRow]:
-    """The Figure 6 grid at ``seed`` (36 cells; 16 with ``quick``)."""
-    return [run_figure6_cell(seed=seed, **dict(cell.params))
-            for cell in cells(quick=quick)]
-
-
 # ------------------------------------------------------- derived metrics
-def speedup(rows: List[KMeansRow], machine: str, flavor: str,
+# Over the sweep's rows: each a :class:`KMeansRow` as a dict.
+def speedup(rows: List[dict], machine: str, flavor: str,
             points: int, base_tasks: int = 8,
             top_tasks: int = 32) -> float:
     """Speedup of top_tasks over base_tasks for one scenario/flavor."""
-    sel = {r.ntasks: r for r in rows
-           if r.machine == machine and r.flavor == flavor
-           and r.points == points}
-    return sel[base_tasks].runtime / sel[top_tasks].runtime
+    sel = {r["ntasks"]: r["runtime"] for r in rows
+           if (r["machine"], r["flavor"], r["points"])
+           == (machine, flavor, points)}
+    return sel[base_tasks] / sel[top_tasks]
 
 
-def yarn_advantage(rows: List[KMeansRow], min_tasks: int = 16) -> float:
+def yarn_advantage(rows: List[dict], min_tasks: int = 16) -> float:
     """Mean relative runtime reduction of RP-YARN vs RP (>= min_tasks).
 
     The paper: "In particular for larger number of tasks, we observed
     on average 13% shorter runtimes for RADICAL-Pilot-YARN."
     """
-    pairs = []
-    for r in rows:
-        if r.flavor != "RP" or r.ntasks < min_tasks:
-            continue
-        twin = next((y for y in rows if y.flavor == "RP-YARN"
-                     and y.machine == r.machine and y.points == r.points
-                     and y.ntasks == r.ntasks), None)
-        if twin is not None:
-            pairs.append((r.runtime, twin.runtime))
+    runtime = {(r["machine"], r["flavor"], r["points"], r["ntasks"]):
+               r["runtime"] for r in rows}
+    pairs = [(rp, runtime[machine, "RP-YARN", points, ntasks])
+             for (machine, flavor, points, ntasks), rp in runtime.items()
+             if flavor == "RP" and ntasks >= min_tasks
+             and (machine, "RP-YARN", points, ntasks) in runtime]
     if not pairs:
         return 0.0
     return float(np.mean([(rp - ry) / rp for rp, ry in pairs]))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import Optional
 
 from repro.cluster.machine import (
     MachineSpec,
@@ -29,10 +30,16 @@ MACHINE_TEMPLATES = {"stampede": stampede, "wrangler": wrangler,
                      "frontera": frontera, "summit": summit}
 
 
-def experiment_machine(name: str, num_nodes: int) -> MachineSpec:
-    """Machine template with the job-visible Lustre share applied."""
+def experiment_machine(name: str, num_nodes: int,
+                       lustre_bw: Optional[float] = None) -> MachineSpec:
+    """Machine template with the job-visible Lustre share applied.
+
+    ``lustre_bw`` (bytes/s) overrides the calibrated share: one stream
+    may then take all of it (the S1 sweep's testbed)."""
     spec = MACHINE_TEMPLATES[name](num_nodes=num_nodes)
     agg, per_stream, latency = LUSTRE_JOB_BW[name]
+    if lustre_bw is not None:
+        agg = per_stream = lustre_bw
     shared = StorageSpec(
         name=spec.shared_fs.name, aggregate_bw=agg,
         per_stream_bw=per_stream, latency=latency,
@@ -46,11 +53,12 @@ class Testbed:
     __test__ = False  # not a pytest test class despite the Test* name
 
     def __init__(self, machine: str, num_nodes: int, seed: int = 42,
-                 rms_config=None, provision_hadoop: bool = False):
+                 rms_config=None, provision_hadoop: bool = False,
+                 lustre_bw: Optional[float] = None):
         self.env = Environment()
         self.registry = Registry()
         self.site = self.registry.register(Site(
-            self.env, experiment_machine(machine, num_nodes),
+            self.env, experiment_machine(machine, num_nodes, lustre_bw),
             rms_kind="slurm", rms_config=rms_config or CALIBRATED_RMS))
         self.session = Session(self.env, self.registry, seed=seed)
         self.pmgr = PilotManager(self.session)

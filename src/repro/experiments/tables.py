@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Sequence, Tuple
 
+from repro.experiments.calibration import SCENARIOS
+
 #: Paper-reported anchors (from §IV text and reading Figures 5/6).
 PAPER_TARGETS = {
     "pilot_startup_plain": (45.0, 80.0),        # seconds, both machines
@@ -24,7 +26,7 @@ PAPER_TARGETS = {
 }
 
 #: Accepted slack (s) either side of a band.  EXPERIMENTS.md §Figure 5
-#: explains the two cells that need it (Wrangler Mode I overhead 45 s,
+#: explains the two cells that need it (Wrangler Mode I overhead 46 s,
 #: Stampede plain-RP CU startup 9.2 s).
 TOLERANCE = {"mode1_overhead": 10.0, "mode2_setup": 5.0,
              "unit_startup_plain": 2.0, "unit_startup_yarn": 5.0}
@@ -83,11 +85,13 @@ def run_checks(checks: Iterable[Check]) -> Tuple[str, bool]:
     return "\n".join(lines), all_hold
 
 
-def figure5_report(pilot_rows, unit_rows) -> Tuple[str, bool]:
+def figure5_report(rows) -> Tuple[str, bool]:
     """Render Figure 5 main panel + inset against the paper bands."""
-    plain = {r.machine: r.pilot_startup for r in pilot_rows
-             if r.flavor == "RP"}
-    cu = {(r.machine, r.flavor): r.unit_startup for r in unit_rows}
+    pilot_rows = [r for r in rows if "pilot_startup" in r]
+    unit_rows = [r for r in rows if "unit_startup" in r]
+    plain = {r["machine"]: r["pilot_startup"] for r in pilot_rows
+             if r["flavor"] == "RP"}
+    cu = {(r["machine"], r["flavor"]): r["unit_startup"] for r in unit_rows}
     bands = []
 
     def vs_paper(value: float, key: str, label: str = "") -> str:
@@ -97,25 +101,25 @@ def figure5_report(pilot_rows, unit_rows) -> Tuple[str, bool]:
 
     body = []
     for r in pilot_rows:
-        if r.flavor == "RP":
-            note = vs_paper(r.pilot_startup, "pilot_startup_plain")
-        elif r.flavor.endswith("(Mode I)"):
-            overhead = r.pilot_startup - plain[r.machine]
+        if r["flavor"] == "RP":
+            note = vs_paper(r["pilot_startup"], "pilot_startup_plain")
+        elif r["flavor"].endswith("(Mode I)"):
+            overhead = r["pilot_startup"] - plain[r["machine"]]
             note = vs_paper(overhead, "mode1_overhead",
                             f"overhead {overhead:.0f}s, ")
         else:
-            delta = abs(r.pilot_startup - plain[r.machine])
+            delta = abs(r["pilot_startup"] - plain[r["machine"]])
             note = vs_paper(delta, "mode2_setup", f"vs plain {delta:.0f}s, ")
-        body.append((r.machine, r.flavor, r.pilot_startup,
-                     r.lrm_setup, note))
+        body.append((r["machine"], r["flavor"], r["pilot_startup"],
+                     r["lrm_setup"], note))
     main = format_table(
         ["machine", "flavor", "pilot startup (s)", "LRM setup (s)",
          "vs paper"], body)
     inset = format_table(
         ["machine", "flavor", "CU startup (s)", "vs paper"],
-        [(r.machine, r.flavor, r.unit_startup,
-          vs_paper(r.unit_startup,
-                   "unit_startup_yarn" if "YARN" in r.flavor
+        [(r["machine"], r["flavor"], r["unit_startup"],
+          vs_paper(r["unit_startup"],
+                   "unit_startup_yarn" if "YARN" in r["flavor"]
                    else "unit_startup_plain"))
          for r in unit_rows])
     shapes, shapes_hold = run_checks(
@@ -131,8 +135,8 @@ def figure5_report(pilot_rows, unit_rows) -> Tuple[str, bool]:
 
 
 def _runtimes(rows) -> dict:
-    return {(r.machine, r.flavor, r.points, r.ntasks): r.runtime
-            for r in rows}
+    return {(r["machine"], r["flavor"], r["points"], r["ntasks"]):
+            r["runtime"] for r in rows}
 
 
 def figure6_checks(rows) -> List[Check]:
@@ -143,8 +147,8 @@ def figure6_checks(rows) -> List[Check]:
     advantage = yarn_advantage(rows)
     series = sorted({key[:3] for key in t})      # (machine, flavor, points)
     cells = sorted({key[1:] for key in t})       # (flavor, points, ntasks)
-    scenarios = sorted({r.points for r in rows})
-    ncells = len(series) * len({r.ntasks for r in rows})
+    scenarios = sorted({key[2] for key in t})
+    ncells = len(series) * len({key[3] for key in t})
 
     def yarn_wins(machine, points, ntasks):
         return (t[machine, "RP-YARN", points, ntasks]
@@ -157,7 +161,7 @@ def figure6_checks(rows) -> List[Check]:
         Check(f"all {ncells} cells of the grid ran, once each (full "
               f"grid: 36)", lambda: len(rows) == len(t) == ncells),
         Check("every cell's centroids match the NumPy reference",
-              lambda: all(r.centroids_ok for r in rows)),
+              lambda: all(r["centroids_ok"] for r in rows)),
         Check("runtime falls from 8 to 32 tasks in every series",
               lambda: all(t[k + (8,)] > t[k + (32,)] for k in series)),
         Check("runtime falls 8 -> 16 -> 32 tasks in every series",
@@ -194,8 +198,9 @@ def figure6_report(rows) -> Tuple[str, bool]:
     table = format_table(
         ["machine", "flavor", "points", "clusters", "tasks", "nodes",
          "runtime (s)", "centroids"],
-        [(r.machine, r.flavor, f"{r.points:,}", f"{r.clusters:,}",
-          r.ntasks, r.nodes, r.runtime, "OK" if r.centroids_ok else "BAD")
+        [(r["machine"], r["flavor"], f"{r['points']:,}",
+          f"{r['clusters']:,}", r["ntasks"], r["nodes"], r["runtime"],
+          "OK" if r["centroids_ok"] else "BAD")
          for r in rows])
     t = _runtimes(rows)
     speedups = [
@@ -209,72 +214,93 @@ def figure6_report(rows) -> Tuple[str, bool]:
             holds)
 
 
-def ablations_report(a1, a2, a3, a3_kmeans) -> Tuple[str, bool]:
-    """Render A1-A3; ``a3_kmeans`` pairs each Stampede 32-task Figure 6
-    RP-YARN row with the same cell re-run under AM re-use."""
-    startup = {r.wiring: r.unit_startup for r in a1}
-    spark = {r.mode: r for r in a2}
-    warm = {r.mode: r.warm_unit_startup for r in a3}
+def ablations_report(rows) -> Tuple[str, bool]:
+    """Render A1-A3; A3 on K-Means pairs each Stampede 32-task RP-YARN
+    Figure 6 cell with the same cell under AM re-use."""
+    startup = {r["wiring"]: r for r in rows if "wiring" in r}
+    spark = {r["mode"]: r for r in rows if "cluster_ready" in r}
+    warm = {r["mode"]: r for r in rows if "warm_unit_startup" in r}
+    kmeans = {(r["points"], r["am_reuse"]): r for r in rows
+              if "am_reuse" in r}
+
+    def pair(points):           # KeyError: the quick grid has no cells
+        return kmeans[points, False], kmeans[points, True]
+
+    pairs = [pair(points) for points in sorted({p for p, _ in kmeans})]
     shapes, holds = run_checks([
         Check("A1: pilot-manager-level wiring costs > 2 s more CU startup "
               "than agent-level",
-              lambda: (startup["pilot-manager-level"]
-                       > startup["agent-level"] + 2.0)),
+              lambda: (startup["pilot-manager-level"]["unit_startup"]
+                       > startup["agent-level"]["unit_startup"] + 2.0)),
         Check("A2: standalone Spark is ready before Spark-on-YARN, which "
               "starts two frameworks",
-              lambda: (spark["standalone"].cluster_ready
-                       < spark["spark-on-yarn"].cluster_ready
-                       and spark["spark-on-yarn"].frameworks_started == 2)),
+              lambda: (spark["standalone"]["cluster_ready"]
+                       < spark["spark-on-yarn"]["cluster_ready"]
+                       and spark["spark-on-yarn"]["frameworks_started"]
+                       == 2)),
         Check("A3: AM re-use saves > 5 s of warm CU startup",
-              lambda: warm["per-unit AM"] - warm["re-used AM"] > 5.0),
+              lambda: (warm["per-unit AM"]["warm_unit_startup"]
+                       - warm["re-used AM"]["warm_unit_startup"] > 5.0)),
         Check("A3 on K-Means: AM re-use shortens both cells, centroids "
               "intact",
-              lambda: all(yarn.centroids_ok and reuse.centroids_ok
-                          and reuse.runtime < yarn.runtime
-                          for yarn, reuse in a3_kmeans)),
+              lambda: all(
+                  yarn["centroids_ok"] and reuse["centroids_ok"]
+                  and reuse["runtime"] < yarn["runtime"]
+                  for yarn, reuse in map(pair, (SCENARIOS[0][0],
+                                                SCENARIOS[-1][0])))),
     ])
     tables = [
         "A1 — YARN integration level (CU startup)",
         format_table(["wiring", "CU startup (s)", "WAN round-trips"],
-                     [(r.wiring, r.unit_startup, r.wan_roundtrips)
-                      for r in a1]),
+                     [(r["wiring"], r["unit_startup"], r["wan_roundtrips"])
+                      for r in startup.values()]),
         "\nA2 — Spark deployment mode (cluster-ready time)",
         format_table(["mode", "cluster ready (s)", "frameworks"],
-                     [(r.mode, r.cluster_ready, r.frameworks_started)
-                      for r in a2]),
+                     [(r["mode"], r["cluster_ready"],
+                       r["frameworks_started"]) for r in spark.values()]),
         "\nA3 — Application Master re-use (warm CU startup)",
         format_table(["mode", "warm CU startup (s)"],
-                     [(r.mode, r.warm_unit_startup) for r in a3]),
+                     [(r["mode"], r["warm_unit_startup"])
+                      for r in warm.values()]),
         "\nA3 on Figure 6 cells (Stampede, 32 tasks): runtime (s)",
         format_table(["points", "RP-YARN", "RP-YARN + AM re-use"],
-                     [(f"{yarn.points:,}", yarn.runtime, reuse.runtime)
-                      for yarn, reuse in a3_kmeans]),
+                     [(f"{yarn['points']:,}", yarn["runtime"],
+                       reuse["runtime"]) for yarn, reuse in pairs]),
         "\nPaper shapes (§III-C/D, §IV-A)", shapes]
     return "\n".join(tables), holds
 
 
 def sensitivity_report(rows) -> Tuple[str, bool]:
     """Render S1, the YARN advantage against the Lustre share."""
-    from repro.experiments.sensitivity import crossover_bandwidth
-
-    rows = sorted(rows, key=lambda r: r.lustre_bw)
-    adv = [r.yarn_advantage for r in rows]
-    crossover = crossover_bandwidth(rows)
+    runtime = {(r["lustre_bw"], r["flavor"]): r["runtime"] for r in rows}
+    shares = sorted({bw for bw, _ in runtime})
+    rp = [runtime[bw, "RP"] for bw in shares]
+    yarn = [runtime[bw, "RP-YARN"] for bw in shares]
+    adv = [(a - b) / a for a, b in zip(rp, yarn, strict=True)]
+    # The first share (by increasing bandwidth) where YARN stops winning.
+    crossover = next((bw for bw, a in zip(shares, adv, strict=True)
+                      if a <= 0), None)
     where = ("none found" if crossover is None
              else f"~{crossover / 1e6:.0f} MB/s")
     shapes, holds = run_checks([
         Check("the advantage falls (within 0.02) as the Lustre share grows",
               lambda: all(b <= a + 0.02
                           for a, b in zip(adv, adv[1:], strict=False))),
-        Check(f"RP-YARN wins by > 10 % at {rows[0].lustre_bw / 1e6:.0f} MB/s",
+        Check(f"RP-YARN wins by > 10 % at {shares[0] / 1e6:.0f} MB/s",
               lambda: adv[0] > 0.10),
-        Check(f"plain RP wins at {rows[-1].lustre_bw / 1e6:.0f} MB/s, past "
+        Check(f"plain RP wins at {shares[-1] / 1e6:.0f} MB/s, past "
               f"a crossover ({where})",
               lambda: adv[-1] < 0.0 and crossover is not None),
     ])
     table = format_table(
         ["lustre share (MB/s)", "RP (s)", "RP-YARN (s)", "advantage (%)"],
-        [(f"{r.lustre_bw / 1e6:.0f}", r.rp_runtime, r.yarn_runtime,
-          r.yarn_advantage * 100) for r in rows])
+        [(f"{bw / 1e6:.0f}", r, y, a * 100)
+         for bw, r, y, a in zip(shares, rp, yarn, adv, strict=True)])
     return (f"S1 — YARN advantage vs job-visible Lustre bandwidth\n{table}"
             f"\n{shapes}", holds)
+
+
+#: Each paper verb's report over its grid's sweep rows, in the order
+#: ``python -m repro all`` prints them.
+REPORTS = {"figure5": figure5_report, "figure6": figure6_report,
+           "ablations": ablations_report, "sensitivity": sensitivity_report}

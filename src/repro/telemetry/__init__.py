@@ -10,9 +10,7 @@ records them *live*.  This subsystem is our equivalent:
   histograms keyed on simulation time;
 * :mod:`repro.telemetry.tracing` — nested trace spans
   (pilot -> agent -> unit -> container) exporting JSONL and Chrome
-  ``trace_event`` JSON (opens in chrome://tracing / Perfetto);
-* :mod:`repro.telemetry.bridge` — feeds :mod:`repro.core.profiler`
-  from the live event stream instead of handle histories.
+  ``trace_event`` JSON (opens in chrome://tracing / Perfetto).
 
 Telemetry is **opt-in per environment** and off by default: call
 :func:`install` on a :class:`~repro.sim.engine.Environment` before the
@@ -33,10 +31,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.telemetry.bridge import (
-    LiveUnitView,
-    ProfilerBridge,
-)
 from repro.telemetry.bus import EventBus, Subscription, TelemetryEvent
 from repro.telemetry.metrics import (
     Counter,
@@ -71,9 +65,6 @@ class Telemetry:
     def histogram(self, name: str, **kwargs) -> Histogram:
         return self.metrics.histogram(name, **kwargs)
 
-    def profiler_bridge(self, replay: bool = True) -> ProfilerBridge:
-        return ProfilerBridge(self.bus, replay=replay)
-
 
 def install(env, record_events: bool = True,
             sample_resolution: Optional[float] = None) -> Telemetry:
@@ -103,9 +94,7 @@ __all__ = [
     "EventBus",
     "Gauge",
     "Histogram",
-    "LiveUnitView",
     "MetricsRegistry",
-    "ProfilerBridge",
     "Span",
     "Subscription",
     "Telemetry",

@@ -88,7 +88,6 @@ def run_traced_kmeans(machine: str = "stampede",
 
     testbed = Testbed(machine, num_nodes=nodes, seed=seed)
     tel = telemetry.install(testbed.env)
-    bridge = tel.profiler_bridge()
 
     pilot, _, _ = testbed.start_pilot(
         nodes=nodes, agent_config=agent_config(lrm))
@@ -101,6 +100,7 @@ def run_traced_kmeans(machine: str = "stampede",
             testbed.umgr, data, clusters, ntasks=ntasks,
             iterations=iterations, cost=CALIBRATED_KMEANS_COST)
         holder["centroids"] = centroids
+        holder["units"] = units
 
     t0 = testbed.env.now
     testbed.run(workload())
@@ -117,10 +117,8 @@ def run_traced_kmeans(machine: str = "stampede",
         span_count=len(tel.tracer.spans),
         event_count=len(tel.bus.events),
         metric_names=tel.metrics.names(),
-        # The profiler fed from the live stream, not handle histories —
-        # the bridge is exercised on every traced run.
-        phase_means=profiler.phase_means(bridge.units()),
-        peak_concurrency=profiler.peak_concurrency(bridge.units()),
+        phase_means=profiler.phase_means(holder["units"]),
+        peak_concurrency=profiler.peak_concurrency(holder["units"]),
     )
     if out_dir is not None:
         run.artifacts = write_artifacts(tel, out_dir)
@@ -160,7 +158,7 @@ def format_report(run: TraceRun) -> str:
         f"  spans recorded     {run.span_count}",
         f"  events recorded    {run.event_count}",
         f"  peak concurrency   {run.peak_concurrency}",
-        "  phase means (s, via live ProfilerBridge):",
+        "  phase means (s):",
     ]
     for label, value in run.phase_means.items():
         shown = "-" if value is None else f"{value:.2f}"

@@ -20,9 +20,12 @@ pin.  The interpreters inherit ``os.environ``, so the CI sanitized shard
 ==========================  ===============================================
 perturbation                hazard it provokes
 ==========================  ===============================================
-``PYTHONHASHSEED`` 1 vs 2   salted ``hash()`` of str/bytes; the iteration
+``PYTHONHASHSEED`` 1 vs 3   salted ``hash()`` of str/bytes; the iteration
                             order of str sets (and so of anything built
-                            from one: schedules, digests, rows, metrics)
+                            from one: schedules, digests, rows, metrics).
+                            Seeds 1 and 2 order a two-tenant set alike,
+                            so each report records that order and the
+                            two must differ
 global RNGs reseeded        draws from ``random.*`` / legacy ``np.random.*``
 (differently per run)       state instead of a seeded ``repro.sim.rng``
                             stream
@@ -242,7 +245,7 @@ def oracle_report(rng_seed):
         telemetry = f"raised {exc!r}"
     hits.extend(f"telemetry bag: {name}" for name in found)
     return {"digests": digests, "hits": hits, "strays": strays,
-            "telemetry": telemetry}
+            "telemetry": telemetry, "set_order": list({"heavy", "light"})}
 
 
 def test_pinned_digests_hold_under_perturbation(oracle_reports):
@@ -256,6 +259,11 @@ def test_no_cell_body_calls_a_hazard(oracle_reports):
 
 def test_every_session_in_a_cell_gets_the_cell_seed(oracle_reports):
     assert [report["strays"] for report in oracle_reports] == [[], []]
+
+
+def test_the_two_hash_seeds_order_a_str_set_differently(oracle_reports):
+    first, second = (report["set_order"] for report in oracle_reports)
+    assert first != second
 
 
 def test_telemetry_is_independent_of_the_hash_seed(oracle_reports):

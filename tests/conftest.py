@@ -41,7 +41,7 @@ def stack():
 
 @pytest.fixture(scope="session")
 def oracle_reports():
-    """The determinism oracle's two reports (``PYTHONHASHSEED`` 1 and 2),
+    """The determinism oracle's two reports (``PYTHONHASHSEED`` 1 and 3),
     from two interpreters run side by side once per session; see
     ``tests/analysis/test_determinism_oracle.py``."""
     root = Path(__file__).resolve().parents[1]
@@ -53,7 +53,7 @@ def oracle_reports():
         cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         env={**os.environ, "PYTHONPATH": path,
              "PYTHONHASHSEED": str(seed)})
-        for seed in (1, 2)]
+        for seed in (1, 3)]
     try:
         outs = [proc.communicate(timeout=600) for proc in procs]
     finally:

@@ -4,6 +4,8 @@ PYTEST_DONT_REWRITE — assertion rewriting of this module trips a
 CPython 3.11 ``ast`` recursion-guard bug; plain asserts work fine.
 """
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.experiments.calibration import (
@@ -74,10 +76,10 @@ def test_single_cell_runs_and_validates():
 
 
 def _row(machine, flavor, points, ntasks, runtime):
-    return KMeansRow(machine=machine, flavor=flavor, points=points,
-                     clusters=50, ntasks=ntasks,
-                     nodes=TASK_CONFIGS[ntasks], runtime=runtime,
-                     lrm_setup=0.0, centroids_ok=True)
+    return asdict(KMeansRow(machine=machine, flavor=flavor, points=points,
+                            clusters=50, ntasks=ntasks,
+                            nodes=TASK_CONFIGS[ntasks], runtime=runtime,
+                            lrm_setup=0.0, centroids_ok=True))
 
 
 def test_yarn_advantage_computation():

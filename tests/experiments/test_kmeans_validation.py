@@ -67,8 +67,7 @@ def test_shared_arrays_are_read_only(fresh_memo):
 
 def test_sensitivity_cell_validates_its_centroids(fresh_memo, monkeypatch):
     row = sensitivity.run_lustre_bw_cell(100, "RP", points=POINTS,
-                                         clusters=CLUSTERS, ntasks=NTASKS,
-                                         nodes=1)
+                                         clusters=CLUSTERS, ntasks=NTASKS)
     assert row["runtime"] > 0.0
     assert len(fresh_memo) == 1      # the reference is memoised unpatched
 
@@ -78,8 +77,7 @@ def test_sensitivity_cell_validates_its_centroids(fresh_memo, monkeypatch):
     monkeypatch.setattr(kmeans, "_update", drifting)
     with pytest.raises(RuntimeError) as err:
         sensitivity.run_lustre_bw_cell(100, "RP-YARN", points=POINTS,
-                                       clusters=CLUSTERS, ntasks=NTASKS,
-                                       nodes=1)
+                                       clusters=CLUSTERS, ntasks=NTASKS)
     message = str(err.value)
     assert "diverge" in message
     for parameter in ("lustre_bw=1e+08", "flavor=RP-YARN",

@@ -1,14 +1,16 @@
 """Paper shapes: the gate fires, and the mechanisms behind Figure 6 hold.
 
-Two halves.  The first feeds every Figure 5/6 check of
-:mod:`repro.experiments.tables` a fabricated row set that violates it
-and requires the printed ``FAIL`` and exit status 1 from ``main`` — the
-real-data direction (exit 0 at the committed calibration) is
+Two halves.  The first feeds every check of
+:mod:`repro.experiments.tables` a fabricated sweep whose rows violate
+it and requires the printed ``FAIL`` and exit status 1 from ``main`` —
+the real-data direction (exit 0 at the committed calibration) is
 ``tests/integration/test_cli.py``.  The second holds the mechanism and
 future-work claims that need scenarios of their own: C1 (§IV-B, Lustre
 contention vs local-disk scaling), A4 (§V in-memory tier), A5 (§II/§V
 shuffle transports) and A6 (§V direct streaming).
 """
+
+from dataclasses import asdict
 
 import pytest
 
@@ -22,17 +24,10 @@ from repro.core.streaming import (
     stream_pipeline,
 )
 from repro.experiments import SCENARIOS, TASK_CONFIGS
-from repro.experiments.ablations import (
-    AmReuseRow,
-    IntegrationLevelRow,
-    SparkDeployRow,
-)
 from repro.experiments.calibration import agent_config
-from repro.experiments.figure5 import StartupRow, UnitStartupRow
 from repro.experiments.figure6 import KMeansRow
 from repro.experiments.harness import Testbed, experiment_machine
-from repro.experiments.sensitivity import SensitivityRow
-from repro.experiments.tables import ablations_report, sensitivity_report
+from repro.experiments.sweeps import SweepRun
 from repro.hdfs import HdfsCluster
 from repro.mapreduce import MapReduceJob, MRJobSpec
 from repro.sim import Environment
@@ -50,6 +45,20 @@ def verdict_of(out, marker):
         "not in grid" if "not in grid" in line else "OK"
 
 
+def run_paper(monkeypatch, capsys, verb, rows):
+    """``main([verb])`` over a fabricated sweep: one cell holding
+    ``rows``, the flat dicts a real sweep's cells hold."""
+    def sweep(grid, **kwargs):
+        assert grid == verb
+        return SweepRun(grid=grid, root_seed=42, jobs=1, results=[
+            {"key": f"{grid}/fabricated()", "seed": 0, "rows": rows,
+             "wall_seconds": 0.0}])
+
+    monkeypatch.setattr("repro.experiments.sweeps.run_sweep", sweep)
+    status = main([verb])
+    return status, capsys.readouterr().out
+
+
 # ------------------------------------------------------- Figure 5 gate
 def figure5_rows(**changed):
     """A row set inside every band; ``changed`` overrides one value."""
@@ -59,32 +68,25 @@ def figure5_rows(**changed):
              "stampede_cu_rp": 5.0, "stampede_cu_yarn": 40.0,
              "wrangler_cu_rp": 4.0, "wrangler_cu_yarn": 30.0, **changed}
     pilots = [
-        StartupRow("stampede", "RP", value["stampede_rp"], 0.0),
-        StartupRow("stampede", "RP-YARN (Mode I)",
-                   value["stampede_mode1"], 60.0),
-        StartupRow("wrangler", "RP", value["wrangler_rp"], 0.0),
-        StartupRow("wrangler", "RP-YARN (Mode I)",
-                   value["wrangler_mode1"], 45.0),
-        StartupRow("wrangler", "RP-YARN (Mode II)",
-                   value["wrangler_mode2"], 3.0)]
+        ("stampede", "RP", value["stampede_rp"], 0.0),
+        ("stampede", "RP-YARN (Mode I)", value["stampede_mode1"], 60.0),
+        ("wrangler", "RP", value["wrangler_rp"], 0.0),
+        ("wrangler", "RP-YARN (Mode I)", value["wrangler_mode1"], 45.0),
+        ("wrangler", "RP-YARN (Mode II)", value["wrangler_mode2"], 3.0)]
     units = [
-        UnitStartupRow("stampede", "RP", value["stampede_cu_rp"]),
-        UnitStartupRow("stampede", "RP-YARN", value["stampede_cu_yarn"]),
-        UnitStartupRow("wrangler", "RP", value["wrangler_cu_rp"]),
-        UnitStartupRow("wrangler", "RP-YARN", value["wrangler_cu_yarn"])]
-    return pilots, units
+        ("stampede", "RP", value["stampede_cu_rp"]),
+        ("stampede", "RP-YARN", value["stampede_cu_yarn"]),
+        ("wrangler", "RP", value["wrangler_cu_rp"]),
+        ("wrangler", "RP-YARN", value["wrangler_cu_yarn"])]
+    return ([dict(machine=m, flavor=f, pilot_startup=s, lrm_setup=setup)
+             for m, f, s, setup in pilots]
+            + [dict(machine=m, flavor=f, unit_startup=s)
+               for m, f, s in units])
 
 
 def run_figure5(monkeypatch, capsys, **changed):
-    pilots, units = figure5_rows(**changed)
-    monkeypatch.setattr("repro.experiments.run_figure5_pilot_startup",
-                        lambda: pilots)
-    monkeypatch.setattr("repro.experiments.run_figure5_unit_startup",
-                        lambda: units)
-    status = main(["figure5"])
-    return status, capsys.readouterr().out
-
-
+    return run_paper(monkeypatch, capsys, "figure5",
+                     figure5_rows(**changed))
 def test_figure5_fabricated_rows_inside_every_band_pass(monkeypatch,
                                                         capsys):
     status, out = run_figure5(monkeypatch, capsys)
@@ -131,18 +133,15 @@ def figure6_rows(changed=(), drop=None, bad_centroids=None):
                     key = (machine, flavor, points, ntasks)
                     if key == drop:
                         continue
-                    rows.append(KMeansRow(
+                    rows.append(asdict(KMeansRow(
                         machine, flavor, points, clusters, ntasks, nodes,
                         runtime=changed.get(key, runtime * factor),
-                        lrm_setup=0.0, centroids_ok=key != bad_centroids))
+                        lrm_setup=0.0, centroids_ok=key != bad_centroids)))
     return rows
 
 
 def run_figure6(monkeypatch, capsys, rows):
-    monkeypatch.setattr("repro.experiments.run_figure6",
-                        lambda **grid: rows)
-    status = main(["figure6"])
-    return status, capsys.readouterr().out
+    return run_paper(monkeypatch, capsys, "figure6", rows)
 
 
 def test_figure6_fabricated_full_grid_passes(monkeypatch, capsys):
@@ -155,14 +154,14 @@ def test_figure6_fabricated_full_grid_passes(monkeypatch, capsys):
 def test_figure6_sixteen_task_claims_never_pass_unevaluated(monkeypatch,
                                                             capsys):
     quick = [r for r in figure6_rows()
-             if r.ntasks != 16 and r.points != 100_000]
+             if r["ntasks"] != 16 and r["points"] != 100_000]
     status, out = run_figure6(monkeypatch, capsys, quick)
     assert status == 0 and "FAIL" not in out
     assert verdict_of(out, "8 -> 16 -> 32") == "not in grid"
     assert verdict_of(out, "1M points / 16 tasks") == "not in grid"
     assert out.count("not in grid") == 2
     # ... and a violated 8-vs-32 shape still fails the quick grid
-    quick[0].runtime = 1.0              # stampede RP 10k at 8 tasks
+    quick[0]["runtime"] = 1.0           # stampede RP 10k at 8 tasks
     status, out = run_figure6(monkeypatch, capsys, quick)
     assert status == 1
     assert verdict_of(out, "falls from 8 to 32") == "FAIL"
@@ -196,16 +195,24 @@ def test_each_figure6_check_fires(monkeypatch, capsys, kwargs, marker):
 
 # ------------------------------------------- ablation / sensitivity gate
 def ablation_rows(pm_level=48.0, on_yarn=74.0, frameworks=2, reused=19.0,
-                  kmeans_reuse=560.0):
-    cell = dict(machine="stampede", flavor="RP-YARN", points=M, clusters=50,
-                ntasks=32, nodes=3, lrm_setup=60.0, centroids_ok=True)
-    return ([IntegrationLevelRow("agent-level", 40.0, 0),
-             IntegrationLevelRow("pilot-manager-level", pm_level, 44)],
-            [SparkDeployRow("standalone", 11.0, 1),
-             SparkDeployRow("spark-on-yarn", on_yarn, frameworks)],
-            [AmReuseRow("per-unit AM", 39.0), AmReuseRow("re-used AM", reused)],
-            [(KMeansRow(runtime=614.0, **cell),
-              KMeansRow(runtime=kmeans_reuse, **cell))])
+                  kmeans_reuse=560.0, quick=False):
+    rows = [dict(wiring="agent-level", unit_startup=40.0, wan_roundtrips=0),
+            dict(wiring="pilot-manager-level", unit_startup=pm_level,
+                 wan_roundtrips=44),
+            dict(mode="standalone", cluster_ready=11.0, frameworks_started=1),
+            dict(mode="spark-on-yarn", cluster_ready=on_yarn,
+                 frameworks_started=frameworks),
+            dict(mode="per-unit AM", warm_unit_startup=39.0),
+            dict(mode="re-used AM", warm_unit_startup=reused)]
+    if not quick:
+        for (points, clusters), reuse_runtime in (
+                (SCENARIOS[0], 520.0), (SCENARIOS[-1], kmeans_reuse)):
+            rows += [asdict(KMeansRow(
+                "stampede", "RP-YARN", points, clusters, 32, 3,
+                runtime=runtime, lrm_setup=60.0, centroids_ok=True))
+                | {"am_reuse": reuse}
+                for reuse, runtime in ((False, 614.0), (True, reuse_runtime))]
+    return rows
 
 
 @pytest.mark.parametrize("changed, marker", [
@@ -215,12 +222,19 @@ def ablation_rows(pm_level=48.0, on_yarn=74.0, frameworks=2, reused=19.0,
     ({"reused": 35.0}, "A3:"),
     ({"kmeans_reuse": 620.0}, "A3 on K-Means:"),
 ])
-def test_each_ablation_check_fires(changed, marker):
-    text, holds = ablations_report(*ablation_rows())
-    assert holds and "FAIL" not in text
-    text, holds = ablations_report(*ablation_rows(**changed))
-    assert not holds
-    assert verdict_of(text, marker) == "FAIL"
+def test_each_ablation_check_fires(monkeypatch, capsys, changed, marker):
+    status, out = run_paper(monkeypatch, capsys, "ablations",
+                            ablation_rows())
+    assert status == 0 and "FAIL" not in out and "not in grid" not in out
+    status, out = run_paper(monkeypatch, capsys, "ablations",
+                            ablation_rows(**changed))
+    assert status == 1
+    assert verdict_of(out, marker) == "FAIL"
+    # the quick grid has no K-Means cells: that claim goes unevaluated
+    status, out = run_paper(monkeypatch, capsys, "ablations",
+                            ablation_rows(**changed, quick=True))
+    assert verdict_of(out, "A3 on K-Means:") == "not in grid"
+    assert status == (0 if marker == "A3 on K-Means:" else 1)
 
 
 @pytest.mark.parametrize("yarn_runtimes, marker", [
@@ -228,18 +242,21 @@ def test_each_ablation_check_fires(changed, marker):
     ([1900.0, 600.0, 600.0, 600.0], "wins by > 10 %"),
     ([600.0, 600.0, 450.0, 390.0], "past a crossover"),   # YARN never loses
 ])
-def test_each_sensitivity_check_fires(yarn_runtimes, marker):
-    def report(yarn):
-        return sensitivity_report([
-            SensitivityRow(bw * 1e6, rp, y) for bw, rp, y in zip(
-                (10, 30, 100, 300), (2000.0, 1000.0, 500.0, 400.0), yarn,
-                strict=True)])
+def test_each_sensitivity_check_fires(monkeypatch, capsys, yarn_runtimes,
+                                      marker):
+    def run(yarn):
+        return run_paper(monkeypatch, capsys, "sensitivity", [
+            dict(lustre_bw=bw * 1e6, flavor=flavor, runtime=runtime)
+            for bw, rp, y in zip((10, 30, 100, 300),
+                                 (2000.0, 1000.0, 500.0, 400.0), yarn,
+                                 strict=True)
+            for flavor, runtime in (("RP", rp), ("RP-YARN", y))])
 
-    text, holds = report([600.0] * 4)
-    assert holds and "FAIL" not in text and "~100 MB/s" in text
-    text, holds = report(yarn_runtimes)
-    assert not holds
-    assert verdict_of(text, marker) == "FAIL"
+    status, out = run([600.0] * 4)
+    assert status == 0 and "FAIL" not in out and "~100 MB/s" in out
+    status, out = run(yarn_runtimes)
+    assert status == 1
+    assert verdict_of(out, marker) == "FAIL"
 
 
 # ------------------------------------------------ C1: storage mechanism

@@ -18,8 +18,25 @@ def test_figure5_cli(capsys):
     # report and gate agree: exit 0 means no row printed a FAIL, and the
     # two cells that sit outside the bare paper band show their tolerance
     assert "FAIL" not in out and "off" not in out
-    assert "overhead 45s, paper 50-85 ±10: OK" in out
+    assert "overhead 46s, paper 50-85 ±10: OK" in out
     assert "9.2 | paper 1-8 ±2: OK" in " ".join(out.split())
+
+
+def test_figure5_cli_renders_the_pinned_sweep(capsys, monkeypatch):
+    """The verb is its grid's sweep at root seed 42, then the report
+    over that run's rows: the printed numbers are the pinned digest's."""
+    from repro.experiments import sweeps
+    from repro.experiments.tables import figure5_report
+    from tests.analysis.test_determinism_oracle import PINNED
+
+    runs, run_sweep = [], sweeps.run_sweep
+    monkeypatch.setattr(sweeps, "run_sweep", lambda *args, **kwargs:
+                        runs.append(run_sweep(*args, **kwargs)) or runs[-1])
+    assert main(["figure5"]) == 0
+    [run] = runs
+    assert run.digest() == PINNED["figure5"]
+    rows = [row for result in run.results for row in result["rows"]]
+    assert capsys.readouterr().out == figure5_report(rows)[0] + "\n\n"
 
 
 def test_figure6_quick_cli(capsys):

@@ -1,156 +1,22 @@
-"""Slot-based sleeps: ``yield <number>`` as the allocation-free sleep.
+"""A process yields Events only.
 
-The kernel accepts a bare float/int yield as a sleep of that many
-simulated seconds, scheduled as a lightweight heap slot instead of a
-Timeout event.  These tests pin the contract: identical timing and
-ordering to ``yield env.timeout(delay)``, interruptability, error
-behaviour, and sanitizer compatibility.
+The kernel has one sleep, ``yield env.timeout(delay)``; any other
+yielded value — a string, a bare number, a bool — is a bug in the
+process and crashes the simulation loudly.
 """
 
 import pytest
 
-from repro.analysis.sanitizer import InvariantViolation, SimSanitizer
-from repro.sim.engine import Environment, Interrupt, SimulationError
-
-
-def test_number_yield_sleeps_exactly_like_timeout():
-    def with_timeout(env, log, tag):
-        for i in range(4):
-            yield env.timeout(0.75)
-            log.append((env.now, tag, i))
-
-    def with_number(env, log, tag):
-        for i in range(4):
-            yield 0.75
-            log.append((env.now, tag, i))
-
-    env_a, log_a = Environment(), []
-    env_a.process(with_timeout(env_a, log_a, "x"))
-    env_a.process(with_timeout(env_a, log_a, "y"))
-    env_a.run()
-
-    env_b, log_b = Environment(), []
-    env_b.process(with_number(env_b, log_b, "x"))
-    env_b.process(with_number(env_b, log_b, "y"))
-    env_b.run()
-
-    assert log_a == log_b
-
-
-def test_mixed_timeout_and_number_interleaving_is_deterministic():
-    log = []
-
-    def mixed(env, tag):
-        yield 1.0
-        log.append((env.now, tag, "slot"))
-        yield env.timeout(1.0)
-        log.append((env.now, tag, "timeout"))
-        yield 0
-        log.append((env.now, tag, "zero"))
-
-    env = Environment()
-    env.process(mixed(env, "a"))
-    env.process(mixed(env, "b"))
-    env.run()
-    assert log == [
-        (1.0, "a", "slot"), (1.0, "b", "slot"),
-        (2.0, "a", "timeout"), (2.0, "b", "timeout"),
-        (2.0, "a", "zero"), (2.0, "b", "zero"),
-    ]
-
-
-def test_int_yield_sleeps():
-    env = Environment()
-
-    def prog():
-        yield 3
-        return env.now
-
-    proc = env.process(prog())
-    assert env.run(proc) == 3.0
-
-
-def test_interrupt_during_slot_sleep_detaches_the_slot():
-    env = Environment()
-    log = []
-
-    def sleeper():
-        try:
-            yield 100.0
-        except Interrupt as intr:
-            log.append(("interrupted", env.now, intr.cause))
-        yield 1.0
-        log.append(("woke", env.now))
-
-    proc = env.process(sleeper())
-
-    def killer():
-        yield 2.0
-        proc.interrupt("node died")
-
-    env.process(killer())
-    env.run()
-    # The stale slot (due at t=100) must not resume the process again.
-    assert log == [("interrupted", 2.0, "node died"), ("woke", 3.0)]
-
-
-def test_negative_number_yield_crashes_the_simulation():
-    env = Environment()
-
-    def bad():
-        yield -0.5
-
-    env.process(bad())
-    with pytest.raises(SimulationError, match="negative delay"):
-        env.run()
+from repro.sim.engine import Environment, SimulationError
 
 
 def test_non_numeric_non_event_yield_still_crashes():
-    env = Environment()
+    for value in ("soon", 1.0, 3, -1.0, True):
+        env = Environment()
 
-    def bad():
-        yield "soon"
+        def bad(value=value):
+            yield value
 
-    env.process(bad())
-    with pytest.raises(SimulationError, match="expected an Event"):
-        env.run()
-
-
-def test_bool_yield_is_rejected():
-    # bools are ints in Python, but a `yield True` is always a bug.
-    env = Environment()
-
-    def bad():
-        yield True
-
-    env.process(bad())
-    with pytest.raises(SimulationError, match="expected an Event"):
-        env.run()
-
-
-def test_sanitizer_clock_check_covers_slot_sleeps():
-    env = Environment()
-    SimSanitizer.install(env)
-
-    def bad():
-        yield float("inf")
-
-    env.process(bad())
-    with pytest.raises(InvariantViolation, match="clock"):
-        env.run()
-
-
-def test_slot_sleep_inside_nested_process_chain():
-    env = Environment()
-
-    def inner():
-        yield 2.0
-        return "inner-done"
-
-    def outer():
-        result = yield env.process(inner())
-        yield 1.0
-        return (result, env.now)
-
-    proc = env.process(outer())
-    assert env.run(proc) == ("inner-done", 3.0)
+        env.process(bad())
+        with pytest.raises(SimulationError, match="expected an Event"):
+            env.run()

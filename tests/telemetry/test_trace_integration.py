@@ -1,10 +1,13 @@
 """End-to-end: a Mode I K-Means run emits the expected telemetry."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro.__main__ import main
+from repro.core import profiler
+from repro.core.states import UnitState
 from repro.telemetry.runner import run_traced_kmeans
 
 POINTS = 1600
@@ -98,11 +101,22 @@ def test_metrics_artifact_has_required_series(traced):
 
 
 def test_profiler_bridge_feeds_phase_means(traced):
-    run, _ = traced
-    assert set(run.phase_means) == {"queue", "stage_in", "schedule",
-                                    "execute", "stage_out"}
+    # The report's phase means come from the unit handles; the unit
+    # state events in events.jsonl must tell the same story.
+    run, out = traced
+    histories = {}
+    for line in (out / "events.jsonl").read_text().splitlines():
+        event = json.loads(line)
+        if (event["cat"], event["name"]) == ("unit", "state"):
+            histories.setdefault(event["uid"], []).append(
+                (event["t"], UnitState(event["state"])))
+    views = [SimpleNamespace(history=h, timestamp=lambda s, h=h: next(
+        (t for t, state in h if state is s), None))
+        for h in histories.values()]
+    assert len(views) == (NTASKS + 1) * ITERATIONS
+    assert run.phase_means == profiler.phase_means(views)
     assert all(v is not None for v in run.phase_means.values())
-    assert run.peak_concurrency >= 1
+    assert run.peak_concurrency == profiler.peak_concurrency(views) >= 1
 
 
 def test_trace_cli_smoke(tmp_path, capsys):
