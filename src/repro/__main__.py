@@ -41,8 +41,9 @@ finished cell is journaled durably, so a killed run resumed with
 byte-identical aggregate digest; ``--max-cells N`` bounds one
 invocation for incremental runs.
 
-``checkpoint`` launches a registered scenario (``checkpoint --list``
-names them), optionally advances the clock with ``--at T``, and writes
+``checkpoint`` runs a sweep cell kind to its mid-flight yield
+(``checkpoint --list`` names the kinds), optionally advances the clock
+with ``--at T``, and writes
 a crash-safe snapshot into a content-addressed store; ``restore``
 rebuilds the session in a fresh process by deterministic replay and
 *proves* the fingerprint's schema and state digest match before

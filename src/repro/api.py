@@ -63,7 +63,6 @@ from repro.persist import (
     checkpoint_session,
     launch,
     restore,
-    scenario,
     scenario_names,
     state_digest,
     state_fingerprint,
@@ -129,7 +128,6 @@ __all__ = [
     "checkpoint_session",
     "launch",
     "restore",
-    "scenario",
     "scenario_names",
     "state_digest",
     "state_fingerprint",

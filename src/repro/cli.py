@@ -160,7 +160,7 @@ def _parse_param(item: str) -> Tuple[str, Any]:
 def _run_checkpoint(args: argparse.Namespace) -> int:
     from repro.persist import PersistError, launch, scenario_names
     if args.list or args.scenario is None:
-        print("registered checkpoint scenarios:")
+        print("checkpoint scenarios (the sweep cell kinds):")
         for name in scenario_names():
             print(f"  {name}")
         if args.scenario is None and not args.list:
@@ -179,8 +179,9 @@ def _run_checkpoint(args: argparse.Namespace) -> int:
         return 2
     if args.at is not None:
         if args.at < session.env.now:
-            print(f"error: --at {args.at} lies before the scenario's "
-                  f"own end time {session.env.now:.3f}", file=sys.stderr)
+            print(f"error: --at {args.at} lies before the cell's "
+                  f"mid-flight yield at t={session.env.now:.3f}",
+                  file=sys.stderr)
             return 2
         session.env.run(until=args.at)
     try:
@@ -286,14 +287,14 @@ COMMANDS: Tuple[Command, ...] = (
                     (2, "usage error"))),
     Command(
         name="checkpoint", runner=_run_checkpoint,
-        help="launch a registered scenario and checkpoint it into a "
-             "snapshot store",
+        help="run a sweep cell kind to its mid-flight yield and "
+             "checkpoint it into a snapshot store",
         args=(
             arg("scenario", nargs="?", default=None,
-                help="registered scenario name; omit (or --list) to "
-                     "list them"),
+                help="sweep cell kind (e.g. bag, fairshare); omit (or "
+                     "--list) to list them"),
             arg("--list", action="store_true",
-                help="list the registered scenarios and exit"),
+                help="list the sweep cell kinds and exit"),
             arg("--store", default="checkpoint-store", metavar="DIR",
                 help="snapshot store directory "
                      "(default: checkpoint-store)"),
@@ -301,9 +302,9 @@ COMMANDS: Tuple[Command, ...] = (
                 help="advance the simulation clock to T before "
                      "checkpointing"),
             arg("--seed", type=int, default=42,
-                help="scenario seed"),
+                help="cell seed"),
             arg("--param", action="append", default=[], metavar="K=V",
-                help="scenario parameter override (repeatable; JSON "
+                help="cell parameter override (repeatable; JSON "
                      "values)"),
             arg("--ref", default="latest", metavar="NAME",
                 help="named ref to point at the snapshot "

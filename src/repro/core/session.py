@@ -43,16 +43,17 @@ class Session:
         self._uid_counters: dict[str, int] = {}
         #: How this session can be rebuilt in a fresh process — set by
         #: :func:`repro.persist.launch`; ``None`` means the session is
-        #: not checkpointable (no registered scenario to replay).
+        #: not checkpointable (no cell kind to replay).
         self.provenance = None
         #: Persistence participants in construction order: managers and
         #: overlays register here so the checkpoint fingerprint walker
         #: reaches scheduler / unit / raptor state without a singleton.
         self.components: list = []
-        #: Named handles a scenario exposes for post-restore driving
-        #: (e.g. the submitted units to wait on).  Rebuilt by replay,
-        #: never serialized.
-        self.handles: dict = {}
+        #: The cell body :func:`repro.persist.launch` paused at its yield;
+        #: ``repro.experiments.sweeps.finish(session.cell)`` drains the
+        #: world and returns the cell's rows.  Rebuilt by replay, never
+        #: serialized.
+        self.cell = None
         if sanitize or (sanitize is None and sanitize_enabled()):
             SimSanitizer.install(env)
         elif sanitize is False and env.sanitizer is not None:
@@ -147,16 +148,13 @@ class Session:
         """Canonical summary of the session's own serializable state."""
         return {"uid": self.uid,
                 "root_seed": self.rng.root_seed,
-                # A session is never closed; the constant keeps the
-                # format-9 checkpoint schema and state digests.
-                "closed": False,
                 "uid_counters": dict(self._uid_counters)}
 
     def checkpoint(self, path, ref: str = "latest"):
         """Checkpoint this session into the snapshot store at ``path``.
 
         Requires :attr:`provenance` (sessions built via
-        :func:`repro.persist.launch`): the snapshot records the scenario
+        :func:`repro.persist.launch`): the snapshot records the cell
         recipe plus the replay barrier and state digest; see
         :mod:`repro.persist`.  Returns the stored
         :class:`~repro.persist.checkpoint.CheckpointInfo`.

@@ -5,10 +5,12 @@ system, session), runs the paper's measurement procedure, and returns
 structured rows that the benchmark suite prints next to the
 paper-reported values.  All harnesses are deterministic for a given
 seed.  A grid is its module: ``cells(root_seed, quick)`` lists it, and
-``RUNNERS`` holds one function per cell kind.  ``python -m repro
-sweep`` runs a grid through :mod:`~repro.experiments.sweeps`; each
-paper verb is the same sweep at root seed 42, followed by its grid's
-report (:mod:`~repro.experiments.tables`).
+``RUNNERS`` holds one generator per cell kind that yields its session
+mid-flight and returns its rows (also the kind's checkpoint scenario).
+``python -m repro sweep`` runs a grid through
+:mod:`~repro.experiments.sweeps`; each paper verb is the same sweep at
+root seed 42, followed by its grid's report
+(:mod:`~repro.experiments.tables`).
 
 * :mod:`~repro.experiments.figure5` — Pilot startup (main) and
   Compute-Unit startup (inset) for RP / RP-YARN Mode I / Mode II on

@@ -19,7 +19,7 @@
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, List
+from typing import List
 
 from repro.api import ComputeUnitDescription
 from repro.experiments.calibration import (
@@ -54,8 +54,7 @@ PM_LEVEL_RPC_PER_UNIT = 5
 
 
 def run_integration_level(machine: str = "stampede",
-                          wan_rtt: float = 0.100,
-                          seed: int = 42) -> List[IntegrationLevelRow]:
+                          wan_rtt: float = 0.100, seed: int = 42):
     """A1: CU startup under both wirings.
 
     Agent-level is measured end-to-end on a warm YARN pilot.  The
@@ -67,6 +66,7 @@ def run_integration_level(machine: str = "stampede",
     testbed.start_pilot(nodes=1, agent_config=agent_config("yarn"))
     units = testbed.umgr.submit_units(ComputeUnitDescription(
         cores=1, cpu_seconds=1.0, memory_mb=1024))
+    yield testbed.session
     testbed.env.run(testbed.umgr.wait_units(units))
     agent_level = units[0].startup_time
 
@@ -92,9 +92,9 @@ class SparkDeployRow:
 
 
 def run_spark_deploy_mode(machine: str = "stampede", num_nodes: int = 2,
-                          num_executors: int = 2,
-                          seed: int = 42) -> List[SparkDeployRow]:
+                          num_executors: int = 2, seed: int = 42):
     """A2: time until Spark executors are usable, both deployments."""
+    yield None      # two bare engines, no Session: launch refuses it
     rows = []
 
     # --- standalone (chosen) ---
@@ -158,7 +158,7 @@ class AmReuseRow:
 
 
 def run_am_reuse(machine: str = "stampede", samples: int = 4,
-                 seed: int = 42) -> List[AmReuseRow]:
+                 seed: int = 42):
     """A3: warm Compute-Unit startup with and without AM re-use."""
     rows = []
     for label, reuse in (("per-unit AM", False), ("re-used AM", True)):
@@ -168,6 +168,8 @@ def run_am_reuse(machine: str = "stampede", samples: int = 4,
         # warm-up unit: pays pool-AM startup in the re-use case
         warmup = testbed.umgr.submit_units(ComputeUnitDescription(
             cores=1, cpu_seconds=1.0, memory_mb=1024))
+        if not rows:
+            yield testbed.session
         testbed.env.run(testbed.umgr.wait_units(warmup))
         startups = []
         for _ in range(samples):
@@ -180,11 +182,12 @@ def run_am_reuse(machine: str = "stampede", samples: int = 4,
 
 
 def run_am_reuse_kmeans(points: int, clusters: int, reuse: bool,
-                        seed: int = 42) -> Dict[str, Any]:
+                        seed: int = 42):
     """A3 on the real workload: a Stampede 32-task RP-YARN Figure 6
     cell, with or without AM re-use."""
-    row = run_figure6_cell("stampede", "RP-YARN", points, clusters, 32,
-                           seed=seed, reuse_application_master=reuse)
+    row = yield from run_figure6_cell(
+        "stampede", "RP-YARN", points, clusters, 32, seed=seed,
+        reuse_application_master=reuse)
     return {**asdict(row), "am_reuse": reuse}
 
 

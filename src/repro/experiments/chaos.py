@@ -70,18 +70,35 @@ class HdfsHealRow:
     mttr: float
 
 
-def run_chaos_bag(flavor: str = "RP", fault_rate: float = 0.0,
+def run_chaos_bag(flavor: str = "RP", fault_rate: float = 0.25,
                   ntasks: int = 16, nodes: int = 2,
-                  seed: int = 42) -> ChaosBagRow:
-    """A bag of tasks with ``fault_rate`` of them poisoned once each:
-    the checkpointable ``bag`` scenario, drained and measured."""
-    from repro.persist.scenarios import bag
+                  seed: int = 42):
+    """A bag of tasks with ``fault_rate`` of them poisoned once each;
+    yields right after submission, with the restart policy armed."""
+    from repro.api import (ComputeUnitDescription, RestartPolicy,
+                           UnitManager)
+    from repro.experiments.calibration import agent_config
+    from repro.experiments.harness import Testbed
 
-    session = bag(seed, flavor=flavor, fault_rate=fault_rate,
-                  ntasks=ntasks, nodes=nodes)
-    env, umgr = session.env, session.handles["umgr"]
-    units = session.handles["units"]
+    testbed = Testbed("stampede", num_nodes=nodes, seed=seed)
+    policy = RestartPolicy(max_restarts=3, backoff=0.5,
+                           backoff_factor=2.0, backoff_cap=8.0)
+    umgr = UnitManager(testbed.session, restart_policy=policy)
+    testbed.umgr = umgr
+    lrm = "yarn" if flavor == "RP-YARN" else "fork"
+    testbed.start_pilot(nodes=nodes, agent_config=agent_config(lrm))
+    units = umgr.submit_units([
+        ComputeUnitDescription(cores=1, cpu_seconds=30.0, memory_mb=1024,
+                               name=f"bag-{i}")
+        for i in range(ntasks)])
+    npoison = round(fault_rate * ntasks)
+    for i in range(npoison):
+        # evenly spread over the bag, deterministically
+        testbed.session.faults.unit_error(
+            units[(i * ntasks) // npoison].uid, times=1)
+    env = testbed.env
     t0 = env.now
+    yield testbed.session
     env.run(umgr.wait_units(units))
     finals = [umgr.final_unit(u) for u in units]
     done = sum(1 for u in finals if u.state.value == "Done")
@@ -91,12 +108,12 @@ def run_chaos_bag(flavor: str = "RP", fault_rate: float = 0.0,
         if f.state.value == "Done" and f.uid != u.uid)
     return ChaosBagRow(
         flavor=flavor, fault_rate=fault_rate, units=ntasks,
-        poisoned=round(fault_rate * ntasks), restarts=restarts,
+        poisoned=npoison, restarts=restarts,
         recovered=recovered, done=done, makespan=env.now - t0)
 
 
 def run_nm_loss(machine: str = "stampede", ntasks: int = 12,
-                nodes: int = 2, seed: int = 42) -> NodeLossRow:
+                nodes: int = 2, seed: int = 42):
     """Kill a NodeManager mid-run; client-side restarts finish every
     unit (``reattempts`` counts AM re-attempts, which need an AM that
     outlives its task container)."""
@@ -126,6 +143,7 @@ def run_nm_loss(machine: str = "stampede", ntasks: int = 12,
     victim = testbed.site.machine.nodes[-1].name
     plan.nodemanager_loss(at=testbed.env.now + 40.0, node=victim)
     t0 = testbed.env.now
+    yield testbed.session
     testbed.env.run(testbed.umgr.wait_units(units))
     rm = plan.injector.yarn_clusters[0].resource_manager
     done = sum(1 for u in units
@@ -138,20 +156,23 @@ def run_nm_loss(machine: str = "stampede", ntasks: int = 12,
 
 
 def run_hdfs_heal(nodes: int = 4, replication: int = 2, files: int = 4,
-                  seed: int = 42) -> HdfsHealRow:
+                  seed: int = 42):
     """Lose a DataNode; the replication monitor restores the factor."""
     import repro.telemetry
     from repro.cluster import Machine, stampede
     from repro.cluster.storage import MB
+    from repro.core.session import Session
     from repro.faults import FaultPlan
     from repro.hdfs import HdfsCluster
-    from repro.sim import Environment, SeedSequenceRegistry
+    from repro.saga import Registry
+    from repro.sim import Environment
 
     env = Environment()
     plan = FaultPlan(env=env)  # installs env.faults before registration
     tel = repro.telemetry.install(env)
+    session = Session(env, Registry(), seed=seed)
     machine = Machine(env, stampede(num_nodes=nodes))
-    rng = SeedSequenceRegistry(seed).stream("hdfs")
+    rng = session.rng.stream("hdfs")
     hdfs = HdfsCluster(env, machine, machine.nodes,
                        replication=replication, rng=rng,
                        auto_heal=True, heal_interval=1.0, dn_timeout=3.0)
@@ -169,10 +190,12 @@ def run_hdfs_heal(nodes: int = 4, replication: int = 2, files: int = 4,
     # kill a DataNode that holds replicas (never the writer-local master)
     victim = sorted(dn.name for dn in hdfs.datanodes
                     if dn.name != hdfs.master_node.name and dn.blocks)[0]
-    plan.datanode_loss(at=env.now + 2.0, node=victim)
-    env.run(until=env.now + 5.0)
+    t0 = env.now
+    plan.datanode_loss(at=t0 + 2.0, node=victim)
+    yield session
+    env.run(until=t0 + 5.0)
     rf_after_loss = min(nn.replication_factor_of(p) for p in paths)
-    env.run(until=env.now + 60.0)
+    env.run(until=t0 + 5.0 + 60.0)
     rf_restored = min(nn.replication_factor_of(p) for p in paths)
     hdfs.stop()
     mttr_hist = tel.histogram("hdfs.rereplication_mttr")

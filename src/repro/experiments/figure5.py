@@ -48,12 +48,13 @@ PILOT_CASES = [
 
 
 def pilot_startup(machine: str, flavor: str, lrm: str, provision: bool,
-                  seed: int = 42) -> StartupRow:
+                  seed: int = 42):
     """One bar of the main panel: a one-node pilot, submit -> ACTIVE."""
     testbed = Testbed(machine, num_nodes=1, seed=seed,
                       provision_hadoop=provision)
     pilot, t_submit, t_active = testbed.start_pilot(
         nodes=1, agent_config=agent_config(lrm))
+    yield testbed.session
     return StartupRow(machine=machine, flavor=flavor,
                       pilot_startup=t_active - t_submit,
                       lrm_setup=pilot.agent_info["lrm_setup_seconds"])
@@ -77,7 +78,7 @@ UNIT_CASES = [
 
 
 def unit_startup(machine: str, flavor: str, lrm: str,
-                 seed: int = 42) -> UnitStartupRow:
+                 seed: int = 42):
     """One bar of the inset: CU startup on a warm pilot, averaged over
     three sequential submissions."""
     testbed = Testbed(machine, num_nodes=1, seed=seed)
@@ -87,6 +88,8 @@ def unit_startup(machine: str, flavor: str, lrm: str,
         units = testbed.umgr.submit_units(ComputeUnitDescription(
             executable="/bin/sleep", arguments=("1",),
             cores=1, cpu_seconds=1.0, memory_mb=1024))
+        if not startups:
+            yield testbed.session
         testbed.env.run(testbed.umgr.wait_units(units))
         if units[0].state.value != "Done":
             raise RuntimeError(

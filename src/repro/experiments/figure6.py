@@ -81,7 +81,7 @@ def _expected_for(points: int, clusters: int,
 def run_figure6_cell(machine: str, flavor: str, points: int,
                      clusters: int, ntasks: int, seed: int = 42,
                      lustre_bw: Optional[float] = None,
-                     **agent_overrides) -> KMeansRow:
+                     **agent_overrides):
     """Run one (machine, runtime, scenario, task-count) cell.
 
     ``lustre_bw`` (bytes/s) replaces the machine's calibrated
@@ -107,7 +107,9 @@ def run_figure6_cell(machine: str, flavor: str, points: int,
         holder["centroids"] = centroids
 
     t0 = testbed.env.now
-    testbed.run(workload())
+    kmeans = testbed.env.process(workload())
+    yield testbed.session
+    testbed.env.run(kmeans)
     span = testbed.env.now - t0
 
     lrm_setup = pilot.agent_info["lrm_setup_seconds"]

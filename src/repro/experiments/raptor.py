@@ -16,6 +16,9 @@ The paper's Fig. 5 inset shows Compute-Unit startup dominated by the
 * **faults** — a worker node crashes mid-stream under a
   :class:`~repro.api.RestartPolicy`; in-flight tasks are re-dispatched
   and the stream still completes.
+* **raptor-stream** (full grid) — a small task stream on a fork pilot,
+  drained to its overlay counters; also the ``raptor-stream``
+  checkpoint scenario.
 
 All rows are functions of (parameters, seed) only — sim-clock derived,
 wall-clock free — so the ``raptor`` sweep grid aggregates byte-identically
@@ -24,12 +27,11 @@ across ``--jobs`` values and under ``REPRO_SANITIZE=1``.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.experiments.sweeps import SweepCell, make_cell
+from repro.persist.store import payload_digest
 
 #: Task counts swept by the full throughput grid (the 1e4-1e6 range the
 #: many-task literature targets) and by the CI-sized ``--quick`` grid.
@@ -84,12 +86,6 @@ class RaptorFaultRow:
     makespan: float
 
 
-def _results_digest(values: List) -> str:
-    """Canonical digest of an ordered result list."""
-    payload = json.dumps(values, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
 def _workload_value(seed: int, index: int) -> int:
     """The deterministic per-task payload both paths must agree on."""
     return (seed * 1_000_003 + index * index) % 7_919
@@ -108,7 +104,7 @@ def _yarn_testbed(machine: str, nodes: int, seed: int):
 def run_raptor_throughput(ntasks: int, machine: str = "stampede",
                           nodes: int = 2, workers: Optional[int] = None,
                           per_unit_sample: int = PER_UNIT_SAMPLE,
-                          seed: int = 42) -> RaptorThroughputRow:
+                          seed: int = 42):
     """Overlay vs. per-unit-YARN tasks/sec for one task count."""
     from repro.api import ComputeUnitDescription, RaptorConfig, \
         TaskDescription
@@ -129,6 +125,7 @@ def run_raptor_throughput(ntasks: int, machine: str = "stampede",
     t0 = testbed.env.now
     task = TaskDescription(cpu_seconds=TASK_CPU_SECONDS)
     overlay.submit_tasks([task] * ntasks, futures=False)
+    yield testbed.session
     testbed.env.run(overlay.wait())
     overlay_rate = ntasks / (testbed.env.now - t0)
     stats = overlay.stats()
@@ -156,8 +153,7 @@ def run_raptor_throughput(ntasks: int, machine: str = "stampede",
 
 
 def run_raptor_equivalence(ntasks: int = 64, machine: str = "stampede",
-                           nodes: int = 2,
-                           seed: int = 42) -> RaptorEquivalenceRow:
+                           nodes: int = 2, seed: int = 42):
     """Both paths execute the same seeded workload; results must match."""
     from repro.api import ComputeUnitDescription, TaskDescription
 
@@ -169,6 +165,7 @@ def run_raptor_equivalence(ntasks: int = 64, machine: str = "stampede",
         TaskDescription(function=_workload_value, args=(seed, i),
                         cpu_seconds=TASK_CPU_SECONDS, name=f"eq-{i}")
         for i in range(ntasks)])
+    yield testbed.session
     testbed.env.run(overlay.wait(futures))
     overlay_values = [f.result().result for f in futures]
     testbed.env.run(overlay.close())
@@ -183,8 +180,8 @@ def run_raptor_equivalence(ntasks: int = 64, machine: str = "stampede",
     unit_testbed.env.run(unit_testbed.umgr.wait_units(units))
     unit_values = [u.result for u in units]
 
-    overlay_digest = _results_digest(overlay_values)
-    per_unit_digest = _results_digest(unit_values)
+    overlay_digest = payload_digest(overlay_values)
+    per_unit_digest = payload_digest(unit_values)
     return RaptorEquivalenceRow(
         ntasks=ntasks, overlay_digest=overlay_digest,
         per_unit_digest=per_unit_digest,
@@ -192,8 +189,7 @@ def run_raptor_equivalence(ntasks: int = 64, machine: str = "stampede",
 
 
 def run_raptor_faults(ntasks: int = 400, machine: str = "stampede",
-                      nodes: int = 3, workers: int = 12,
-                      seed: int = 42) -> RaptorFaultRow:
+                      nodes: int = 3, workers: int = 12, seed: int = 42):
     """Crash one worker node mid-stream; the stream still completes."""
     from repro.api import RestartPolicy, TaskDescription
     from repro.experiments.calibration import agent_config
@@ -217,6 +213,7 @@ def run_raptor_faults(ntasks: int = 400, machine: str = "stampede",
     futures = overlay.submit_tasks([
         TaskDescription(cpu_seconds=0.2, name=f"ft-{i}")
         for i in range(ntasks)])
+    yield testbed.session
     testbed.env.run(overlay.wait(futures))
     makespan = testbed.env.now - t0
     stats = overlay.stats()
@@ -230,19 +227,47 @@ def run_raptor_faults(ntasks: int = 400, machine: str = "stampede",
         makespan=makespan)
 
 
+def run_raptor_stream(workers: int = 2, ntasks: int = 12, nodes: int = 2,
+                      seed: int = 42):
+    """A raptor overlay's task stream, drained; the row is its counters.
+
+    Yields mid-stream: the master and ``workers`` worker CUs are up and
+    ``ntasks`` function tasks are submitted but not yet drained."""
+    from repro.api import TaskDescription
+    from repro.experiments.calibration import agent_config
+    from repro.experiments.harness import Testbed
+
+    testbed = Testbed("stampede", num_nodes=nodes, seed=seed)
+    pilot, _, _ = testbed.start_pilot(nodes=nodes,
+                                      agent_config=agent_config("fork"))
+    overlay = testbed.session.raptor(pilot, workers=workers)
+    testbed.env.run(overlay.ready())
+    overlay.submit_tasks([
+        TaskDescription(cpu_seconds=5.0, name=f"stream-{i}")
+        for i in range(ntasks)], futures=False)
+    yield testbed.session
+    testbed.env.run(overlay.wait())
+    return overlay.stats()
+
+
 # ------------------------------------------------------------ sweep grid
 RUNNERS = {"throughput": run_raptor_throughput,
            "equivalence": run_raptor_equivalence,
-           "faults": run_raptor_faults}
+           "faults": run_raptor_faults,
+           "raptor-stream": run_raptor_stream}
 
 
 def cells(root_seed: int = 42, quick: bool = False) -> List[SweepCell]:
-    """The throughput curve plus one equivalence and one fault cell."""
+    """The throughput curve plus one equivalence and one fault cell;
+    the full grid adds one small raptor stream."""
     counts = QUICK_NTASKS if quick else THROUGHPUT_NTASKS
-    return [
+    grid = [
         make_cell("raptor", "throughput", root_seed, machine="stampede",
                   ntasks=ntasks)
         for ntasks in counts
     ] + [make_cell("raptor", "equivalence", root_seed, ntasks=64),
          make_cell("raptor", "faults", root_seed,
                    ntasks=100 if quick else 400)]
+    if not quick:
+        grid.append(make_cell("raptor", "raptor-stream", root_seed))
+    return grid

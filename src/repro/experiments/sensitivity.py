@@ -11,7 +11,7 @@ use on this machine?" answer the paper's discussion asks for.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import List
 
 from repro.experiments.figure6 import run_figure6_cell
 from repro.experiments.sweeps import SweepCell, make_cell
@@ -22,13 +22,14 @@ BANDWIDTHS_MB = (10, 30, 100, 300)
 
 def run_lustre_bw_cell(bw_mb: float, flavor: str, seed: int = 42,
                        points: int = 1_000_000, clusters: int = 50,
-                       ntasks: int = 32) -> Dict[str, Any]:
+                       ntasks: int = 32):
     """K-Means time-to-completion of one runtime at one Lustre share:
     the Figure 6 Stampede cell, with one stream able to take the whole
     share."""
     lustre_bw = bw_mb * 1e6
-    row = run_figure6_cell("stampede", flavor, points, clusters, ntasks,
-                           seed=seed, lustre_bw=lustre_bw)
+    row = yield from run_figure6_cell(
+        "stampede", flavor, points, clusters, ntasks, seed=seed,
+        lustre_bw=lustre_bw)
     if not row.centroids_ok:
         raise RuntimeError(
             f"sensitivity cell lustre_bw={lustre_bw:g} flavor={flavor} "

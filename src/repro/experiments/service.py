@@ -19,7 +19,7 @@ Four cell kinds, all seed-deterministic rows over
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import List
 
 from repro.experiments.sweeps import SweepCell, make_cell
 from repro.service import (
@@ -27,27 +27,26 @@ from repro.service import (
     PilotService,
     ServiceConfig,
     TenantQuota,
-    run_load,
     run_sharded,
 )
+from repro.service.workload import load
 
 
 def run_service_load(seed: int = 42, tenants: int = 8,
                      sessions_per_tenant: int = 16,
-                     tasks_per_session: int = 2) -> Dict[str, Any]:
+                     tasks_per_session: int = 2):
     """One open-loop load scenario; returns the flat result row."""
-    row = run_load(LoadSpec(
+    row = yield from load(LoadSpec(
         tenants=tenants, sessions_per_tenant=sessions_per_tenant,
         tasks_per_session=tasks_per_session, seed=seed))
     return {"kind": "load", **row}
 
 
-def run_service_admission(seed: int = 42,
-                          max_pending: int = 8) -> Dict[str, Any]:
+def run_service_admission(seed: int = 42, max_pending: int = 8):
     """Overload a tightly-quota'd service: many sessions per tenant, a
     slow drain tick, and a small bounded queue, so admission control has
     to throttle and reject (both visibly accounted in the row)."""
-    row = run_load(LoadSpec(
+    row = yield from load(LoadSpec(
         tenants=4, sessions_per_tenant=40, raptor_workers=8,
         tick_interval=2.0, max_pending=max_pending, seed=seed))
     if row["tickets_rejected"] == 0:
@@ -57,7 +56,7 @@ def run_service_admission(seed: int = 42,
 
 
 def run_service_fairshare(seed: int = 42, heavy_weight: float = 4.0,
-                          tickets_per_tenant: int = 48) -> Dict[str, Any]:
+                          tickets_per_tenant: int = 48):
     """Two saturating tenants with a ``heavy_weight``:1 weight ratio.
 
     Both burst-submit the same backlog against a deliberately slow,
@@ -92,6 +91,7 @@ def run_service_fairshare(seed: int = 42, heavy_weight: float = 4.0,
         tickets[tenant] = [sess.submit_raptor([task])
                            for _ in range(tickets_per_tenant)]
         sess.close()
+    yield testbed.session
     env.run(service.quiesced())
     means = {tenant: sum(t.submit_latency for t in batch) / len(batch)
              for tenant, batch in tickets.items()}
@@ -108,12 +108,12 @@ def run_service_fairshare(seed: int = 42, heavy_weight: float = 4.0,
 
 
 def run_service_sharded(seed: int = 42, shards: int = 2,
-                        tenants: int = 6,
-                        sessions_per_tenant: int = 4) -> Dict[str, Any]:
+                        tenants: int = 6, sessions_per_tenant: int = 4):
     """A shared-nothing sharded run (sequential here — sweep cells may
     already be process-pool workers, and pools do not nest); records
     the merged totals plus the aggregate digest the determinism CI
     compares across ``--jobs`` values."""
+    yield None      # one world per shard, no one Session: launch refuses
     spec = LoadSpec(tenants=tenants,
                     sessions_per_tenant=sessions_per_tenant,
                     raptor_workers=8, seed=seed)

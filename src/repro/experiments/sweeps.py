@@ -25,14 +25,15 @@ from __future__ import annotations
 
 import hashlib
 import importlib
-import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import (asdict, dataclass, field, is_dataclass,
                          replace)
 from types import ModuleType
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple
+
+from repro.persist.store import canonical_json, text_digest
 
 GRIDS = ("figure5", "figure6", "ablations", "sensitivity", "chaos",
          "raptor", "service")
@@ -84,10 +85,11 @@ def grid_module(grid: str) -> ModuleType:
 
     A grid is its module, ``repro.experiments.<grid>``: it exposes
     ``cells(root_seed, quick)``, the declarative cell list, and
-    ``RUNNERS``, one function per cell kind, each called as
-    ``fn(seed=cell.seed, **cell.params)`` and returning a row or a list
-    of rows.  Only names in :data:`GRIDS` are imported, and only when
-    asked for.
+    ``RUNNERS``, one cell body per kind: a generator function, called as
+    ``fn(seed=cell.seed, **cell.params)``, that builds its world, yields
+    its Session once mid-flight (``None`` if it has no one Session) and
+    returns a row or a list of rows.  Only names in :data:`GRIDS` are
+    imported, and only when asked for.
     """
     if grid not in GRIDS:
         raise ValueError(f"unknown sweep grid {grid!r}; known: {GRIDS}")
@@ -126,6 +128,16 @@ def _jsonify(value: Any) -> Any:
     return value
 
 
+def finish(body: Generator) -> Any:
+    """Run a cell body, fresh or paused at its yield (``session.cell``),
+    to its end; return its rows."""
+    try:
+        while True:
+            next(body)
+    except StopIteration as done:
+        return done.value
+
+
 def run_cell(cell: SweepCell) -> Dict[str, Any]:
     """Execute one cell (in this process) and capture its wall time.
 
@@ -136,7 +148,7 @@ def run_cell(cell: SweepCell) -> Dict[str, Any]:
     # Host-side wall time of the runner, reported but never fed back
     # into the simulation — results stay seed-deterministic.
     t0 = time.perf_counter()
-    out = runner(seed=cell.seed, **dict(cell.params))
+    out = finish(runner(seed=cell.seed, **dict(cell.params)))
     wall = time.perf_counter() - t0
     rows = _jsonify(out if isinstance(out, list) else [out])
     return {"key": cell.key, "seed": cell.seed, "rows": rows,
@@ -186,12 +198,11 @@ class SweepRun:
 
     def aggregate_json(self) -> str:
         """Canonical JSON of :meth:`aggregate` — byte-comparable."""
-        return json.dumps(self.aggregate(), sort_keys=True,
-                          separators=(",", ":"))
+        return canonical_json(self.aggregate())
 
     def digest(self) -> str:
         """sha256 of the canonical aggregate, for quick comparisons."""
-        return hashlib.sha256(self.aggregate_json().encode()).hexdigest()
+        return text_digest(self.aggregate_json())
 
     def report(self) -> Dict[str, Any]:
         """Aggregate + timing metadata (the JSON artifact written by

@@ -141,7 +141,7 @@ def _runtimes(rows) -> dict:
 
 def figure6_checks(rows) -> List[Check]:
     """The §IV-B shapes, each over whichever cells ``rows`` holds."""
-    from repro.experiments.figure6 import yarn_advantage
+    from repro.experiments.figure6 import speedup, yarn_advantage
 
     t = _runtimes(rows)
     advantage = yarn_advantage(rows)
@@ -153,9 +153,6 @@ def figure6_checks(rows) -> List[Check]:
     def yarn_wins(machine, points, ntasks):
         return (t[machine, "RP-YARN", points, ntasks]
                 < t[machine, "RP", points, ntasks])
-
-    def s(machine, flavor, points):                 # 8 -> 32 task speedup
-        return t[machine, flavor, points, 8] / t[machine, flavor, points, 32]
 
     return [
         Check(f"all {ncells} cells of the grid ran, once each (full "
@@ -177,7 +174,8 @@ def figure6_checks(rows) -> List[Check]:
         Check("RP-YARN's 8->32 speedup beats RP's at 1M points on both "
               f"machines (paper: {PAPER_TARGETS['yarn_speedup_1m_stampede']}"
               f" vs {PAPER_TARGETS['rp_speedup_1m_stampede']})",
-              lambda: all(s(m, "RP-YARN", 1_000_000) > s(m, "RP", 1_000_000)
+              lambda: all(speedup(rows, m, "RP-YARN", 1_000_000)
+                          > speedup(rows, m, "RP", 1_000_000)
                           for m in MACHINES)),
         Check(f"mean RP-YARN advantage at >=16 tasks {advantage:+.1%} is "
               f"positive (paper: {PAPER_TARGETS['yarn_advantage_mean']:+.0%})",
@@ -188,13 +186,15 @@ def figure6_checks(rows) -> List[Check]:
                        > t["stampede", "RP", 10_000, 8])),
         Check("plain-RP 8->32 speedup on Stampede declines by > 0.2 from "
               "10k to 1M points",
-              lambda: (s("stampede", "RP", 10_000)
-                       - s("stampede", "RP", 1_000_000)) > 0.2),
+              lambda: (speedup(rows, "stampede", "RP", 10_000)
+                       - speedup(rows, "stampede", "RP", 1_000_000)) > 0.2),
     ]
 
 
 def figure6_report(rows) -> Tuple[str, bool]:
     """Render the Figure 6 grid, its speedups and the paper shapes."""
+    from repro.experiments.figure6 import speedup
+
     table = format_table(
         ["machine", "flavor", "points", "clusters", "tasks", "nodes",
          "runtime (s)", "centroids"],
@@ -205,7 +205,7 @@ def figure6_report(rows) -> Tuple[str, bool]:
     t = _runtimes(rows)
     speedups = [
         f"speedup {key[0]:9s} {key[1]:8s} {key[2]:>9,} pts "
-        f"(8->32 tasks): {t[key + (8,)] / t[key + (32,)]:.2f}"
+        f"(8->32 tasks): {speedup(rows, *key):.2f}"
         for key in sorted({k[:3] for k in t})
         if key + (8,) in t and key + (32,) in t]
     shapes, holds = run_checks(figure6_checks(rows))

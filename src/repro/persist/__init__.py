@@ -8,15 +8,17 @@ Three pieces:
 * :class:`~repro.persist.store.SnapshotStore` — content-addressed,
   atomic-rename snapshot records with named refs.
 * :mod:`~repro.persist.checkpoint` — replay-based session checkpoints:
-  record (scenario, seed, params) + the engine's replay barrier + a
+  record (cell kind, seed, params) + the engine's replay barrier + a
   state digest; :func:`restore` rebuilds the session in a fresh
-  process and proves byte-identical state.
+  process and proves byte-identical state.  A scenario is a sweep cell
+  kind, launched to its body's mid-flight yield.
 * :class:`~repro.persist.journal.SweepJournal` — per-cell completion
   journal that makes ``python -m repro sweep --resume`` re-run only
   unfinished cells after a crash.
 
 Quick start::
 
+    from repro.experiments.sweeps import finish
     from repro.persist import launch, restore
 
     session = launch("bag", seed=7, fault_rate=0.25)
@@ -24,6 +26,7 @@ Quick start::
     session.checkpoint("ckpt-store")      # survives kill -9 from here
     ...
     session = restore("ckpt-store")       # fresh process, same state
+    row = finish(session.cell)            # the chaos bag cell's row
 """
 
 from repro.persist.checkpoint import (
@@ -37,7 +40,6 @@ from repro.persist.checkpoint import (
     fingerprint_schema,
     launch,
     restore,
-    scenario,
     scenario_names,
     state_digest,
     state_fingerprint,
@@ -73,7 +75,6 @@ __all__ = [
     "launch",
     "payload_digest",
     "restore",
-    "scenario",
     "scenario_names",
     "state_digest",
     "state_fingerprint",

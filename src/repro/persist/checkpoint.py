@@ -4,8 +4,9 @@ A live session cannot be pickled — its processes are suspended Python
 generator frames.  Instead of serializing frames, a checkpoint records
 how to *rebuild* them:
 
-* the **provenance** — which registered :func:`scenario` built the
-  session, with which seed and parameters;
+* the **provenance** — which sweep cell kind built the session, with
+  which seed and parameters: :func:`launch` runs the kind's body to its
+  mid-flight yield and keeps the paused body on ``session.cell``;
 * the **replay barrier** — the engine's deterministic step counter at
   the moment of the checkpoint (plus ``now`` and the event sequence
   counter as cross-checks);
@@ -32,8 +33,6 @@ from __future__ import annotations
 
 import functools
 import gc
-import importlib
-import inspect
 import json
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any, Callable, Dict, Optional
@@ -46,8 +45,10 @@ from repro.sim.engine import SimulationError
 #: counted since-removed events as steps (5: the per-container child
 #: processes of a YARN-flavoured world; 6: one dispatch process per
 #: raptor task; 7: the batch scheduler's idle periodic cycle; 8: one
-#: heartbeat timeout per NodeManager); 3 carried no ``schema``.
-CHECKPOINT_FORMAT = 9
+#: heartbeat timeout per NodeManager); 3 carried no ``schema``; 9 named
+#: a registered builder's module and qualname, and hashed a constant
+#: ``closed`` key in the session section.
+CHECKPOINT_FORMAT = 10
 
 #: Where the checkpoint workflow is documented (error-message pointer).
 DOCS_POINTER = "README.md 'Crash-safe state & resume'"
@@ -62,32 +63,24 @@ class RestoreMismatch(PersistError):
 
 
 # --------------------------------------------------------------- scenarios
-_SCENARIOS: Dict[str, Callable] = {}
-
-
-def scenario(name: str) -> Callable:
-    """Register a session-builder under ``name``.
-
-    A scenario is a plain function ``fn(session_seed, **params) ->
-    Session`` that deterministically constructs a session and advances
-    it to some interesting point.  Registration is what makes sessions
-    *checkpointable*: the snapshot stores the scenario name + module,
-    and :func:`restore` imports that module to rebuild the world.
-    """
-    def register(fn: Callable) -> Callable:
-        existing = _SCENARIOS.get(name)
-        if existing is not None and existing is not fn:
-            raise PersistError(f"scenario {name!r} already registered "
-                               f"as {existing.__module__}.{existing.__qualname__}")
-        _SCENARIOS[name] = fn
-        return fn
-    return register
+def _bodies() -> Dict[str, Callable]:
+    """Every grid's cell kinds -> bodies; a kind two grids define raises."""
+    from repro.experiments.sweeps import GRIDS, grid_module
+    bodies: Dict[str, Callable] = {}
+    owner: Dict[str, str] = {}
+    for grid in GRIDS:
+        for kind, body in grid_module(grid).RUNNERS.items():
+            if kind in owner:
+                raise PersistError(
+                    f"scenario {kind!r} is a cell kind of both the "
+                    f"{owner[kind]!r} and the {grid!r} grid")
+            bodies[kind], owner[kind] = body, grid
+    return bodies
 
 
 def scenario_names() -> list:
-    """Registered scenario names, sorted (CLI listing)."""
-    import repro.persist.scenarios  # noqa: F401  (register built-ins)
-    return sorted(_SCENARIOS)
+    """Every grid's cell kinds, sorted (CLI listing)."""
+    return sorted(_bodies())
 
 
 @dataclass(frozen=True)
@@ -95,40 +88,40 @@ class Provenance:
     """How a session can be rebuilt in a fresh process."""
 
     name: str
-    module: str
-    qualname: str
     seed: int
     params: Dict[str, Any] = field(default_factory=dict)
 
     def payload(self) -> Dict[str, Any]:
-        return {"name": self.name, "module": self.module,
-                "qualname": self.qualname, "seed": self.seed,
+        return {"name": self.name, "seed": self.seed,
                 "params": dict(sorted(self.params.items()))}
 
 
 def launch(name: str, seed: int = 42, **params):
-    """Build a checkpointable session from a registered scenario.
+    """Run the cell kind ``name`` to its yield; return its session.
 
-    The returned session carries a :class:`Provenance`; between
-    ``launch`` and ``checkpoint`` callers may only *advance time*
-    (``env.run``) — any other mutation diverges the replay and is
-    caught by the post-restore digest check.
+    The session carries a :class:`Provenance` and, on ``cell``, the
+    paused body; between ``launch`` and ``checkpoint`` callers may only
+    *advance time* (``env.run``) — any other mutation diverges the
+    replay and is caught by the post-restore digest check.
     """
-    import repro.persist.scenarios  # noqa: F401  (register built-ins)
-    if name not in _SCENARIOS:
+    bodies = _bodies()
+    if name not in bodies:
         raise PersistError(
-            f"unknown scenario {name!r}; registered: "
-            f"{', '.join(sorted(_SCENARIOS)) or '(none)'}")
-    fn = _SCENARIOS[name]
-    try:
-        inspect.signature(fn).bind(seed, **params)
+            f"unknown scenario {name!r}; the sweep cell kinds are: "
+            f"{', '.join(sorted(bodies))}")
+    try:     # a generator function only binds its arguments when called
+        cell = bodies[name](seed=seed, **params)
     except TypeError as exc:
         raise PersistError(
             f"scenario {name!r} rejects its parameters: {exc}") from None
-    session = fn(seed, **params)
-    session.provenance = Provenance(
-        name=name, module=fn.__module__, qualname=fn.__qualname__,
-        seed=seed, params=dict(params))
+    session = next(cell)
+    if session is None:
+        raise PersistError(
+            f"scenario {name!r} has no single Session world to "
+            f"checkpoint")
+    session.cell = cell
+    session.provenance = Provenance(name=name, seed=seed,
+                                    params=dict(params))
     return session
 
 
@@ -261,10 +254,11 @@ def checkpoint_session(session, path, ref: str = "latest") -> CheckpointInfo:
 def restore(path, ref: str = "latest"):
     """Rebuild a checkpointed session in this process.
 
-    Loads the snapshot, re-runs its scenario with the recorded seed and
-    parameters, replays the engine to the barrier and verifies schema
-    and state digest.  Returns the restored session, byte-identical (by
-    fingerprint) to the one that was checkpointed.
+    Loads the snapshot, launches its cell kind again with the recorded
+    seed and parameters, replays the engine to the barrier and verifies
+    schema and state digest.  Returns the restored session,
+    byte-identical (by fingerprint) to the one that was checkpointed;
+    ``finish(session.cell)`` completes its rows.
     """
     store = SnapshotStore(path, create=False)
     record = store.resolve(ref)
@@ -280,8 +274,6 @@ def restore(path, ref: str = "latest"):
     # A discarded world is cyclic garbage (generators <-> the env's
     # queue): free those before replaying another.
     gc.collect()
-    # Import the defining module so out-of-tree scenarios register.
-    importlib.import_module(prov["module"])
     session = launch(prov["name"], seed=prov["seed"], **prov["params"])
     barrier = record["barrier"]
     try:

@@ -19,13 +19,13 @@ recording results as the pool hands them back.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import os
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional
 
-from repro.persist.store import PersistError, atomic_write, canonical_json
+from repro.persist.store import (PersistError, atomic_write, canonical_json,
+                                 payload_digest)
 
 #: Journal layout version.
 JOURNAL_FORMAT = 1
@@ -37,7 +37,7 @@ class JournalError(PersistError):
 
 def _line_digest(payload: Dict[str, Any]) -> str:
     """Integrity digest for one journal line (body without ``check``)."""
-    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()[:16]
+    return payload_digest(payload)[:16]
 
 
 def _entry(line: str) -> Optional[Dict[str, Any]]:

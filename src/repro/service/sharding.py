@@ -18,13 +18,12 @@ way (pinned by the determinism tests and the ``service`` sweep grid).
 
 from __future__ import annotations
 
-import hashlib
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.hashing import stable_hash
+from repro.persist.store import canonical_json, text_digest
 from repro.service.workload import LoadSpec, run_load
 
 
@@ -33,11 +32,6 @@ def shard_of(tenant: str, shards: int) -> int:
     if shards < 1:
         raise ValueError("shards must be >= 1")
     return stable_hash(tenant) % shards
-
-
-def run_shard(spec: LoadSpec) -> Dict[str, Any]:
-    """Run one shard's world (top-level, so it pickles for the pool)."""
-    return run_load(spec)
 
 
 @dataclass
@@ -64,12 +58,11 @@ class ShardedRun:
 
     def aggregate_json(self) -> str:
         """Canonical JSON of :meth:`aggregate` — byte-comparable."""
-        return json.dumps(self.aggregate(), sort_keys=True,
-                          separators=(",", ":"))
+        return canonical_json(self.aggregate())
 
     def digest(self) -> str:
         """sha256 of the canonical aggregate."""
-        return hashlib.sha256(self.aggregate_json().encode()).hexdigest()
+        return text_digest(self.aggregate_json())
 
 
 def run_sharded(spec: LoadSpec, shards: int,
@@ -89,11 +82,11 @@ def run_sharded(spec: LoadSpec, shards: int,
     shard_specs = [spec.replace(shard=i, shards=shards)
                    for i in range(shards)]
     if jobs == 1 or shards == 1:
-        rows = [run_shard(s) for s in shard_specs]
+        rows = [run_load(s) for s in shard_specs]
     else:
         with ProcessPoolExecutor(
                 max_workers=min(jobs, shards)) as ex:
             # executor.map yields results in submission order no matter
             # which worker finishes first.
-            rows = list(ex.map(run_shard, shard_specs))
+            rows = list(ex.map(run_load, shard_specs))
     return ShardedRun(spec=spec, jobs=jobs, rows=rows)

@@ -1,11 +1,13 @@
 """Deterministic multi-tenant load generation against one PilotService.
 
-:func:`run_load` builds a complete simulated world (machine + pilot +
+:func:`load` builds a complete simulated world (machine + pilot +
 raptor overlay + service), drives an open-loop arrival process — every
 tenant's session-open instants are drawn from a per-tenant named RNG
 stream, so a tenant's arrivals are identical no matter which shard of a
 sharded run it lands in — and returns one flat, JSON-able result row
-with throughput, admission and latency-percentile numbers.
+with throughput, admission and latency-percentile numbers.  It is a
+cell body (see :mod:`repro.experiments.sweeps`); :func:`run_load` runs
+it to its row.
 
 Everything here is simulation-side and seed-deterministic: wall-clock
 measurement belongs to the ``service-sessions`` workload of
@@ -99,7 +101,7 @@ def _arrivals(spec: LoadSpec, session) -> List[Tuple[float, str]]:
     return out
 
 
-def run_load(spec: LoadSpec) -> Dict[str, Any]:
+def load(spec: LoadSpec):
     """Run one load scenario to quiescence; returns a flat result row."""
     from repro.api import RaptorConfig, TaskDescription
     from repro.experiments.calibration import agent_config
@@ -144,7 +146,9 @@ def run_load(spec: LoadSpec) -> Dict[str, Any]:
             # is what makes the open-session gauge a concurrency count.
             sess.close()
 
-    env.run(env.process(drive(), name="service-load"))
+    arrivals = env.process(drive(), name="service-load")
+    yield testbed.session
+    env.run(arrivals)
     env.run(service.quiesced())
     makespan = env.now - t_start
     metrics = service.query("/metrics")
@@ -176,3 +180,9 @@ def run_load(spec: LoadSpec) -> Dict[str, Any]:
             value = hist[f"p{p}"]
             row[f"{name}_p{p}"] = 0.0 if value is None else float(value)
     return row
+
+
+def run_load(spec: LoadSpec) -> Dict[str, Any]:
+    """:func:`load` run to its end: the flat result row."""
+    from repro.experiments.sweeps import finish
+    return finish(load(spec))

@@ -40,8 +40,9 @@ hazards banned              a cell body calling the wall clock,
 
 Rows are put back in declaration order before hashing (the aggregate
 hashes in list order), so only a real change of a row shows.  The ban
-covers the runner call alone: ``sweeps.run_cell`` times its runner with
-``time.perf_counter`` outside it.  While a cell body runs, every
+covers the cell body alone, from its start through its yield to its
+return: ``sweeps.run_cell`` times the body with ``time.perf_counter``
+outside it.  While a cell body runs, every
 :class:`~repro.core.session.Session` it builds must get the cell's seed.
 Each interpreter also runs one small telemetry-on bag; its metrics and
 span JSONL must hash the same under both hash seeds.
@@ -173,14 +174,14 @@ def banned(hits, session_seeds):
 
 
 def guarded(grid, kind, runner, hits, strays):
-    """``runner`` with the hazards banned for the call; hits and
-    sessions off the cell seed are logged under the cell's key."""
+    """``runner``'s cell body with the hazards banned while it runs; hits
+    and sessions off the cell seed are logged under the cell's key."""
     def run(seed, **params):
         key = SweepCell(grid, kind, tuple(sorted(params.items())), seed).key
         found, seeds = [], []
         try:
             with banned(found, seeds):
-                return runner(seed=seed, **params)
+                return (yield from runner(seed=seed, **params))
         finally:
             hits.extend(f"{key}: {name}" for name in found)
             strays.extend(f"{key}: Session(seed={s}), cell seed {seed}"

@@ -23,6 +23,7 @@ from repro.experiments.figure6 import (
     yarn_advantage,
 )
 from repro.experiments.harness import Testbed, experiment_machine
+from repro.experiments.sweeps import finish
 from repro.experiments.tables import format_table, within
 
 
@@ -69,7 +70,7 @@ def test_yarn_config_scaling():
 
 # ---------------------------------------------------------------- figure6
 def test_single_cell_runs_and_validates():
-    row = run_figure6_cell("stampede", "RP", 10_000, 50, 8)
+    row = finish(run_figure6_cell("stampede", "RP", 10_000, 50, 8))
     assert row.centroids_ok
     assert row.runtime > 0
     assert row.nodes == 1

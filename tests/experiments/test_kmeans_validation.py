@@ -6,6 +6,7 @@ import pytest
 
 from repro.analytics import kmeans
 from repro.experiments import figure6, sensitivity
+from repro.experiments.sweeps import finish
 
 #: A scenario small enough to run in well under a second per cell.
 POINTS, CLUSTERS, NTASKS = 4_000, 5, 8
@@ -27,8 +28,8 @@ def fresh_memo(monkeypatch):
 
 
 def test_reference_runs_once_per_scenario(fresh_memo):
-    rows = [figure6.run_figure6_cell("stampede", flavor, POINTS, CLUSTERS,
-                                     NTASKS)
+    rows = [finish(figure6.run_figure6_cell("stampede", flavor, POINTS,
+                                            CLUSTERS, NTASKS))
             for flavor in ("RP", "RP-YARN")]
     assert [row.centroids_ok for row in rows] == [True, True]
     assert fresh_memo == [(POINTS, CLUSTERS, 2)]
@@ -46,11 +47,11 @@ def test_shifted_centroids_fail_their_own_cell_only(fresh_memo, monkeypatch):
         centroids, units = yield from real(*args, **kwargs)
         return centroids + 1e-3, units
 
-    good = figure6.run_figure6_cell("stampede", "RP", POINTS, CLUSTERS,
-                                    NTASKS)
+    good = finish(figure6.run_figure6_cell("stampede", "RP", POINTS,
+                                           CLUSTERS, NTASKS))
     monkeypatch.setattr(figure6, "run_kmeans_pilot", shifted)
-    bad = figure6.run_figure6_cell("stampede", "RP", POINTS, CLUSTERS,
-                                   NTASKS)
+    bad = finish(figure6.run_figure6_cell("stampede", "RP", POINTS,
+                                          CLUSTERS, NTASKS))
     assert good.centroids_ok and not bad.centroids_ok
     assert bad.runtime == good.runtime
     assert len(fresh_memo) == 1
@@ -66,8 +67,8 @@ def test_shared_arrays_are_read_only(fresh_memo):
 
 
 def test_sensitivity_cell_validates_its_centroids(fresh_memo, monkeypatch):
-    row = sensitivity.run_lustre_bw_cell(100, "RP", points=POINTS,
-                                         clusters=CLUSTERS, ntasks=NTASKS)
+    row = finish(sensitivity.run_lustre_bw_cell(
+        100, "RP", points=POINTS, clusters=CLUSTERS, ntasks=NTASKS))
     assert row["runtime"] > 0.0
     assert len(fresh_memo) == 1      # the reference is memoised unpatched
 
@@ -76,8 +77,9 @@ def test_sensitivity_cell_validates_its_centroids(fresh_memo, monkeypatch):
 
     monkeypatch.setattr(kmeans, "_update", drifting)
     with pytest.raises(RuntimeError) as err:
-        sensitivity.run_lustre_bw_cell(100, "RP-YARN", points=POINTS,
-                                       clusters=CLUSTERS, ntasks=NTASKS)
+        finish(sensitivity.run_lustre_bw_cell(
+            100, "RP-YARN", points=POINTS, clusters=CLUSTERS,
+            ntasks=NTASKS))
     message = str(err.value)
     assert "diverge" in message
     for parameter in ("lustre_bw=1e+08", "flavor=RP-YARN",

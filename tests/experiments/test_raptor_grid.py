@@ -5,7 +5,7 @@ from repro.experiments.raptor import (
     run_raptor_faults,
     run_raptor_throughput,
 )
-from repro.experiments.sweeps import build_cells, run_cell, run_sweep
+from repro.experiments.sweeps import build_cells, finish, run_cell, run_sweep
 
 
 def _quick_cells(kinds=None):
@@ -17,7 +17,7 @@ def _quick_cells(kinds=None):
 
 def test_overlay_beats_per_unit_yarn_by_5x_at_1e5_tasks():
     """ISSUE acceptance: >= 5x over the per-unit YARN path at 1e5."""
-    row = run_raptor_throughput(100_000)
+    row = finish(run_raptor_throughput(100_000))
     assert row.tasks_completed == 100_000 and row.tasks_failed == 0
     assert row.speedup >= 5.0, row
     # the comparison is apples-to-apples: same machine, same pilot size
@@ -25,13 +25,13 @@ def test_overlay_beats_per_unit_yarn_by_5x_at_1e5_tasks():
 
 
 def test_equivalence_both_paths_identical_results():
-    row = run_raptor_equivalence(ntasks=64)
+    row = finish(run_raptor_equivalence(ntasks=64))
     assert row.identical, (row.overlay_digest, row.per_unit_digest)
     assert row.overlay_digest == row.per_unit_digest
 
 
 def test_fault_cell_survives_worker_node_crash():
-    row = run_raptor_faults(ntasks=100, seed=7)
+    row = finish(run_raptor_faults(ntasks=100, seed=7))
     assert row.workers_lost > 0
     assert row.tasks_retried > 0
     assert row.all_completed and row.tasks_failed == 0

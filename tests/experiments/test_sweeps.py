@@ -45,7 +45,7 @@ def test_grid_shapes():
     assert len(build_cells("ablations", quick=True)) == 3
     assert len(sensitivity.cells()) == 8
     assert len(build_cells("chaos")) == 5
-    assert len(build_cells("raptor")) == 5
+    assert len(build_cells("raptor")) == 6
     assert len(build_cells("raptor", quick=True)) == 4
     assert len(build_cells("service")) == 5
     assert len(build_cells("service", quick=True)) == 4
@@ -57,7 +57,8 @@ def test_grids_tuple_matches_builder_registry():
     """Each GRIDS name resolves to its experiment module, whose builder
     emits only cell kinds its RUNNERS map can run, each kind at least
     once in the full grid (the quick ``ablations`` grid has no K-Means
-    cells); no second registry of grids or cell runners comes back."""
+    cells); no second registry of grids, cell runners or checkpoint
+    scenarios comes back."""
     for grid in GRIDS:
         module = grid_module(grid)
         assert module.__name__ == f"repro.experiments.{grid}"
@@ -67,7 +68,8 @@ def test_grids_tuple_matches_builder_registry():
         assert {c.kind for c in quick} <= set(module.RUNNERS), grid
     src = Path(__file__).resolve().parents[2] / "src"
     banned = re.compile(
-        r"_GRID_BUILDERS|_CELL_RUNNERS|\b_run_\w+_cell\b|run_chaos_cell")
+        r"_GRID_BUILDERS|_CELL_RUNNERS|\b_run_\w+_cell\b|run_chaos_cell"
+        r"|_SCENARIOS|@scenario\(")
     offenders = [f"{path.relative_to(src)}:{n}"
                  for path in sorted(src.rglob("*.py"))
                  for n, line in enumerate(path.read_text().splitlines(), 1)

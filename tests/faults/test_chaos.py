@@ -3,7 +3,7 @@
 from repro.api import UnitManager
 from repro.experiments import chaos
 from repro.experiments.chaos import run_chaos_bag, run_nm_loss
-from repro.experiments.sweeps import build_cells, run_cell, run_sweep
+from repro.experiments.sweeps import build_cells, finish, run_cell, run_sweep
 
 
 def _cell(kind, **params):
@@ -35,8 +35,8 @@ def test_hdfs_heal_cell_restores_replication_and_is_hermetic():
 
 
 def test_chaos_bag_restarts_recover_every_poisoned_unit():
-    clean = run_chaos_bag(fault_rate=0.0, ntasks=8, seed=7)
-    chaotic = run_chaos_bag(fault_rate=0.5, ntasks=8, seed=7)
+    clean = finish(run_chaos_bag(fault_rate=0.0, ntasks=8, seed=7))
+    chaotic = finish(run_chaos_bag(fault_rate=0.5, ntasks=8, seed=7))
     assert clean.poisoned == 0 and clean.restarts == 0
     assert clean.done == chaotic.done == 8
     assert chaotic.poisoned == 4
@@ -57,7 +57,7 @@ def test_nm_loss_client_restarts_finish_every_unit(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(UnitManager, "__init__", recording_init)
-    row = run_nm_loss(ntasks=6, seed=7)
+    row = finish(run_nm_loss(ntasks=6, seed=7))
     assert row.done == row.units == 6
     assert row.nodes_lost == 1
     assert row.reattempts == 0

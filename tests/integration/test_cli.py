@@ -186,11 +186,11 @@ def test_p1_transcript_pinned(tmp_path, capsys):
                  "--param", "ntasks=8", "--param", "fault_rate=0.25"]) == 0
     out = capsys.readouterr().out
     assert "checkpointed scenario 'bag' at t=120.000 (step 249)" in out
-    assert "  state: 05d7bba9d8ec" in out
+    assert "  state: 7fd12ddfe479" in out
     assert main(["restore", store, "--until", "200"]) == 0
     out = capsys.readouterr().out
     assert "at t=120.000 (step 249); state digest verified" in out
-    assert ("ran to t=200.000 (step 447), state digest 06edd67132f74207"
+    assert ("ran to t=200.000 (step 447), state digest 6d6931961be82908"
             in out)
 
 

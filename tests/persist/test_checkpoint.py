@@ -16,11 +16,12 @@ from repro.persist import (
     SnapshotStore,
     launch,
     restore,
-    scenario,
     scenario_names,
     state_digest,
     state_fingerprint,
 )
+from repro.experiments.sweeps import (_jsonify, build_cells, finish,
+                                      grid_module, run_cell)
 from repro.persist.checkpoint import fingerprint_diff, fingerprint_schema
 from repro.saga import Registry
 from repro.sim.engine import Environment, SimulationError
@@ -42,9 +43,23 @@ def test_launch_unknown_scenario_rejected():
         launch("no-such-scenario")
 
 
-def test_duplicate_scenario_name_rejected():
-    with pytest.raises(PersistError, match="already registered"):
-        scenario("bag")(lambda seed: None)
+def test_duplicate_scenario_name_rejected(monkeypatch):
+    """A kind two grids define would make a checkpoint's provenance
+    ambiguous; the lookup names both grids."""
+    service = grid_module("service")
+    monkeypatch.setattr(service, "RUNNERS",
+                        {**service.RUNNERS, "bag": service.RUNNERS["load"]})
+    with pytest.raises(PersistError,
+                       match="'bag' is a cell kind of both the 'chaos' "
+                             "and the 'service' grid"):
+        launch("bag", seed=7, **BAG)
+
+
+@pytest.mark.parametrize("kind", ["sharded", "spark-deploy-mode"])
+def test_launch_of_a_kind_without_one_session_is_refused(kind):
+    with pytest.raises(PersistError,
+                       match=rf"scenario '{kind}' has no single Session"):
+        launch(kind, seed=7)
 
 
 def test_launch_binds_provenance():
@@ -53,7 +68,6 @@ def test_launch_binds_provenance():
     assert prov.name == "bag"
     assert prov.seed == 7
     assert prov.params == BAG
-    assert prov.module == "repro.persist.scenarios"
 
 
 def test_unprovenanced_session_cannot_checkpoint(tmp_path):
@@ -109,10 +123,7 @@ def test_restored_session_continues_byte_identically(tmp_path):
         restored.env.run(until=horizon)
         assert state_digest(session) == state_digest(restored)
     # ...and through workload completion, faults and restarts included
-    session.env.run(session.handles["umgr"].wait_units(
-        session.handles["units"]))
-    restored.env.run(restored.handles["umgr"].wait_units(
-        restored.handles["units"]))
+    assert finish(session.cell) == finish(restored.cell)
     assert state_digest(session) == state_digest(restored)
 
 
@@ -200,15 +211,16 @@ def test_schema_is_value_independent(name, params):
 
 
 def test_state_digests_pinned():
-    """Re-pinned once when the batch scheduler's idle periodic cycle
-    went: its ticks left the engine's step count and event heap, and
-    nothing else that is hashed moved."""
+    """Re-pinned when the batch scheduler's idle periodic cycle went
+    (its ticks left the engine's step count and event heap) and at
+    format 10, when the session section stopped hashing a constant
+    ``closed`` key; nothing else that is hashed moved either time."""
     bag = launch("bag", seed=9, ntasks=8)
     bag.env.run(until=80.0)
-    assert state_digest(bag) == ("3e06396d409c1ca5df49577ea53f509a"
-                                 "b544ca2addd3c2591762ba90836947e8")
+    assert state_digest(bag) == ("ceb45339a7a4873d07fc0eebc3d950df"
+                                 "981b5fd2b7e31a49a62ae101fbc89c61")
     assert state_digest(launch("raptor-stream", seed=9)) == (
-        "401b64c536bbe856bfd5a4c2e98ff91a572d2d37dfed0fa2a9c11402f129e554")
+        "f45a3dab3347b5f3c8096212b9d0a48fc20fe4e6bc09fdcfda77130c22de7d0f")
 
 
 def test_checkpoint_on_a_full_disk_is_a_named_error(tmp_path, monkeypatch):
@@ -230,15 +242,16 @@ def test_checkpoint_on_a_full_disk_is_a_named_error(tmp_path, monkeypatch):
 
 def test_older_checkpoint_format_refused_by_name(tmp_path):
     """Formats 1-8 either count steps this build replays to a different
-    point or carry no ``schema``; each is refused up front, by name,
+    point or carry no ``schema``, and 9 names a builder module and
+    hashes another session section; each is refused up front, by name,
     not as a digest diff."""
-    assert CHECKPOINT_FORMAT == 9
+    assert CHECKPOINT_FORMAT == 10
     store = _checkpointed_bag(tmp_path)
-    for older in (1, 2, 3, 4, 5, 6, 7, 8):
+    for older in range(1, 10):
         _rewrite(store, format=older)
         with pytest.raises(PersistError,
                            match=rf"checkpoint format {older} unsupported; "
-                                 r"this build reads format 9") as info:
+                                 r"this build reads format 10") as info:
             restore(tmp_path / "s")
         assert not isinstance(info.value, (RestoreMismatch, SchemaDrift))
 
@@ -329,11 +342,30 @@ def test_raptor_stream_round_trip(tmp_path):
     info = session.checkpoint(tmp_path / "s")
     restored = restore(tmp_path / "s")
     assert state_digest(restored) == info.state_digest
-    session.env.run(session.handles["overlay"].wait())
-    restored.env.run(restored.handles["overlay"].wait())
-    assert session.handles["overlay"].stats() == \
-        restored.handles["overlay"].stats()
+    stats = finish(session.cell)
+    assert stats["tasks_completed"] == 6
+    assert finish(restored.cell) == stats
     assert state_digest(session) == state_digest(restored)
+
+
+@pytest.mark.parametrize("grid,kind", [
+    ("figure5", "unit-startup"), ("figure6", "kmeans"),
+    ("ablations", "integration-level"), ("sensitivity", "lustre-bw"),
+    ("chaos", "bag"), ("raptor", "faults"), ("service", "fairshare")])
+def test_one_cell_per_grid_resumes_to_its_rows(tmp_path, grid, kind):
+    """A checkpoint scenario is a sweep cell: launched, advanced off the
+    agent's 1 s polling grid, checkpointed, restored and finished, a
+    cell returns the rows ``run_cell`` records for it."""
+    cell = next(cell for cell in build_cells(grid, quick=True)
+                if cell.kind == kind)
+    session = launch(kind, seed=cell.seed, **dict(cell.params))
+    session.env.run(until=session.env.now + 0.37)
+    info = session.checkpoint(tmp_path / "s")
+    restored = restore(tmp_path / "s")
+    assert state_digest(restored) == info.state_digest
+    out = finish(restored.cell)
+    rows = _jsonify(out if isinstance(out, list) else [out])
+    assert rows == run_cell(cell)["rows"]
 
 
 def test_replay_guard_rails():

@@ -98,15 +98,18 @@ def artefacts(work: Path) -> List[List[str]]:
          "--output", str(work / "trace")],
         [*repro, "checkpoint", "--list"],
     ]
-    # The CI round-trips: a fork bag, a YARN bag and a raptor stream,
-    # each checkpointed, its store verified, and restored.
+    # The CI round-trips: a fork bag, a YARN bag, a raptor stream and
+    # the service grid's fair-share cell, each checkpointed, its store
+    # verified, and restored.
     for store, scenario, at, until, params in (
-            ("ckpt", "bag", "120", None, ()),
-            ("ckpt-yarn", "bag", "140", "200", ("flavor=RP-YARN",)),
-            ("ckpt-raptor", "raptor-stream", "90", "120", ())):
+            ("ckpt", "bag", "120", None, ("ntasks=4",)),
+            ("ckpt-yarn", "bag", "140", "200",
+             ("ntasks=4", "flavor=RP-YARN")),
+            ("ckpt-raptor", "raptor-stream", "90", "120", ("ntasks=4",)),
+            ("ckpt-fairshare", "fairshare", "150", "170", ())):
         path = str(work / store)
         runs.append([*repro, "checkpoint", scenario, "--store", path,
-                     "--at", at, "--param", "ntasks=4",
+                     "--at", at,
                      *(f for p in params for f in ("--param", p))])
         runs.append([sys.executable, "-c",
                      "import sys; from repro.persist import SnapshotStore; "
